@@ -91,6 +91,15 @@ class ResiduatedLattice:
             out = self.mul[out][x]
         return out
 
+    def powers(self, x: int) -> list[int]:
+        """x, x^2, ... up to and including the stabilized power."""
+        out = [x]
+        p = x
+        while self.mul[p][x] != p:
+            p = self.mul[p][x]
+            out.append(p)
+        return out
+
     def power_limit(self, x: int) -> int:
         """The idempotent where the decreasing power sequence stabilizes."""
         p = x

@@ -20,16 +20,6 @@ from . import pure as pr
 from . import topology as top
 
 
-def _power_list(a: ResiduatedLattice, x: int) -> list[int]:
-    """x, x^2, ... up to and including the stabilized power."""
-    out = [x]
-    p = x
-    while a.mul[p][x] != p:
-        p = a.mul[p][x]
-        out.append(p)
-    return out
-
-
 def unique_maximal_over_primes(a: ResiduatedLattice):
     """The definition; witness is the first prime under two maximals."""
     for p in flt.prime_filters(a):
@@ -51,8 +41,8 @@ def contessa_check(a: ResiduatedLattice):
                 continue
             if not any(
                 a.join[a.neg(px)][a.neg(py)] == a.one
-                for px in _power_list(a, x)
-                for py in _power_list(a, y)
+                for px in a.powers(x)
+                for py in a.powers(y)
             ):
                 return False, (x, y)
     return True, None
@@ -118,7 +108,7 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
     power_negation_join = all(
         any(
             a.join[y][a.neg(px)] == a.one
-            for px in _power_list(a, x)
+            for px in a.powers(x)
             for y in bits(full ^ m)
         )
         for m in maxima
@@ -196,32 +186,31 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     }
 
 
-def retractions(a: ResiduatedLattice) -> tuple[int, tuple[int, ...] | None]:
-    """Count the continuous retractions Spec_h -> Max_h; keep the first.
+def _retraction_images(
+    space: top.FiniteSpace, mspace: top.FiniteSpace, maxima: tuple[int, ...]
+):
+    """The continuous maps space -> mspace that fix the maximal points, as
+    tuples of images (indices into maxima, which index mspace's points).
 
     The map is forced to the identity on maximal points, so the search walks
-    every assignment of the remaining primes to maximal filters.
+    every assignment of the remaining points to maximal filters.
     """
-    primes = flt.prime_filters(a)
-    maxima = flt.maximal_filters(a)
-    hspace = top.spec_space(a, "hull", primes)
-    mspace = pr.max_subspace(a)
     max_pos = {m: i for i, m in enumerate(maxima)}
-    free = [i for i, p in enumerate(primes) if p not in max_pos]
-    count = 0
-    first = None
+    free = [i for i, p in enumerate(space.keys) if p not in max_pos]
     for choice in iproduct(range(len(maxima)), repeat=len(free)):
-        img = [0] * len(primes)
-        for i, p in enumerate(primes):
-            if p in max_pos:
-                img[i] = max_pos[p]
+        img = [max_pos.get(p, 0) for p in space.keys]
         for slot, c in zip(free, choice):
             img[slot] = c
-        if top.is_continuous(lambda i: img[i], hspace, mspace):
-            count += 1
-            if first is None:
-                first = tuple(img)
-    return count, first
+        if top.is_continuous(lambda i: img[i], space, mspace):
+            yield tuple(img)
+
+
+def retractions(a: ResiduatedLattice) -> tuple[int, tuple[int, ...] | None]:
+    """Count the continuous retractions Spec_h -> Max_h; keep the first."""
+    images = list(_retraction_images(
+        top.spec_space(a, "hull"), pr.max_subspace(a), flt.maximal_filters(a)
+    ))
+    return len(images), images[0] if images else None
 
 
 def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
@@ -440,26 +429,13 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     )
     hrad_points = tuple(primes[i] for i in bits(hrad_mask))
     maxima = flt.maximal_filters(a)
-    max_in_hrad = [i for i, p in enumerate(hrad_points) if p in maxima]
 
     hausdorff = top.is_hausdorff(pr.max_subspace(a))
     unique_max = all(
         len(flt.maximals_over(a, p)) == 1 for p in hrad_points
     )
 
-    mspace = pr.max_subspace(a)
-    retract = False
-    max_pos = {hrad_points[i]: k for k, i in enumerate(max_in_hrad)}
-    free = [i for i in range(len(hrad_points)) if i not in max_in_hrad]
-    for choice in iproduct(range(len(max_in_hrad)), repeat=len(free)):
-        img = [0] * len(hrad_points)
-        for i in max_in_hrad:
-            img[i] = max_pos[hrad_points[i]]
-        for slot, c in zip(free, choice):
-            img[slot] = c
-        if top.is_continuous(lambda i: img[i], hrad_space, mspace):
-            retract = True
-            break
+    retract = any(_retraction_images(hrad_space, pr.max_subspace(a), maxima))
     if not maxima and not hrad_points:
         retract = True
 
@@ -477,8 +453,8 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     negations_in_radical = all(
         any(
             (rad >> a.join[a.neg(px)][a.neg(py)]) & 1
-            for px in _power_list(a, x)
-            for py in _power_list(a, y)
+            for px in a.powers(x)
+            for py in a.powers(y)
         )
         for x in range(a.n)
         for y in range(a.n)

@@ -11,15 +11,6 @@ from .errors import EquivalenceViolation
 from . import filters as flt
 
 
-def _power_list(a: ResiduatedLattice, x: int) -> list[int]:
-    out = [x]
-    p = x
-    while a.mul[p][x] != p:
-        p = a.mul[p][x]
-        out.append(p)
-    return out
-
-
 def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
     """Least lattice ideal containing the subset."""
     cur = subset
@@ -54,7 +45,7 @@ def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
         for x in range(a.n):
             cone = 0
             for g in bits(f):
-                for px in _power_list(a, x):
+                for px in a.powers(x):
                     cone |= a.up[a.mul[g][px]]
             if cone != flt.filter_join(a, f, ctx.principal[x]):
                 join_is_power_cone = False
@@ -217,7 +208,7 @@ def local_quotient_law(a: ResiduatedLattice) -> dict[str, bool]:
         formula = all(
             any(
                 a.join[y][a.neg(px)] == a.one
-                for px in _power_list(a, x)
+                for px in a.powers(x)
                 for y in bits(a.full ^ m)
             )
             for x in bits(a.full ^ m)

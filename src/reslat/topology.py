@@ -4,6 +4,15 @@ A space is a point tuple (each point carries a key, usually a filter mask)
 plus the family of closed sets, stored as bitmasks over point indices. Every
 constructor audits the axioms, so a malformed family is a bug, not a state.
 
+A finite space is determined by its points' closures and minimal open
+neighbourhoods (Stong 1966; Barmak 2011), which each space computes once from
+its closed family. The separation predicates read them off point by point:
+normality and Hausdorffness are questions about pairs of points, not about
+pairs of closed sets and of opens.
+
+Spectral spaces are immutable, so `spec_space` builds and audits each one once
+per algebra and keeps it in the algebra's cache.
+
 The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
 the hull-kernel closed sets are exactly the hulls of filters, equivalently
@@ -13,6 +22,7 @@ is discrete; both facts fall out of the closure lemmas checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import ResiduatedLattice, bits
 from .errors import EquivalenceViolation
@@ -39,11 +49,29 @@ class FiniteSpace:
     def is_closed(self, mask: int) -> bool:
         return mask in self.closed
 
-    def closure(self, mask: int) -> int:
-        out = self.full
+    @cached_property
+    def cl(self) -> tuple[int, ...]:
+        """Closure of each point: the meet of the closed sets containing it."""
+        out = [self.full] * self.npoints
         for c in self.closed:
-            if c & mask == mask:
-                out &= c
+            for i in bits(c):
+                out[i] &= c
+        return tuple(out)
+
+    @cached_property
+    def nb(self) -> tuple[int, ...]:
+        """Minimal open neighbourhood of each point: the complement of the
+        union of the closed sets missing it."""
+        out = [0] * self.npoints
+        for c in self.closed:
+            for i in bits(self.full ^ c):
+                out[i] |= c
+        return tuple(self.full ^ m for m in out)
+
+    def closure(self, mask: int) -> int:
+        out = 0
+        for i in bits(mask):
+            out |= self.cl[i]
         return out
 
     def index_of(self, key) -> int:
@@ -129,46 +157,45 @@ def spec_space(
     points: tuple[int, ...] | None = None,
     label: str | None = None,
 ) -> FiniteSpace:
-    """Hull-kernel, dual, or patch space over a prime collection."""
-    if points is None:
-        points = flt.prime_filters(a)
-    basis: list[int] = []
-    if kind in ("hull", "patch"):
-        basis += [hull_in(points, 1 << x) for x in range(a.n)]
-    if kind in ("dual", "patch"):
-        basis += [cohull_in(points, 1 << x) for x in range(a.n)]
+    """Hull-kernel, dual, or patch space over a prime collection, built
+    once per algebra and argument tuple."""
     if kind not in ("hull", "dual", "patch"):
         raise ValueError(f"unknown space kind {kind!r}")
+    points = flt.prime_filters(a) if points is None else tuple(points)
     name = label or f"{a.label}:{kind}[{len(points)}pts]"
-    return generate_space(name, points, basis)
+    cache = a._cache.setdefault("spaces", {})
+    key = (kind, points, name)
+    if key not in cache:
+        basis: list[int] = []
+        if kind in ("hull", "patch"):
+            basis += [hull_in(points, 1 << x) for x in range(a.n)]
+        if kind in ("dual", "patch"):
+            basis += [cohull_in(points, 1 << x) for x in range(a.n)]
+        cache[key] = generate_space(name, points, basis)
+    return cache[key]
 
 
 def is_normal(space: FiniteSpace) -> bool:
-    opens = tuple(space.opens())
-    for c in space.closed:
-        for d in space.closed:
-            if c & d:
-                continue
-            if not any(
-                c & u == c and d & v == d and not u & v
-                for u in opens
-                for v in opens
-            ):
-                return False
-    return True
+    """Disjoint closed sets have disjoint neighbourhoods. The smallest
+    neighbourhood of a closed set is the union of its points' minimal
+    neighbourhoods, so it suffices that points with disjoint closures have
+    disjoint minimal neighbourhoods."""
+    cl, nb = space.cl, space.nb
+    return all(
+        cl[i] & cl[j] or not nb[i] & nb[j]
+        for i in range(space.npoints)
+        for j in range(i + 1, space.npoints)
+    )
 
 
 def is_hausdorff(space: FiniteSpace) -> bool:
-    opens = tuple(space.opens())
-    for i in range(space.npoints):
-        for j in range(i + 1, space.npoints):
-            if not any(
-                (u >> i) & 1 and (v >> j) & 1 and not u & v
-                for u in opens
-                for v in opens
-            ):
-                return False
-    return True
+    """Distinct points have disjoint minimal neighbourhoods."""
+    nb = space.nb
+    return all(
+        not nb[i] & nb[j]
+        for i in range(space.npoints)
+        for j in range(i + 1, space.npoints)
+    )
 
 
 def is_t1(space: FiniteSpace) -> bool:

@@ -1,9 +1,12 @@
 """Hull-kernel spaces over prime collections: closed families, separation
 predicates, subspaces, quotients, continuity."""
 
+from collections import Counter
+
 import pytest
 
-from reslat import catalog, core, filters as flt, pure as pr, topology as top
+from reslat import catalog, core, filters as flt, modelgen, pure as pr, report
+from reslat import topology as top
 from reslat.errors import EquivalenceViolation
 
 
@@ -151,3 +154,93 @@ def test_spectrum_is_connected_for_the_flagship_algebras():
     for name in ("A6", "A8"):
         a = catalog.get(name)
         assert top.clopen_check(a) == (0, (1 << len(flt.prime_filters(a))) - 1)
+
+
+def _goedel(k):
+    names = ["0"] + [chr(ord("a") + i) for i in range(k - 2)] + ["1"]
+    mul = [[min(i, j) for j in range(k)] for i in range(k)]
+    covers = [(i, i + 1) for i in range(k - 1)]
+    return core.validate(names, mul, covers=covers, label=f"goedel{k}")
+
+
+def _normal_by_opens(space):
+    """Reference: every pair of disjoint closed sets has disjoint open
+    neighbourhoods, searched over all pairs of opens."""
+    opens = tuple(space.opens())
+    for c in space.closed:
+        for d in space.closed:
+            if c & d:
+                continue
+            if not any(
+                c & u == c and d & v == d and not u & v
+                for u in opens
+                for v in opens
+            ):
+                return False
+    return True
+
+
+def _hausdorff_by_opens(space):
+    """Reference: every pair of distinct points has disjoint open
+    neighbourhoods, searched over all pairs of opens."""
+    opens = tuple(space.opens())
+    for i in range(space.npoints):
+        for j in range(i + 1, space.npoints):
+            if not any(
+                (u >> i) & 1 and (v >> j) & 1 and not u & v
+                for u in opens
+                for v in opens
+            ):
+                return False
+    return True
+
+
+def test_point_predicates_match_the_opens_search():
+    algebras = [catalog.get(name) for name in catalog.catalog_names()]
+    algebras += [_goedel(k) for k in range(2, 9)]
+    for n in range(1, 6):
+        algebras += list(modelgen.residuated_structures(n))
+    seen = {"normal": set(), "hausdorff": set()}
+    for a in algebras:
+        spaces = [top.spec_space(a, kind) for kind in ("hull", "dual", "patch")]
+        spaces += [pr.pure_spectrum_space(a), pr.d_topology_space(a),
+                   pr.max_subspace(a)]
+        for space in spaces:
+            normal, hausdorff = top.is_normal(space), top.is_hausdorff(space)
+            assert normal is _normal_by_opens(space), space.label
+            assert hausdorff is _hausdorff_by_opens(space), space.label
+            seen["normal"].add(normal)
+            seen["hausdorff"].add(hausdorff)
+    assert seen == {"normal": {True, False}, "hausdorff": {True, False}}
+
+
+def test_point_closures_and_neighbourhoods():
+    sp = top.spec_space(catalog.get("A6"))
+    assert sp.cl == (0b111, 0b010, 0b100)
+    assert sp.nb == (0b001, 0b011, 0b101)
+
+
+def test_spaces_are_built_once_per_algebra(monkeypatch):
+    a = _goedel(8)
+    assert top.spec_space(a, "patch") is top.spec_space(a, "patch")
+
+    b = _goedel(8)
+    built = Counter()
+    patch_checks = Counter()
+    generate, check = top.generate_space, top.closed_iff_patch_and_stable
+
+    def counting_generate(label, keys, basis):
+        built[label, tuple(keys)] += 1
+        return generate(label, keys, basis)
+
+    def counting_check(alg, point_mask):
+        patch_checks[point_mask] += 1
+        return check(alg, point_mask)
+
+    monkeypatch.setattr(top, "generate_space", counting_generate)
+    monkeypatch.setattr(top, "closed_iff_patch_and_stable", counting_check)
+    report.build_report(b)
+    assert set(built.values()) == {1}
+    assert sorted(label for label, _ in built) == [
+        "goedel8:dual[7pts]", "goedel8:hull[7pts]", "goedel8:patch[7pts]"]
+    assert patch_checks == Counter(range(1 << len(flt.prime_filters(b))))
