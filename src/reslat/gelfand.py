@@ -440,15 +440,12 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
         retract = True
 
     normaletc = top.is_normal(hrad_space)
-    gens_closed = True
-    for m in maxima:
-        gen = top.generalization_mask(primes, 1 << primes.index(m))
-        cut = 0
-        for new, old in enumerate(bits(hrad_mask)):
-            if (gen >> old) & 1:
-                cut |= 1 << new
-        if cut not in hrad_space.closed:
-            gens_closed = False
+    gens_closed = all(
+        hrad_space.is_closed(
+            top.cut(top.generalization_mask(primes, 1 << primes.index(m)), hrad_mask)
+        )
+        for m in maxima
+    )
 
     negations_in_radical = all(
         any(

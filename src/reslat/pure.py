@@ -12,6 +12,7 @@ from .core import ResiduatedLattice, bits
 from .errors import EquivalenceViolation
 from . import filters as flt
 from . import topology as top
+from .laws import _raise_failures
 
 
 def _ctx(a: ResiduatedLattice) -> dict:
@@ -322,8 +323,7 @@ def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
         )
         for fam in _subfamilies(fs)
     )
-    _raise_failures(a, "sigma law", laws)
-    return laws
+    return _raise_failures(a, "sigma", laws)
 
 
 def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -343,8 +343,7 @@ def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
             for fam in _subfamilies(pure)
         ),
     }
-    _raise_failures(a, "sigma frame law", laws)
-    return laws
+    return _raise_failures(a, "sigma frame", laws)
 
 
 def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -357,8 +356,7 @@ def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
         if k != f:
             ok = False
     laws = {"pure_is_meet_of_d_parts": ok}
-    _raise_failures(a, "pure intersection law", laws)
-    return laws
+    return _raise_failures(a, "pure intersection", laws)
 
 
 def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -387,8 +385,7 @@ def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
     laws["same_part_as_d_part_on_primes"] = all(
         rho(a, p) == rho(a, flt.d_part(a, p)) for p in flt.prime_filters(a)
     )
-    _raise_failures(a, "rho law", laws)
-    return laws
+    return _raise_failures(a, "rho", laws)
 
 
 def _meet_of_rho_maximals(a: ResiduatedLattice, f: int) -> int:
@@ -416,8 +413,7 @@ def purely_prime_laws(a: ResiduatedLattice) -> dict[str, bool]:
         if k != f:
             ok = False
     laws["pure_is_meet_of_purely_primes_above"] = ok
-    _raise_failures(a, "purely prime law", laws)
-    return laws
+    return _raise_failures(a, "purely prime", laws)
 
 
 def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -429,8 +425,7 @@ def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
         for p in flt.prime_filters(a)
     )
     laws = {"pure_part_map_reflects_opens": ok}
-    _raise_failures(a, "continuity law", laws)
-    return laws
+    return _raise_failures(a, "continuity", laws)
 
 
 def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -446,8 +441,7 @@ def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
         hspace.full ^ top.hull_in(primes, f) for f in pure_filters(a)
     }
     laws = {"stable_opens_are_pure_duals": stable_opens == pure_duals}
-    _raise_failures(a, "stable open law", laws)
-    return laws
+    return _raise_failures(a, "stable open", laws)
 
 
 def gelfand_pure_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -467,11 +461,4 @@ def gelfand_pure_laws(a: ResiduatedLattice) -> dict[str, bool]:
     laws["pure_family_from_closed_sets"] = (
         tuple(pure_characterization_family(a)) == pure_filters(a)
     )
-    _raise_failures(a, "Gelfand pure law", laws)
-    return laws
-
-
-def _raise_failures(a: ResiduatedLattice, tag: str, laws: dict[str, bool]):
-    bad = [k for k, v in laws.items() if not v]
-    if bad:
-        raise EquivalenceViolation(f"{tag} failed: {bad}", detail=a.label)
+    return _raise_failures(a, "Gelfand pure", laws)

@@ -1,17 +1,18 @@
 """Finite topological spaces over collections of prime filters.
 
 A space is a point tuple (each point carries a key, usually a filter mask)
-plus the family of closed sets, stored as bitmasks over point indices. Every
-constructor audits the axioms, so a malformed family is a bug, not a state.
+plus the closure of each point, stored as bitmasks over point indices. A
+finite space is determined by its points' closures, i.e. by its
+specialization preorder (Alexandrov; Stong 1966; Barmak 2011), so everything
+else is read off them: a set is closed when it contains the closure of each
+of its points, the minimal open neighbourhood of a point is the set of points
+whose closure contains it, and the closed family (the unions of point
+closures) is only built when asked for. Normality and Hausdorffness are
+questions about pairs of points, continuity and homeomorphism about the
+image of each point closure.
 
-A finite space is determined by its points' closures and minimal open
-neighbourhoods (Stong 1966; Barmak 2011), which each space computes once from
-its closed family. The separation predicates read them off point by point:
-normality and Hausdorffness are questions about pairs of points, not about
-pairs of closed sets and of opens.
-
-Spectral spaces are immutable, so `spec_space` builds and audits each one once
-per algebra and keeps it in the algebra's cache.
+Spectral spaces are immutable, so `spec_space` builds each one once per
+algebra and keeps it in the algebra's cache.
 
 The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
@@ -33,7 +34,7 @@ from . import filters as flt
 class FiniteSpace:
     label: str
     keys: tuple
-    closed: frozenset[int]
+    cl: tuple[int, ...]  # closure of each point
 
     @property
     def npoints(self) -> int:
@@ -43,30 +44,29 @@ class FiniteSpace:
     def full(self) -> int:
         return (1 << self.npoints) - 1
 
+    @cached_property
+    def closed(self) -> frozenset[int]:
+        """The closed family: every union of point closures."""
+        family = {0}
+        for c in self.cl:
+            family |= {d | c for d in family}
+        return frozenset(family)
+
     def opens(self) -> frozenset[int]:
         return frozenset(self.full ^ c for c in self.closed)
 
     def is_closed(self, mask: int) -> bool:
-        return mask in self.closed
-
-    @cached_property
-    def cl(self) -> tuple[int, ...]:
-        """Closure of each point: the meet of the closed sets containing it."""
-        out = [self.full] * self.npoints
-        for c in self.closed:
-            for i in bits(c):
-                out[i] &= c
-        return tuple(out)
+        return self.closure(mask) == mask
 
     @cached_property
     def nb(self) -> tuple[int, ...]:
-        """Minimal open neighbourhood of each point: the complement of the
-        union of the closed sets missing it."""
+        """Minimal open neighbourhood of each point: the points whose
+        closure contains it."""
         out = [0] * self.npoints
-        for c in self.closed:
-            for i in bits(self.full ^ c):
-                out[i] |= c
-        return tuple(self.full ^ m for m in out)
+        for j, c in enumerate(self.cl):
+            for i in bits(c):
+                out[i] |= 1 << j
+        return tuple(out)
 
     def closure(self, mask: int) -> int:
         out = 0
@@ -74,38 +74,37 @@ class FiniteSpace:
             out |= self.cl[i]
         return out
 
-    def index_of(self, key) -> int:
-        return self.keys.index(key)
+
+def _meets(n: int, family) -> tuple[int, ...]:
+    """Closure of each of n points: the meet of the members containing it."""
+    out = [(1 << n) - 1] * n
+    for c in family:
+        for i in bits(c):
+            out[i] &= c
+    return tuple(out)
 
 
 def audit_space(label: str, keys, closed) -> FiniteSpace:
+    """The space of an explicit closed family, which must contain the empty
+    and the full set and be stable under union and intersection, i.e. be
+    the unions of its point closures."""
     family = frozenset(closed)
-    n = len(tuple(keys))
-    full = (1 << n) - 1
+    keys = tuple(keys)
+    full = (1 << len(keys)) - 1
     if 0 not in family or full not in family:
         raise EquivalenceViolation(f"{label}: family misses empty or full set")
-    for c in family:
-        for d in family:
-            if c | d not in family or c & d not in family:
-                raise EquivalenceViolation(
-                    f"{label}: closed family not stable under union/intersection"
-                )
-    return FiniteSpace(label=label, keys=tuple(keys), closed=family)
+    space = FiniteSpace(label=label, keys=keys, cl=_meets(len(keys), family))
+    if space.closed != family:
+        raise EquivalenceViolation(
+            f"{label}: closed family not stable under union/intersection"
+        )
+    return space
 
 
 def generate_space(label: str, keys, closed_basis) -> FiniteSpace:
+    """The coarsest space in which the basis members are closed."""
     keys = tuple(keys)
-    full = (1 << len(keys)) - 1
-    family = {0, full} | set(closed_basis)
-    frontier = list(family)
-    while frontier:
-        c = frontier.pop()
-        for d in list(family):
-            for e in (c | d, c & d):
-                if e not in family:
-                    family.add(e)
-                    frontier.append(e)
-    return audit_space(label, keys, family)
+    return FiniteSpace(label=label, keys=keys, cl=_meets(len(keys), closed_basis))
 
 
 def hull_in(points: tuple[int, ...], subset: int) -> int:
@@ -199,16 +198,13 @@ def is_hausdorff(space: FiniteSpace) -> bool:
 
 
 def is_t1(space: FiniteSpace) -> bool:
-    return all((1 << i) in space.closed for i in range(space.npoints))
+    """Every point is closed."""
+    return all(c == 1 << i for i, c in enumerate(space.cl))
 
 
 def is_discrete(space: FiniteSpace) -> bool:
-    return len(space.closed) == 1 << space.npoints
-
-
-def is_compact(space: FiniteSpace) -> bool:
-    """Finite spaces are compact; kept explicit so reports can say so."""
-    return True
+    """Every point is open."""
+    return all(u == 1 << i for i, u in enumerate(space.nb))
 
 
 def space_predicates(space: FiniteSpace) -> dict[str, bool]:
@@ -217,26 +213,31 @@ def space_predicates(space: FiniteSpace) -> dict[str, bool]:
         "hausdorff": is_hausdorff(space),
         "t1": is_t1(space),
         "discrete": is_discrete(space),
-        "compact": is_compact(space),
+        "compact": True,  # finite spaces are compact; kept so reports say so
     }
 
 
+def cut(mask: int, point_mask: int) -> int:
+    """The selected points of mask, renumbered as indices into point_mask."""
+    out = 0
+    for new, old in enumerate(bits(point_mask)):
+        if (mask >> old) & 1:
+            out |= 1 << new
+    return out
+
+
 def subspace(space: FiniteSpace, point_mask: int, label: str) -> FiniteSpace:
-    sel = list(bits(point_mask))
+    """The relative topology: each point's closure cut to the subspace."""
+    sel = tuple(bits(point_mask))
     keys = tuple(space.keys[i] for i in sel)
-
-    def cut(c: int) -> int:
-        out = 0
-        for new, old in enumerate(sel):
-            if (c >> old) & 1:
-                out |= 1 << new
-        return out
-
-    return audit_space(label, keys, {cut(c) for c in space.closed})
+    cl = tuple(cut(space.cl[i], point_mask) for i in sel)
+    return FiniteSpace(label=label, keys=keys, cl=cl)
 
 
 def quotient_space(space: FiniteSpace, classes: tuple[int, ...], label: str) -> FiniteSpace:
-    """Quotient by a partition of the points, with the final topology."""
+    """Quotient by a partition of the points, with the final topology. The
+    closure of a class is the least closed union of classes containing it,
+    reached by alternately closing and saturating."""
     union = 0
     for c in classes:
         if union & c:
@@ -244,42 +245,45 @@ def quotient_space(space: FiniteSpace, classes: tuple[int, ...], label: str) -> 
         union |= c
     if union != space.full:
         raise ValueError("classes do not cover the space")
-    closed = []
-    for s in range(1 << len(classes)):
-        pre = 0
-        for i in bits(s):
-            pre |= classes[i]
-        if pre in space.closed:
-            closed.append(s)
+    cl = []
+    for c in classes:
+        sat = c
+        while True:
+            closed = space.closure(sat)
+            nxt = sum(d for d in classes if d & closed)
+            if nxt == sat:
+                break
+            sat = nxt
+        cl.append(sum(1 << ci for ci, d in enumerate(classes) if d & sat))
     keys = tuple(frozenset(space.keys[i] for i in bits(c)) for c in classes)
-    return audit_space(label, keys, closed)
+    return FiniteSpace(label=label, keys=keys, cl=tuple(cl))
+
+
+def _image(func, mask: int) -> int:
+    out = 0
+    for i in bits(mask):
+        out |= 1 << func(i)
+    return out
 
 
 def is_continuous(func, source: FiniteSpace, target: FiniteSpace) -> bool:
-    """func maps source point indices to target point indices."""
-    for c in target.closed:
-        pre = 0
-        for i in range(source.npoints):
-            if (c >> func(i)) & 1:
-                pre |= 1 << i
-        if pre not in source.closed:
-            return False
-    return True
+    """func maps source point indices to target point indices; it is
+    continuous iff it maps each point closure into the closure of the
+    point's image."""
+    return all(
+        not _image(func, c) & ~target.cl[func(i)] for i, c in enumerate(source.cl)
+    )
 
 
 def is_homeomorphism(func, source: FiniteSpace, target: FiniteSpace) -> bool:
+    """A bijection carrying each point closure onto the image's closure."""
     if source.npoints != target.npoints:
         return False
-    image = [func(i) for i in range(source.npoints)]
-    if len(set(image)) != source.npoints:
+    if len({func(i) for i in range(source.npoints)}) != source.npoints:
         return False
-    mapped = set()
-    for c in source.closed:
-        m = 0
-        for i in bits(c):
-            m |= 1 << image[i]
-        mapped.add(m)
-    return mapped == set(target.closed)
+    return all(
+        _image(func, c) == target.cl[func(i)] for i, c in enumerate(source.cl)
+    )
 
 
 def closure_lemmas(a: ResiduatedLattice, points: tuple[int, ...]) -> bool:

@@ -2,9 +2,14 @@
 failure, so a clean return already certifies the algebra; the assertions
 below pin the shape of the results."""
 
+import contextlib
+import io
+import types
+
 import pytest
 
-from reslat import catalog, filters as flt, laws
+from reslat import catalog, cli, core, filters as flt, laws, modelgen
+from reslat.errors import EquivalenceViolation
 
 SUITES = (
     "boolean_center",
@@ -77,3 +82,47 @@ def test_coannihilator_laws_cover_the_powerset_for_small_algebras():
     assert checks["subset_of_double"]
     assert checks["triple_equals_single"]
     assert checks["antitone"]
+
+
+def test_principal_ideals_are_all_the_ideals():
+    """omega_monotone_law quantifies over the down-sets of single elements;
+    in a finite lattice these are all the non-empty ideals."""
+    algebras = [catalog.get(name) for name in CATALOG]
+    algebras += [a for n in range(1, 6) for a in modelgen.residuated_structures(n)]
+    for a in algebras:
+        principal = {core.mask_of(y for y in range(a.n) if a.leq(y, x))
+                     for x in range(a.n)}
+        brute = {s for s in range(1 << a.n) if flt.is_ideal(a, s)}
+        assert principal == brute, a.label
+
+
+def _break_omega(monkeypatch):
+    """Give the law module an omega that is not monotone: everything on the
+    bottom ideal, the top alone on any other."""
+    def omega(a, ideal):
+        return a.full if ideal == 1 << a.zero else 1 << a.one
+
+    broken = types.SimpleNamespace(**{**vars(flt), "omega_filter": omega})
+    monkeypatch.setattr(laws, "flt", broken)
+
+
+def test_omega_law_is_checked_above_ten_elements(monkeypatch):
+    a = core.direct_product(catalog.get("A8"), catalog.get("cube1"))
+    assert a.n == 16
+    assert laws.omega_monotone_law(a) == {"monotone_on_ideals": True}
+    _break_omega(monkeypatch)
+    with pytest.raises(EquivalenceViolation) as exc:
+        laws.omega_monotone_law(a)
+    assert exc.value.detail == (a.label, ("monotone_on_ideals",))
+
+
+def test_a_failing_law_is_named_and_exits_2(monkeypatch):
+    _break_omega(monkeypatch)
+    with pytest.raises(EquivalenceViolation, match="omega laws fail") as exc:
+        laws.run_all(catalog.get("A8"))
+    assert exc.value.detail == ("A8", ("monotone_on_ideals",))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["report", "A8"])
+    assert code == cli.EX_VIOLATION
+    assert "detail: ('A8', ('monotone_on_ideals',))" in err.getvalue()

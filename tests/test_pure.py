@@ -1,9 +1,14 @@
 """Pure filters, sigma and rho operators, the pure spectrum, and their law
 suites."""
 
+import contextlib
+import io
+import types
+
 import pytest
 
-from reslat import catalog, filters as flt, pure as pr, topology as top
+from reslat import catalog, cli, filters as flt, pure as pr, topology as top
+from reslat.errors import EquivalenceViolation
 
 
 def reprs(a, masks):
@@ -126,3 +131,18 @@ def test_pure_law_suites_hold(name):
 def test_gelfand_pure_laws_on_gelfand_algebras(name):
     result = pr.gelfand_pure_laws(catalog.get(name))
     assert result and all(result.values())
+
+
+def test_a_failing_law_is_named_and_exits_2(monkeypatch):
+    """With no open stable under specialization but the empty one, the
+    stable-open law fails, and the failure names the law."""
+    stable_nowhere = {**vars(top), "specialization_mask": lambda points, mask: 0}
+    monkeypatch.setattr(pr, "top", types.SimpleNamespace(**stable_nowhere))
+    with pytest.raises(EquivalenceViolation, match="stable open laws fail") as exc:
+        pr.stable_open_law(catalog.get("A8"))
+    assert exc.value.detail == ("A8", ("stable_opens_are_pure_duals",))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["report", "A8"])
+    assert code == cli.EX_VIOLATION
+    assert "detail: ('A8', ('stable_opens_are_pure_duals',))" in err.getvalue()

@@ -1,11 +1,13 @@
 """Hull-kernel spaces over prime collections: closed families, separation
 predicates, subspaces, quotients, continuity."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from reslat import catalog, core, filters as flt, modelgen, pure as pr, report
+from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
+from reslat import pure as pr, report
 from reslat import topology as top
 from reslat.errors import EquivalenceViolation
 
@@ -195,11 +197,18 @@ def _hausdorff_by_opens(space):
     return True
 
 
-def test_point_predicates_match_the_opens_search():
+def _corpus(largest_chain):
+    """The catalog, the Goedel chains of 2 to largest_chain elements and
+    every structure with at most five elements."""
     algebras = [catalog.get(name) for name in catalog.catalog_names()]
-    algebras += [_goedel(k) for k in range(2, 9)]
+    algebras += [_goedel(k) for k in range(2, largest_chain + 1)]
     for n in range(1, 6):
         algebras += list(modelgen.residuated_structures(n))
+    return algebras
+
+
+def test_point_predicates_match_the_opens_search():
+    algebras = _corpus(8)
     seen = {"normal": set(), "hausdorff": set()}
     for a in algebras:
         spaces = [top.spec_space(a, kind) for kind in ("hull", "dual", "patch")]
@@ -244,3 +253,172 @@ def test_spaces_are_built_once_per_algebra(monkeypatch):
     assert sorted(label for label, _ in built) == [
         "goedel8:dual[7pts]", "goedel8:hull[7pts]", "goedel8:patch[7pts]"]
     assert patch_checks == Counter(range(1 << len(flt.prime_filters(b))))
+
+
+def test_patch_family_is_never_built_by_a_report():
+    a = _goedel(10)
+    report.build_report(a)
+    pspace = top.spec_space(a, "patch")
+    assert "closed" not in pspace.__dict__
+    assert top.is_discrete(pspace) and top.is_t1(pspace)
+
+
+# Reference algorithms that work on explicit closed families; the
+# point-closure code in topology.py is checked against them.
+
+
+def _family_fixpoint(npoints, basis):
+    """Close the basis plus the empty and full sets under union and
+    intersection."""
+    family = {0, (1 << npoints) - 1} | set(basis)
+    frontier = list(family)
+    while frontier:
+        c = frontier.pop()
+        for d in list(family):
+            for e in (c | d, c & d):
+                if e not in family:
+                    family.add(e)
+                    frontier.append(e)
+    return frozenset(family)
+
+
+def _cut_family(family, point_mask):
+    out = set()
+    for c in family:
+        cut = 0
+        for new, old in enumerate(core.bits(point_mask)):
+            if (c >> old) & 1:
+                cut |= 1 << new
+        out.add(cut)
+    return frozenset(out)
+
+
+def _quotient_by_subsets(family, classes):
+    """The class sets whose union of classes is closed, over all 2^k sets."""
+    closed = set()
+    for s in range(1 << len(classes)):
+        pre = 0
+        for i in core.bits(s):
+            pre |= classes[i]
+        if pre in family:
+            closed.add(s)
+    return frozenset(closed)
+
+
+def _continuous_by_preimages(func, source, target):
+    for c in target.closed:
+        pre = core.mask_of(i for i in range(source.npoints) if (c >> func(i)) & 1)
+        if pre not in source.closed:
+            return False
+    return True
+
+
+def _homeomorphic_by_family_image(func, source, target):
+    if source.npoints != target.npoints:
+        return False
+    image = [func(i) for i in range(source.npoints)]
+    if len(set(image)) != source.npoints:
+        return False
+    mapped = {core.mask_of(image[i] for i in core.bits(c)) for c in source.closed}
+    return mapped == set(target.closed)
+
+
+def _assert_matches_family(space, family):
+    """The space's closures, neighbourhoods, closedness and point
+    predicates are those the family defines."""
+    assert space.closed == family, space.label
+    full = space.full
+    for i in range(space.npoints):
+        meet, missing = full, 0
+        for c in family:
+            if (c >> i) & 1:
+                meet &= c
+            else:
+                missing |= c
+        assert space.cl[i] == meet, space.label
+        assert space.nb[i] == full ^ missing, space.label
+    if space.npoints <= 10:
+        for m in range(1 << space.npoints):
+            assert space.is_closed(m) is (m in family), space.label
+    assert top.is_t1(space) is all(1 << i in family for i in range(space.npoints))
+    assert top.is_discrete(space) is (len(family) == 1 << space.npoints)
+
+
+def _spec_basis(a, kind, points):
+    basis = []
+    if kind in ("hull", "patch"):
+        basis += [top.hull_in(points, 1 << x) for x in range(a.n)]
+    if kind in ("dual", "patch"):
+        basis += [top.cohull_in(points, 1 << x) for x in range(a.n)]
+    return basis
+
+
+def _pure_family(a, points):
+    family = {top.hull_in(points, f) for f in pr.pure_filters(a)}
+    return frozenset(family | {0, (1 << len(points)) - 1})
+
+
+def test_point_closures_match_the_family_algorithms():
+    rng = random.Random(5)
+    quotients = 0
+    seen = {"continuous": set(), "homeomorphism": set()}
+    for a in _corpus(10):
+        primes = flt.prime_filters(a)
+        spaces = {}
+        for kind in ("hull", "dual", "patch"):
+            space = spaces[kind] = top.spec_space(a, kind)
+            _assert_matches_family(
+                space, _family_fixpoint(len(primes), _spec_basis(a, kind, primes)))
+        hull = spaces["hull"]
+        spp = pr.purely_prime(a)
+        _assert_matches_family(pr.pure_spectrum_space(a), _pure_family(a, spp))
+        _assert_matches_family(pr.d_topology_space(a), _pure_family(a, primes))
+
+        max_mask = core.mask_of(primes.index(m) for m in flt.maximal_filters(a))
+        hrad_mask = top.hull_in(primes, flt.radical_total(a, 1 << a.one))
+        spaces["max"] = pr.max_subspace(a)
+        for sub, mask in ((spaces["max"], max_mask),
+                          (top.subspace(hull, hrad_mask, "h(Rad)"), hrad_mask)):
+            _assert_matches_family(sub, _cut_family(hull.closed, mask))
+
+        for kind in ("comaximal", "dpart"):
+            classes = gf.relation_closure(a, kind)
+            quotient = top.quotient_space(hull, classes, "q")
+            _assert_matches_family(quotient, _quotient_by_subsets(hull.closed, classes))
+            quotients += len(classes) < len(primes)
+            img = {i: next(ci for ci, c in enumerate(classes) if (c >> i) & 1)
+                   for i in range(hull.npoints)}
+            assert top.is_continuous(img.get, hull, quotient)
+            to_class = [img[primes.index(m)] for m in flt.maximal_filters(a)]
+            assert (top.is_homeomorphism(to_class.__getitem__, spaces["max"], quotient)
+                    is _homeomorphic_by_family_image(
+                        to_class.__getitem__, spaces["max"], quotient))
+
+        for space in (hull, spaces["dual"]):
+            blocks = [rng.randrange(space.npoints) for _ in range(space.npoints)]
+            classes = tuple(c for c in (
+                core.mask_of(i for i, b in enumerate(blocks) if b == block)
+                for block in range(space.npoints)) if c)
+            quotient = top.quotient_space(space, classes, "random")
+            _assert_matches_family(quotient, _quotient_by_subsets(space.closed, classes))
+
+        for source in spaces.values():
+            for target in spaces.values():
+                if not (source.npoints and target.npoints):
+                    continue
+                for _ in range(3):
+                    f = [rng.randrange(target.npoints) for _ in range(source.npoints)]
+                    continuous = top.is_continuous(f.__getitem__, source, target)
+                    assert continuous is _continuous_by_preimages(
+                        f.__getitem__, source, target)
+                    seen["continuous"].add(continuous)
+                if source.npoints == target.npoints:
+                    for _ in range(3):
+                        f = rng.sample(range(source.npoints), source.npoints)
+                        homeo = top.is_homeomorphism(f.__getitem__, source, target)
+                        assert homeo is _homeomorphic_by_family_image(
+                            f.__getitem__, source, target)
+                        seen["homeomorphism"].add(homeo)
+    assert quotients
+    assert seen == {"continuous": {True, False}, "homeomorphism": {True, False}}
+
