@@ -2,10 +2,11 @@
 
 Carriers are index sets 0..n-1; every subset is an int bitmask. An algebra is
 immutable once validated, and all derived analysis (filters, spectra, ...) is
-cached on the instance by the other modules.
+computed once per instance by the functions the other modules wrap in `memo`.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from itertools import product as iproduct
@@ -49,6 +50,21 @@ def mask_of(indices) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+def memo(fn):
+    """Compute fn(a, *args) once per algebra instance, kept in
+    a._cache[(fn, args)]: equal but distinct algebras share nothing, and a
+    call that raises stores nothing."""
+
+    @functools.wraps(fn)
+    def wrapper(a, *args):
+        key = (fn, args)
+        if key not in a._cache:
+            a._cache[key] = fn(a, *args)
+        return a._cache[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)

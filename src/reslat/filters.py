@@ -12,7 +12,7 @@ means first in that order.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, classify_elements, mask_of
+from .core import ResiduatedLattice, bits, classify_elements, mask_of, memo
 from .errors import (
     EquivalenceViolation,
     ImproperInput,
@@ -27,7 +27,7 @@ def canonical_sort(masks) -> tuple[int, ...]:
 
 
 class Analysis:
-    """Cached per-algebra filter analysis; obtain via analysis(a)."""
+    """Filter analysis of one algebra; analysis(a) builds it once (`memo`)."""
 
     def __init__(self, a: ResiduatedLattice):
         self.algebra = a
@@ -65,22 +65,19 @@ class Analysis:
             ):
                 primes.append(f)
         self.primes = tuple(primes)
+        # the positions of the maximal filters among the primes
+        self.max_mask = mask_of(i for i, p in enumerate(primes) if p in self.maximals)
         cls = classify_elements(a)
         self.nilpotents = cls.nilpotents
         self.interior = cls.interior
         self.beta = cls.boolean_center
         self.idempotents = cls.idempotents
         self.nilpotence_order = cls.nilpotence_order
-        self._dpart: dict[int, int] = {}
-        self._coann1: dict[int, int] = {}
 
 
+@memo
 def analysis(a: ResiduatedLattice) -> Analysis:
-    ctx = a._cache.get("analysis")
-    if ctx is None:
-        ctx = Analysis(a)
-        a._cache["analysis"] = ctx
-    return ctx
+    return Analysis(a)
 
 
 def principal_filter(a: ResiduatedLattice, x: int) -> int:
@@ -267,11 +264,9 @@ def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     return via_primes
 
 
+@memo
 def element_coannihilator(a: ResiduatedLattice, x: int) -> int:
-    ctx = analysis(a)
-    if x not in ctx._coann1:
-        ctx._coann1[x] = coannihilator(a, 1 << x)
-    return ctx._coann1[x]
+    return coannihilator(a, 1 << x)
 
 
 def gamma(a: ResiduatedLattice) -> tuple[int, ...]:
@@ -320,11 +315,17 @@ def is_baer(a: ResiduatedLattice) -> bool:
     )
 
 
+@memo
+def down_sets(a: ResiduatedLattice) -> tuple[int, ...]:
+    """down_sets(a)[x] is the mask of {y : y <= x}, the ideal dual of a.up[x]."""
+    return tuple(mask_of(y for y in range(a.n) if a.leq(y, x)) for x in range(a.n))
+
+
 def is_ideal(a: ResiduatedLattice, subset: int) -> bool:
     """Non-empty, downward closed, join closed."""
     if subset == 0:
         return False
-    down = [mask_of(y for y in range(a.n) if a.leq(y, x)) for x in range(a.n)]
+    down = down_sets(a)
     for x in bits(subset):
         if down[x] & subset != down[x]:
             return False
@@ -350,12 +351,11 @@ def omega_filter(a: ResiduatedLattice, ideal: int) -> int:
     return out
 
 
+@memo
 def d_part(a: ResiduatedLattice, prime: int) -> int:
     """omega of the complement ideal of a prime, cross-checked against the
     kernel of its generalizations."""
     ctx = analysis(a)
-    if prime in ctx._dpart:
-        return ctx._dpart[prime]
     if prime not in ctx.primes:
         raise ImproperInput(f"{a.set_repr(prime)} is not a prime filter")
     via_omega = omega_filter(a, a.full ^ prime)
@@ -367,7 +367,6 @@ def d_part(a: ResiduatedLattice, prime: int) -> int:
         raise EquivalenceViolation(
             "d_part routes disagree", detail=(a.label, a.set_repr(prime))
         )
-    ctx._dpart[prime] = via_omega
     return via_omega
 
 

@@ -177,7 +177,7 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
             ):
                 sep = False
     gens_closed = all(
-        top.generalization_mask(primes, 1 << primes.index(m)) in hspace.closed
+        hspace.is_closed(top.generalization_mask(primes, 1 << primes.index(m)))
         for m in maxima
     )
     return {
@@ -487,11 +487,8 @@ def is_soft(a: ResiduatedLattice, verdict: GelfandVerdict | None = None):
         if p & rad == rad
     )
     hspace = top.spec_space(a, "hull", primes)
-    maxmask = 0
-    for m in flt.maximal_filters(a):
-        maxmask |= 1 << primes.index(m)
     by_topology = top.is_hausdorff(pr.max_subspace(a)) and (
-        hspace.closure(maxmask) == hspace.full
+        hspace.closure(flt.analysis(a).max_mask) == hspace.full
     )
     by_gelfand = verdict.verdict and rad == one
     routes = {

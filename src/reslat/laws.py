@@ -259,7 +259,7 @@ def omega_monotone_law(a: ResiduatedLattice) -> dict[str, bool]:
     """omega is monotone over the lattice ideals. The non-empty ideals of a
     finite lattice are exactly the principal ones, the down-sets of single
     elements; each is still asserted to be an ideal."""
-    ideals = [mask_of(y for y in range(a.n) if a.leq(y, x)) for x in range(a.n)]
+    ideals = flt.down_sets(a)
     ok = all(flt.is_ideal(a, i) for i in ideals)
     if ok:
         omegas = {i: flt.omega_filter(a, i) for i in ideals}

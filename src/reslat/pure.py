@@ -8,23 +8,16 @@ whose closed sets are the pure hulls h_p(F).
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits
+from .core import ResiduatedLattice, bits, memo
 from .errors import EquivalenceViolation
 from . import filters as flt
 from . import topology as top
 from .laws import _raise_failures
 
 
-def _ctx(a: ResiduatedLattice) -> dict:
-    store = a._cache.setdefault("pure", {})
-    return store
-
-
+@memo
 def sigma(a: ResiduatedLattice, f: int) -> int:
     """Pure closure data of a filter, by two routes that must agree."""
-    cache = _ctx(a).setdefault("sigma", {})
-    if f in cache:
-        return cache[f]
     primes = flt.prime_filters(a)
     hf = top.hull_in(primes, f)
     gen = top.generalization_mask(primes, hf)
@@ -38,38 +31,27 @@ def sigma(a: ResiduatedLattice, f: int) -> int:
             "sigma routes disagree",
             detail=(a.label, a.set_repr(f), a.set_repr(via_kernel), a.set_repr(via_joins)),
         )
-    cache[f] = via_kernel
     return via_kernel
 
 
+@memo
 def pure_filters(a: ResiduatedLattice) -> tuple[int, ...]:
-    ctx = _ctx(a)
-    if "pure" not in ctx:
-        ctx["pure"] = tuple(
-            f for f in flt.all_filters(a) if sigma(a, f) == f
-        )
-    return ctx["pure"]
+    return tuple(f for f in flt.all_filters(a) if sigma(a, f) == f)
 
 
 def is_pure(a: ResiduatedLattice, f: int) -> bool:
     return sigma(a, f) == f
 
 
+@memo
 def rho(a: ResiduatedLattice, f: int) -> int:
     """Join of the pure filters below f (the pure part of f)."""
-    cache = _ctx(a).setdefault("rho", {})
-    if f not in cache:
-        cache[f] = flt.join_family(
-            a, (p for p in pure_filters(a) if p & f == p)
-        )
-    return cache[f]
+    return flt.join_family(a, (p for p in pure_filters(a) if p & f == p))
 
 
+@memo
 def purely_prime(a: ResiduatedLattice) -> tuple[int, ...]:
     """Proper pure filters prime with respect to meets of pure filters."""
-    ctx = _ctx(a)
-    if "spp" in ctx:
-        return ctx["spp"]
     pure = pure_filters(a)
     out = []
     for cand in pure:
@@ -87,8 +69,7 @@ def purely_prime(a: ResiduatedLattice) -> tuple[int, ...]:
                 break
         if good:
             out.append(cand)
-    ctx["spp"] = flt.canonical_sort(out)
-    return ctx["spp"]
+    return flt.canonical_sort(out)
 
 
 def purely_maximal(a: ResiduatedLattice) -> tuple[int, ...]:
@@ -101,33 +82,26 @@ def purely_maximal(a: ResiduatedLattice) -> tuple[int, ...]:
     )
 
 
-def pure_spectrum_space(a: ResiduatedLattice) -> top.FiniteSpace:
-    """The purely prime filters with closed sets the pure hulls."""
-    points = purely_prime(a)
+def _pure_hull_space(a: ResiduatedLattice, points, label: str) -> top.FiniteSpace:
+    """The points with closed sets the pure hulls, the empty and the full set."""
     closed = {top.hull_in(points, f) for f in pure_filters(a)}
     closed |= {0, (1 << len(points)) - 1}
-    return top.audit_space(f"{a.label}:pure-spectrum", points, closed)
+    return top.audit_space(label, points, closed)
+
+
+def pure_spectrum_space(a: ResiduatedLattice) -> top.FiniteSpace:
+    """The purely prime filters with closed sets the pure hulls."""
+    return _pure_hull_space(a, purely_prime(a), f"{a.label}:pure-spectrum")
 
 
 def d_topology_space(a: ResiduatedLattice) -> top.FiniteSpace:
     """Spec with closed sets the hulls of pure filters (opens are d(F))."""
-    points = flt.prime_filters(a)
-    closed = {top.hull_in(points, f) for f in pure_filters(a)}
-    closed |= {0, (1 << len(points)) - 1}
-    return top.audit_space(f"{a.label}:d-topology", points, closed)
-
-
-def pure_part_map(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
-    """rho restricted to the spectrum: (prime, rho(prime)) pairs."""
-    return tuple((p, rho(a, p)) for p in flt.prime_filters(a))
+    return _pure_hull_space(a, flt.prime_filters(a), f"{a.label}:d-topology")
 
 
 def max_subspace(a: ResiduatedLattice) -> top.FiniteSpace:
     """The maximal filters with the relative hull-kernel topology."""
-    primes = flt.prime_filters(a)
-    mask = 0
-    for m in flt.maximal_filters(a):
-        mask |= 1 << primes.index(m)
+    mask = flt.analysis(a).max_mask
     return top.subspace(top.spec_space(a, "hull"), mask, f"{a.label}:max")
 
 
@@ -152,14 +126,12 @@ def spp_max_homeo(a: ResiduatedLattice) -> bool:
 
 
 def d_topology_coincidence(a: ResiduatedLattice) -> bool:
-    """Do the hull-kernel and d-topologies agree on the maximals?"""
-    primes = flt.prime_filters(a)
-    mask = 0
-    for m in flt.maximal_filters(a):
-        mask |= 1 << primes.index(m)
+    """Do the hull-kernel and d-topologies agree on the maximals? Both have
+    the same points in the same order, so comparing point closures suffices."""
+    mask = flt.analysis(a).max_mask
     via_hull = top.subspace(top.spec_space(a, "hull"), mask, "h")
     via_d = top.subspace(d_topology_space(a), mask, "d")
-    return set(via_hull.closed) == set(via_d.closed)
+    return via_hull.cl == via_d.cl
 
 
 def rho_rad_adjunction(a: ResiduatedLattice) -> bool:
@@ -281,20 +253,14 @@ def pure_characterization_family(a: ResiduatedLattice) -> tuple[int, ...]:
 # ---------------------------------------------------------------- law suites
 
 
-def _subfamilies(items, cap_bits=12):
-    """All subfamilies when small, else a deterministic systematic sample."""
-    k = len(items)
-    if k <= cap_bits:
-        for s in range(1 << k):
-            yield [items[i] for i in range(k) if (s >> i) & 1]
-        return
-    for s in range(1 << cap_bits):
-        yield [items[i] for i in range(cap_bits) if (s >> i) & 1]
-    yield list(items)
-
-
 def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
-    """The unconditional sigma laws; every False is raised as a violation."""
+    """The unconditional sigma laws; every False is raised as a violation.
+
+    The join inequality, v sigma(F_i) <= sigma(v F_i) for every family, is
+    checked on all pairs; induction over join_family's fold gives the rest:
+    the empty join {1} is below every filter, and if the inequality holds for
+    F_1..F_k-1 with join G, the pairwise law at (G, F_k) extends it to k.
+    """
     fs = flt.all_filters(a)
     laws = {}
     laws["routes_agree"] = all(sigma(a, f) is not None for f in fs)
@@ -318,16 +284,24 @@ def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
         sigma(a, f & g) == sigma(a, f) & sigma(a, g) for f in fs for g in fs
     )
     laws["family_join_inequality"] = all(
-        (lambda j: j & sigma(a, flt.join_family(a, fam)) == j)(
-            flt.join_family(a, (sigma(a, f) for f in fam))
+        (lambda j: j & sigma(a, flt.filter_join(a, f, g)) == j)(
+            flt.filter_join(a, sigma(a, f), sigma(a, g))
         )
-        for fam in _subfamilies(fs)
+        for f in fs
+        for g in fs
     )
     return _raise_failures(a, "sigma", laws)
 
 
 def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
-    """The pure filters form a frame inside the filter lattice."""
+    """The pure filters form a frame inside the filter lattice.
+
+    Frame distributivity, f ^ (v g_i) = v (f ^ g_i) for every family of pure
+    g_i, is checked on all pure triples; induction over join_family's fold
+    gives the rest: both sides are {1} on the empty family, and the join G of
+    g_1..g_k-1 is pure (join_closed), so the triple law at (f, G, g_k)
+    extends it to k.
+    """
     pure = pure_filters(a)
     pure_set = set(pure)
     laws = {
@@ -337,10 +311,10 @@ def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
         ),
         "bounds": (1 << a.one) in pure_set and a.full in pure_set,
         "frame_distributivity": all(
-            f & flt.join_family(a, fam)
-            == flt.join_family(a, (f & g for g in fam))
+            f & flt.filter_join(a, g, h) == flt.filter_join(a, f & g, f & h)
             for f in pure
-            for fam in _subfamilies(pure)
+            for g in pure
+            for h in pure
         ),
     }
     return _raise_failures(a, "sigma frame", laws)

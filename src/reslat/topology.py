@@ -12,7 +12,7 @@ questions about pairs of points, continuity and homeomorphism about the
 image of each point closure.
 
 Spectral spaces are immutable, so `spec_space` builds each one once per
-algebra and keeps it in the algebra's cache.
+algebra and argument tuple (through `core.memo`).
 
 The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import ResiduatedLattice, bits
+from .core import ResiduatedLattice, bits, memo
 from .errors import EquivalenceViolation
 from . import filters as flt
 
@@ -162,16 +162,17 @@ def spec_space(
         raise ValueError(f"unknown space kind {kind!r}")
     points = flt.prime_filters(a) if points is None else tuple(points)
     name = label or f"{a.label}:{kind}[{len(points)}pts]"
-    cache = a._cache.setdefault("spaces", {})
-    key = (kind, points, name)
-    if key not in cache:
-        basis: list[int] = []
-        if kind in ("hull", "patch"):
-            basis += [hull_in(points, 1 << x) for x in range(a.n)]
-        if kind in ("dual", "patch"):
-            basis += [cohull_in(points, 1 << x) for x in range(a.n)]
-        cache[key] = generate_space(name, points, basis)
-    return cache[key]
+    return _spec_space(a, kind, points, name)
+
+
+@memo
+def _spec_space(a: ResiduatedLattice, kind: str, points: tuple[int, ...], name: str) -> FiniteSpace:
+    basis: list[int] = []
+    if kind in ("hull", "patch"):
+        basis += [hull_in(points, 1 << x) for x in range(a.n)]
+    if kind in ("dual", "patch"):
+        basis += [cohull_in(points, 1 << x) for x in range(a.n)]
+    return generate_space(name, points, basis)
 
 
 def is_normal(space: FiniteSpace) -> bool:
@@ -341,11 +342,7 @@ def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
     """Density of the maximals in the spectrum = semisimplicity; asserted."""
     points = flt.prime_filters(a)
     hspace = spec_space(a, "hull", points)
-    maxmask = 0
-    for i, p in enumerate(points):
-        if p in flt.analysis(a).maximals:
-            maxmask |= 1 << i
-    dense = hspace.closure(maxmask) == hspace.full
+    dense = hspace.closure(flt.analysis(a).max_mask) == hspace.full
     semi = flt.is_semisimple(a)
     if dense != semi:
         raise EquivalenceViolation(

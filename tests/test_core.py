@@ -1,9 +1,14 @@
 """Carrier-level checks: validation, residuum derivation, element classes,
 products, quotients, isomorphism."""
 
+import dataclasses
+import types
+from pathlib import Path
+
 import pytest
 
-from reslat import catalog, core, fileformat as ff
+from reslat import catalog, core, fileformat as ff, filters as flt, laws, report
+from reslat import topology as top
 from reslat.errors import (
     AdjunctionFails,
     CarrierTooLarge,
@@ -190,3 +195,69 @@ def test_set_repr_and_masks():
     assert a.set_repr(a.full) == "{0,a,b,c,d,1}"
     assert core.mask_of([0, 2, 4]) == 0b10101
     assert list(core.bits(0b10101)) == [0, 2, 4]
+
+
+# ----------------------------------------------------------------- memo
+
+
+def test_memo_computes_once_per_instance_and_arguments():
+    calls = []
+
+    @core.memo
+    def double(alg, x):
+        """Twice x."""
+        calls.append((id(alg), x))
+        return 2 * x
+
+    a = catalog.get("A8")
+    b = dataclasses.replace(a)
+    assert a == b and a is not b
+    assert [double(a, 1), double(a, 1), double(a, 2), double(b, 1)] == [2, 2, 4, 2]
+    assert calls == [(id(a), 1), (id(a), 2), (id(b), 1)]
+    assert double.__name__ == "double" and double.__doc__ == "Twice x."
+    assert double.__module__ == __name__
+
+
+def test_equal_algebras_share_no_results():
+    a = catalog.get("A8")
+    b = dataclasses.replace(a)
+    assert flt.analysis(a) is flt.analysis(a)
+    assert flt.analysis(a) is not flt.analysis(b)
+    assert top.spec_space(a, "hull") is not top.spec_space(b, "hull")
+
+
+def test_a_report_analyses_each_algebra_once(monkeypatch):
+    """build_report builds the filter analysis once per algebra instance
+    (the algebra and its quotients), and the coannihilator of each element
+    once; the law suites' own coannihilator calls are not counted."""
+    analysed = []
+    coannihilated = []
+    analysis, coannihilator = flt.Analysis, flt.coannihilator
+
+    def counting_analysis(alg):
+        analysed.append(alg)
+        return analysis(alg)
+
+    def counting_coannihilator(alg, subset):
+        coannihilated.append((alg, subset))
+        return coannihilator(alg, subset)
+
+    monkeypatch.setattr(laws, "flt", types.SimpleNamespace(**vars(flt)))
+    monkeypatch.setattr(flt, "Analysis", counting_analysis)
+    monkeypatch.setattr(flt, "coannihilator", counting_coannihilator)
+    a = core.direct_product(catalog.get("A6"), catalog.get("chain2"))
+    report.build_report(a)
+    assert len(analysed) > 1
+    assert len({id(alg) for alg in analysed}) == len(analysed)
+    assert sorted(subset for alg, subset in coannihilated if alg is a) == [
+        1 << x for x in range(a.n)
+    ]
+    assert all(alg is a for alg, _ in coannihilated)
+
+
+def test_only_memo_touches_the_cache():
+    """One store for derived results: `_cache` is named in core.py alone."""
+    src = Path(core.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "_cache" in p.read_text()] == [
+        "core.py"
+    ]

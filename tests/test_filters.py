@@ -1,6 +1,8 @@
 """Filter lattice machinery: generation, maximal/prime collections, radicals,
 comaximality, coannihilators, d-parts, local batteries."""
 
+import dataclasses
+
 import pytest
 
 from reslat import catalog, core, filters as flt
@@ -245,9 +247,11 @@ def test_d_parts():
 
 
 def test_d_part_rejects_non_prime():
-    a = catalog.get("A6")
-    with pytest.raises(ImproperInput, match="not a prime filter"):
-        flt.d_part(a, 1 << a.names.index("d"))
+    """Refused on every call: a call that raises stores no result."""
+    a = dataclasses.replace(catalog.get("A6"))
+    for _ in range(2):
+        with pytest.raises(ImproperInput, match="not a prime filter"):
+            flt.d_part(a, 1 << a.names.index("d"))
 
 
 @pytest.mark.parametrize("name", sorted(LOCAL))

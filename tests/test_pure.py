@@ -7,7 +7,8 @@ import types
 
 import pytest
 
-from reslat import catalog, cli, filters as flt, pure as pr, topology as top
+from reslat import catalog, cli, core, fileformat as ff, filters as flt
+from reslat import pure as pr, report, topology as top
 from reslat.errors import EquivalenceViolation
 
 
@@ -146,3 +147,72 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
         code = cli.main(["report", "A8"])
     assert code == cli.EX_VIOLATION
     assert "detail: ('A8', ('stable_opens_are_pure_duals',))" in err.getvalue()
+
+
+def _break_join(monkeypatch, f0, g0):
+    """Give the pure module a filter join that returns its first argument on
+    the one ordered pair (f0, g0), and a family join that folds with it."""
+    real_join = flt.filter_join
+
+    def filter_join(a, f, g):
+        return f if (f, g) == (f0, g0) else real_join(a, f, g)
+
+    def join_family(a, family):
+        out = 1 << a.one
+        for f in family:
+            out = filter_join(a, out, f)
+        return out
+
+    broken = {**vars(flt), "filter_join": filter_join, "join_family": join_family}
+    monkeypatch.setattr(pr, "flt", types.SimpleNamespace(**broken))
+
+
+def test_sigma_join_law_is_checked_past_twelve_filters(monkeypatch, tmp_path):
+    """A join that is wrong only on a pair of filters outside the first 12
+    breaks the sigma join inequality, and the report says so."""
+    a = core.direct_product(catalog.get("A6"), catalog.get("cube2"))
+    fs = flt.all_filters(a)
+    assert len(fs) == 20
+    _break_join(monkeypatch, fs[12], fs[13])
+    with pytest.raises(EquivalenceViolation, match="sigma laws fail") as exc:
+        pr.sigma_laws(a)
+    assert exc.value.detail == (a.label, ("family_join_inequality",))
+    path = tmp_path / "A6xcube2.json"
+    path.write_text(ff.to_json(a))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["report", str(path)])
+    assert code == cli.EX_VIOLATION
+    assert "detail: ('A6xcube2', ('family_join_inequality',))" in err.getvalue()
+
+
+def test_frame_law_is_checked_past_twelve_pure_filters(monkeypatch):
+    a = core.direct_product(catalog.get("cube3"), catalog.get("chain4"))
+    pure = pr.pure_filters(a)
+    assert len(pure) == 16
+    _break_join(monkeypatch, pure[12], pure[13])
+    with pytest.raises(EquivalenceViolation, match="sigma frame laws fail") as exc:
+        pr.sigma_frame_laws(a)
+    assert exc.value.detail == (a.label, ("frame_distributivity",))
+
+
+def test_sigma_and_rho_are_computed_once_per_filter(monkeypatch):
+    """sigma runs its kernel route, and rho its family join, once for each
+    filter of the algebra in a whole report."""
+    a = core.direct_product(catalog.get("A8"), catalog.get("chain3"))
+    calls = {"kernel_of": 0, "join_family": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return types.SimpleNamespace(**{**vars(module), name: wrapper})
+
+    monkeypatch.setattr(pr, "top", counting(top, "kernel_of"))
+    monkeypatch.setattr(pr, "flt", counting(flt, "join_family"))
+    report.build_report(a)
+    n = len(flt.all_filters(a))
+    assert calls == {"kernel_of": n, "join_family": n}

@@ -232,6 +232,7 @@ def test_point_closures_and_neighbourhoods():
 def test_spaces_are_built_once_per_algebra(monkeypatch):
     a = _goedel(8)
     assert top.spec_space(a, "patch") is top.spec_space(a, "patch")
+    assert top.spec_space(a, "hull") is top.spec_space(a, "hull", flt.prime_filters(a))
 
     b = _goedel(8)
     built = Counter()
