@@ -244,18 +244,27 @@ def prime_extension(a: ResiduatedLattice, f: int, cone: int) -> int:
     return best[0]
 
 
+@memo
+def join_to_one(a: ResiduatedLattice) -> tuple[int, ...]:
+    """join_to_one(a)[x] is the mask of {y : x v y = 1}, read off the join
+    table alone."""
+    return tuple(
+        mask_of(y for y in range(a.n) if a.join[x][y] == a.one) for x in range(a.n)
+    )
+
+
 def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     """kernel of the primes omitting the subset; checked against the
-    elementwise route {y : y v x = 1 for all x in the subset}."""
+    elementwise route {y : y v x = 1 for all x in the subset}, the meet of
+    the join_to_one rows of the subset."""
     via_primes = a.full
     for p in analysis(a).primes:
         if p & subset != subset:
             via_primes &= p
-    via_joins = mask_of(
-        y
-        for y in range(a.n)
-        if all(a.join[y][x] == a.one for x in bits(subset))
-    )
+    rows = join_to_one(a)
+    via_joins = a.full
+    for x in bits(subset):
+        via_joins &= rows[x]
     if via_primes != via_joins:
         raise EquivalenceViolation(
             "coannihilator routes disagree",
@@ -339,11 +348,10 @@ def omega_filter(a: ResiduatedLattice, ideal: int) -> int:
     """{x : x v y = 1 for some y in the ideal}; always a filter."""
     if not is_ideal(a, ideal):
         raise NotAnIdeal(f"{a.set_repr(ideal)} is not an ideal of {a.label or 'the algebra'}")
-    out = mask_of(
-        x
-        for x in range(a.n)
-        if any(a.join[x][y] == a.one for y in bits(ideal))
-    )
+    rows = join_to_one(a)
+    out = 0
+    for y in bits(ideal):
+        out |= rows[y]
     if not a.is_filter(out):
         raise EquivalenceViolation(
             "omega of an ideal is not a filter", detail=(a.label, a.set_repr(ideal))

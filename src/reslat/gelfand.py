@@ -130,21 +130,19 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
 
 def _normal_over(a: ResiduatedLattice, family: tuple[int, ...]) -> bool:
     """Normality of a bounded filter family: comaximal pairs admit
-    complementary-ish witnesses meeting in the bottom filter {1}."""
+    complementary-ish witnesses meeting in the bottom filter {1}: for each
+    comaximal (f, g) some u comaximal with f and v comaximal with g have
+    u & v = {1}. The members comaximal with each f are listed once."""
     one = 1 << a.one
-    for f in family:
-        for g in family:
-            if flt.filter_join(a, f, g) != a.full:
-                continue
-            if not any(
-                flt.filter_join(a, u, f) == a.full
-                and flt.filter_join(a, v, g) == a.full
-                and u & v == one
-                for u in family
-                for v in family
-            ):
-                return False
-    return True
+    partners = {
+        f: [u for u in family if flt.filter_join(a, u, f) == a.full]
+        for f in family
+    }
+    return all(
+        any(u & v == one for u in partners[f] for v in partners[g])
+        for f in family
+        for g in partners[f]
+    )
 
 
 def normal_filter_lattice(a: ResiduatedLattice) -> dict[str, bool]:

@@ -13,6 +13,7 @@ from . import filters as flt
 
 def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
     """Least lattice ideal containing the subset."""
+    down = flt.down_sets(a)
     cur = subset
     while True:
         nxt = cur
@@ -20,9 +21,7 @@ def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
             for y in bits(cur):
                 nxt |= 1 << a.join[x][y]
         for x in bits(nxt):
-            for y in range(a.n):
-                if a.leq(y, x):
-                    nxt |= 1 << y
+            nxt |= down[x]
         if nxt == cur:
             return cur
         cur = nxt

@@ -130,6 +130,26 @@ def test_c5_products_of_gelfand_algebras_stay_gelfand():
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.parametrize("left,right", [("A8", "A8"), ("cube3", "cube3")])
+def test_c5_full_reports_on_64_element_products(left, right):
+    """The largest corpus products get a whole report: filter counts
+    multiply, prime and maximal counts add, the product is Gelfand iff both
+    factors are, and every law holds."""
+    f, g = catalog.get(left), catalog.get(right)
+    p = core.direct_product(f, g)
+    assert p.n == 64
+    rep = report.build_report(p)
+    assert rep["filters"]["count"] == len(flt.all_filters(f)) * len(flt.all_filters(g))
+    assert len(rep["prime_filters"]) == len(flt.prime_filters(f)) + len(flt.prime_filters(g))
+    assert len(rep["maximal_filters"]) == (
+        len(flt.maximal_filters(f)) + len(flt.maximal_filters(g))
+    )
+    both = gf.gelfand_verdict(f).verdict and gf.gelfand_verdict(g).verdict
+    assert rep["gelfand"]["verdict"] is both
+    for suite, checks in rep["laws"].items():
+        assert set(checks.values()) == {True}, suite
+
+
 def test_c6_soft_classification():
     """Boolean cubes are soft, the flagships are not, and both the softness
     routes and the Hausdorff battery stay unanimous everywhere."""

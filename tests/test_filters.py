@@ -1,12 +1,15 @@
 """Filter lattice machinery: generation, maximal/prime collections, radicals,
 comaximality, coannihilators, d-parts, local batteries."""
 
+import contextlib
 import dataclasses
+import io
+import sys
 
 import pytest
 
-from reslat import catalog, core, filters as flt
-from reslat.errors import ImproperInput, NotAnIdeal, Unsatisfiable
+from reslat import catalog, cli, core, filters as flt, modelgen, report
+from reslat.errors import EquivalenceViolation, ImproperInput, NotAnIdeal, Unsatisfiable
 
 # name -> (filters, maximals, primes, radical), all as set_repr strings
 TABLES = {
@@ -274,3 +277,112 @@ def test_local_battery_on_trivial_algebra():
         "zero_products_have_nilpotent_factor": True,
     }
     assert not flt.is_local(a)
+
+
+def _coannihilator_by_scan(a, subset):
+    """Reference for the join route: scan every y against every x."""
+    return core.mask_of(
+        y
+        for y in range(a.n)
+        if all(a.join[y][x] == a.one for x in core.bits(subset))
+    )
+
+
+def _omega_by_scan(a, ideal):
+    """Reference for omega: scan every x against every y of the ideal."""
+    return core.mask_of(
+        x
+        for x in range(a.n)
+        if any(a.join[x][y] == a.one for y in core.bits(ideal))
+    )
+
+
+def _mask_test_algebras():
+    """(algebra, subsets to try): every subset of the catalog, the Goedel
+    chains 2-10 and every structure with n <= 5, and the empty set, the
+    singletons and the pairs of A6 x A6."""
+    out = [
+        (catalog.get(name), range(1 << catalog.get(name).n))
+        for name in catalog.catalog_names()
+    ]
+    out += [(catalog._chain(k), range(1 << k)) for k in range(2, 11)]
+    out += [
+        (a, range(1 << a.n))
+        for n in range(1, 6)
+        for a in modelgen.residuated_structures(n)
+    ]
+    big = core.direct_product(catalog.get("A6"), catalog.get("A6"))
+    small = [0] + [1 << x | 1 << y for x in range(big.n) for y in range(x + 1)]
+    out.append((big, small))
+    return out
+
+
+def test_join_masks_match_the_elementwise_scans():
+    for a, subsets in _mask_test_algebras():
+        rows = flt.join_to_one(a)
+        assert rows == tuple(_coannihilator_by_scan(a, 1 << x) for x in range(a.n))
+        assert flt.coannihilator(a, 0) == a.full
+        for s in subsets:
+            assert flt.coannihilator(a, s) == _coannihilator_by_scan(a, s), (a.label, s)
+        for ideal in flt.down_sets(a):
+            assert flt.omega_filter(a, ideal) == _omega_by_scan(a, ideal), (a.label, ideal)
+
+
+def test_join_masks_are_built_once_per_algebra():
+    a = dataclasses.replace(catalog.get("A8"))
+    build = flt.join_to_one.__wrapped__.__code__
+    builds = 0
+
+    def count(frame, event, arg):
+        nonlocal builds
+        if event == "call" and frame.f_code is build:
+            builds += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        report.build_report(a)
+    finally:
+        sys.setprofile(previous)
+    assert builds == 1
+    assert flt.join_to_one(a) is flt.join_to_one(a)
+    assert flt.join_to_one(dataclasses.replace(a)) is not flt.join_to_one(a)
+
+
+def test_a_broken_join_mask_is_caught_by_the_prime_route(monkeypatch):
+    """Drop f from the row of c in A8 (c v f = 1): the prime-kernel route of
+    the coannihilator still holds f, so the two routes disagree, in a direct
+    call and in a CLI report on a freshly built A8."""
+    a = catalog.get("A8")
+    c, f = a.names.index("c"), a.names.index("f")
+    rows = list(flt.join_to_one(a))
+    assert (rows[c] >> f) & 1
+    rows[c] ^= 1 << f
+    monkeypatch.setattr(flt, "join_to_one", lambda alg: tuple(rows))
+    with pytest.raises(EquivalenceViolation, match="coannihilator routes disagree"):
+        flt.coannihilator(a, 1 << c)
+    monkeypatch.setattr(catalog, "_built", {})
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["report", "A8"])
+    assert code == cli.EX_VIOLATION
+    assert "coannihilator routes disagree" in err.getvalue()
+    assert "detail: ('A8', '{c}')" in err.getvalue()
+
+
+def test_coannihilator_calls_per_report(monkeypatch):
+    """The masks change how a coannihilator is computed, not how many are
+    checked: A6 x cube1 (12 elements) asks for 12 element coannihilators
+    and 15 for each of the 80 subsets of size <= 2 or full."""
+    a = core.direct_product(catalog.get("A6"), catalog.get("cube1"))
+    real = flt.coannihilator
+    calls = 0
+
+    def counting(alg, subset):
+        nonlocal calls
+        calls += 1
+        return real(alg, subset)
+
+    monkeypatch.setattr(flt, "coannihilator", counting)
+    report.build_report(a)
+    assert calls == 1212

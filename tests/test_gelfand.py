@@ -3,7 +3,7 @@ characterizations that must agree, plus the soft/Hausdorff batteries."""
 
 import pytest
 
-from reslat import catalog, gelfand as gf
+from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
 from reslat.errors import EquivalenceViolation
 
 CRITERIA = (
@@ -125,6 +125,44 @@ def test_normality_and_separation_leaves():
     assert gf.spectral_separation(a8) == {
         "maximal_pairs_separated": True, "generalizations_closed": True,
     }
+
+
+def _normal_by_search(a, family):
+    """Reference for gf._normal_over: search every (u, v) for each comaximal
+    pair (f, g), up to F^4 filter joins."""
+    one = 1 << a.one
+    for f in family:
+        for g in family:
+            if flt.filter_join(a, f, g) != a.full:
+                continue
+            if not any(
+                flt.filter_join(a, u, f) == a.full
+                and flt.filter_join(a, v, g) == a.full
+                and u & v == one
+                for u in family
+                for v in family
+            ):
+                return False
+    return True
+
+
+def test_normal_over_matches_the_quadruple_search():
+    algebras = [catalog.get(name) for name in catalog.catalog_names()]
+    algebras += [a for n in range(1, 6) for a in modelgen.residuated_structures(n)]
+    algebras.append(core.direct_product(catalog.get("A6"), catalog.get("cube2")))
+    chain3 = catalog.get("chain3")
+    algebras.append(core.direct_product(core.direct_product(chain3, chain3), chain3))
+    seen = set()
+    for a in algebras:
+        got = gf.normal_filter_lattice(a)
+        assert got == {
+            "all_filters": _normal_by_search(a, flt.all_filters(a)),
+            "principal_filters": _normal_by_search(
+                a, flt.canonical_sort(flt.analysis(a).principal)
+            ),
+        }, a.label
+        seen.update(got.values())
+    assert seen == {True, False}
 
 
 def test_retractions():

@@ -96,6 +96,32 @@ def test_principal_ideals_are_all_the_ideals():
         assert principal == brute, a.label
 
 
+def _ideal_closure_by_scan(a, subset):
+    """Reference for laws._ideal_closure: the downward step scans n^2 leq."""
+    cur = subset
+    while True:
+        nxt = cur
+        for x in core.bits(cur):
+            for y in core.bits(cur):
+                nxt |= 1 << a.join[x][y]
+        for x in core.bits(nxt):
+            for y in range(a.n):
+                if a.leq(y, x):
+                    nxt |= 1 << y
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def test_ideal_closure_matches_the_leq_scan():
+    algebras = [catalog.get(name) for name in CATALOG]
+    algebras += [a for n in range(1, 6) for a in modelgen.residuated_structures(n)]
+    for a in algebras:
+        assert a.n <= 10
+        for s in range(1 << a.n):
+            assert laws._ideal_closure(a, s) == _ideal_closure_by_scan(a, s), (a.label, s)
+
+
 def _break_omega(monkeypatch):
     """Give the law module an omega that is not monotone: everything on the
     bottom ideal, the top alone on any other."""
