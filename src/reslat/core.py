@@ -100,13 +100,6 @@ class ResiduatedLattice:
     def neg(self, x: int) -> int:
         return self.res[x][self.zero]
 
-    def power(self, x: int, k: int) -> int:
-        """x^k with x^0 = 1."""
-        out = self.one
-        for _ in range(k):
-            out = self.mul[out][x]
-        return out
-
     def powers(self, x: int) -> list[int]:
         """x, x^2, ... up to and including the stabilized power."""
         out = [x]

@@ -135,6 +135,7 @@ def maximals_over(a: ResiduatedLattice, subset: int) -> tuple[int, ...]:
     return tuple(m for m in analysis(a).maximals if m & subset == subset)
 
 
+@memo
 def radical(a: ResiduatedLattice, f: int) -> int:
     """Intersection of the maximal filters containing f; proper input only."""
     if f == a.full:
@@ -250,6 +251,26 @@ def join_to_one(a: ResiduatedLattice) -> tuple[int, ...]:
     table alone."""
     return tuple(
         mask_of(y for y in range(a.n) if a.join[x][y] == a.one) for x in range(a.n)
+    )
+
+
+def complements_join_to_one(a: ResiduatedLattice, p: int, q: int) -> bool:
+    """Some x outside p and y outside q have x v y = 1."""
+    return any(
+        a.join[x][y] == a.one for x in bits(a.full ^ p) for y in bits(a.full ^ q)
+    )
+
+
+def power_negations_join_outside(a: ResiduatedLattice, m: int) -> bool:
+    """Every x outside m has a power whose negation joins to 1 with some
+    y outside m."""
+    return all(
+        any(
+            a.join[y][a.neg(px)] == a.one
+            for px in a.powers(x)
+            for y in bits(a.full ^ m)
+        )
+        for x in bits(a.full ^ m)
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
-from .core import ResiduatedLattice, bits, mask_of, quotient
+from .core import ResiduatedLattice, bits, quotient
 from .errors import EquivalenceViolation
 from . import filters as flt
 from . import pure as pr
@@ -57,14 +57,7 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
     full = a.full
     pairs = [(m, n) for m in maxima for n in maxima if m != n]
 
-    separating_join = all(
-        any(
-            a.join[x][y] == a.one
-            for x in bits(full ^ m)
-            for y in bits(full ^ n)
-        )
-        for m, n in pairs
-    )
+    separating_join = all(flt.complements_join_to_one(a, m, n) for m, n in pairs)
     dpart_comaximal = all(
         flt.filter_join(a, flt.d_part(a, m), flt.d_part(a, n)) == full
         for m, n in pairs
@@ -105,15 +98,7 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
     dpart_quotient_local = all(
         flt.is_local(quotient(a, flt.d_part(a, m))[0]) for m in maxima
     )
-    power_negation_join = all(
-        any(
-            a.join[y][a.neg(px)] == a.one
-            for px in a.powers(x)
-            for y in bits(full ^ m)
-        )
-        for m in maxima
-        for x in bits(full ^ m)
-    )
+    power_negation_join = all(flt.power_negations_join_outside(a, m) for m in maxima)
     return {
         "separating_join": separating_join,
         "dpart_comaximal": dpart_comaximal,
@@ -162,7 +147,7 @@ def normal_filter_lattice(a: ResiduatedLattice) -> dict[str, bool]:
 def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     primes = flt.prime_filters(a)
     maxima = flt.maximal_filters(a)
-    hspace = top.spec_space(a, "hull", primes)
+    hspace = top.spec_space(a, "hull")
     opens = tuple(hspace.opens())
     sep = True
     for i, m in enumerate(maxima):
@@ -266,7 +251,7 @@ def quotient_space_homeo(a: ResiduatedLattice, kind: str) -> bool:
     for c in classes:
         if len(max_index & set(bits(c))) != 1:
             return False
-    hspace = top.spec_space(a, "hull", primes)
+    hspace = top.spec_space(a, "hull")
     qspace = top.quotient_space(hspace, classes, f"{a.label}:spec/{kind}")
     img = []
     for m in maxima:
@@ -308,9 +293,19 @@ def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
     witnesses: dict[str, str] = {}
     leaves: list[bool] = []
 
+    def record(name: str, result) -> None:
+        """A dict result is a battery: every leaf votes, and the criterion
+        holds when all of them do. A bool result is a single leaf."""
+        if isinstance(result, dict):
+            details[name] = result
+            leaves.extend(result.values())
+            criteria[name] = all(result.values())
+        else:
+            leaves.append(result)
+            criteria[name] = result
+
     uniq, wit = unique_maximal_over_primes(a)
-    criteria["unique_maximal"] = uniq
-    leaves.append(uniq)
+    record("unique_maximal", uniq)
     if wit is not None:
         p, over = wit
         witnesses["unique_maximal"] = (
@@ -319,8 +314,7 @@ def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
         )
 
     cont, wit = contessa_check(a)
-    criteria["contessa"] = cont
-    leaves.append(cont)
+    record("contessa", cont)
     if wit is not None:
         x, y = wit
         witnesses["contessa"] = (
@@ -328,56 +322,22 @@ def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
             f"negations joining to 1"
         )
 
-    battery = maximal_battery(a)
-    details["maximal_battery"] = battery
-    criteria["maximal_battery"] = all(battery.values())
-    leaves.extend(battery.values())
-
-    normal = normal_filter_lattice(a)
-    details["normal_filter_lattice"] = normal
-    criteria["normal_filter_lattice"] = all(normal.values())
-    leaves.extend(normal.values())
-
-    sep = spectral_separation(a)
-    details["spectral_separation"] = sep
-    criteria["spectral_separation"] = all(sep.values())
-    leaves.extend(sep.values())
-
+    record("maximal_battery", maximal_battery(a))
+    record("normal_filter_lattice", normal_filter_lattice(a))
+    record("spectral_separation", spectral_separation(a))
     count, first = retractions(a)
-    criteria["max_retract"] = count >= 1
-    leaves.append(count >= 1)
-
-    criteria["spectrum_normal"] = top.is_normal(top.spec_space(a, "hull"))
-    leaves.append(criteria["spectrum_normal"])
-
+    record("max_retract", count >= 1)
+    record("spectrum_normal", top.is_normal(top.spec_space(a, "hull")))
     for kind, name in (("comaximal", "comaximal_classes"), ("dpart", "dpart_classes")):
-        cls_ok = relation_class_condition(a, kind)
-        homeo_ok = quotient_space_homeo(a, kind)
-        details[name] = {
-            "classes_match_generalizations": cls_ok,
-            "quotient_homeomorphic_to_max": homeo_ok,
-        }
-        criteria[name] = cls_ok and homeo_ok
-        leaves.extend((cls_ok, homeo_ok))
-
-    criteria["topologies_match_on_max"] = pr.d_topology_coincidence(a)
-    leaves.append(criteria["topologies_match_on_max"])
-
-    criteria["pure_spectrum_homeo"] = pr.spp_max_homeo(a)
-    leaves.append(criteria["pure_spectrum_homeo"])
-
-    sb = pr.sigma_battery(a)
-    details["sigma_battery"] = sb
-    criteria["sigma_battery"] = all(sb.values())
-    leaves.extend(sb.values())
-
-    rb = pr.rho_battery(a)
-    details["rho_battery"] = rb
-    criteria["rho_battery"] = all(rb.values())
-    leaves.extend(rb.values())
-
-    criteria["rho_rad_adjoint"] = pr.rho_rad_adjunction(a)
-    leaves.append(criteria["rho_rad_adjoint"])
+        record(name, {
+            "classes_match_generalizations": relation_class_condition(a, kind),
+            "quotient_homeomorphic_to_max": quotient_space_homeo(a, kind),
+        })
+    record("topologies_match_on_max", pr.d_topology_coincidence(a))
+    record("pure_spectrum_homeo", pr.spp_max_homeo(a))
+    record("sigma_battery", pr.sigma_battery(a))
+    record("rho_battery", pr.rho_battery(a))
+    record("rho_rad_adjoint", pr.rho_rad_adjunction(a))
 
     if len(set(leaves)) != 1:
         raise EquivalenceViolation(
@@ -422,9 +382,7 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     primes = flt.prime_filters(a)
     rad = flt.radical_total(a, 1 << a.one)
     hrad_mask = top.hull_in(primes, rad)
-    hrad_space = top.subspace(
-        top.spec_space(a, "hull", primes), hrad_mask, f"{a.label}:h(Rad)"
-    )
+    hrad_space = top.subspace(top.spec_space(a, "hull"), hrad_mask, f"{a.label}:h(Rad)")
     hrad_points = tuple(primes[i] for i in bits(hrad_mask))
     maxima = flt.maximal_filters(a)
 
@@ -484,7 +442,7 @@ def is_soft(a: ResiduatedLattice, verdict: GelfandVerdict | None = None):
         for p in primes
         if p & rad == rad
     )
-    hspace = top.spec_space(a, "hull", primes)
+    hspace = top.spec_space(a, "hull")
     by_topology = top.is_hausdorff(pr.max_subspace(a)) and (
         hspace.closure(flt.analysis(a).max_mask) == hspace.full
     )

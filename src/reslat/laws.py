@@ -145,21 +145,13 @@ def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
     # complements.
     dpart_comaximal_implies_witness = all(
         flt.filter_join(a, flt.d_part(a, p), flt.d_part(a, q)) != a.full
-        or any(
-            a.join[x][y] == a.one
-            for x in bits(a.full ^ p)
-            for y in bits(a.full ^ q)
-        )
+        or flt.complements_join_to_one(a, p, q)
         for p in ctx.primes
         for q in ctx.primes
     )
     ideal_join_iff_witness = all(
         (_ideal_closure(a, (a.full ^ p) | (a.full ^ q)) == a.full)
-        == any(
-            a.join[x][y] == a.one
-            for x in bits(a.full ^ p)
-            for y in bits(a.full ^ q)
-        )
+        == flt.complements_join_to_one(a, p, q)
         for p in ctx.primes
         for q in ctx.primes
     )
@@ -204,15 +196,7 @@ def local_quotient_law(a: ResiduatedLattice) -> dict[str, bool]:
     ok = True
     for m in flt.maximal_filters(a):
         q, _ = quotient(a, flt.d_part(a, m))
-        formula = all(
-            any(
-                a.join[y][a.neg(px)] == a.one
-                for px in a.powers(x)
-                for y in bits(a.full ^ m)
-            )
-            for x in bits(a.full ^ m)
-        )
-        if flt.is_local(q) != formula:
+        if flt.is_local(q) != flt.power_negations_join_outside(a, m):
             ok = False
     return _raise_failures(a, "local quotient", {"dpart_quotient_local_iff": ok})
 

@@ -24,7 +24,7 @@ from .core import (
     size_bound,
     validate,
 )
-from .errors import CarrierTooLarge, EquivalenceViolation
+from .errors import CarrierTooLarge, EquivalenceViolation, NotALattice
 from .gelfand import classification, gelfand_verdict
 
 
@@ -72,7 +72,7 @@ def _bounded_up(n: int, rel) -> tuple[int, ...]:
 def _is_lattice(n: int, up) -> bool:
     try:
         _lattice_tables(n, list(up))
-    except Exception:
+    except NotALattice:
         return False
     return True
 

@@ -147,8 +147,9 @@ def rho_rad_adjunction(a: ResiduatedLattice) -> bool:
     return True
 
 
-def sigma_battery(a: ResiduatedLattice) -> dict[str, bool]:
-    """Five sigma-side characterizations, each quantified exhaustively.
+def _part_battery(a: ResiduatedLattice, part) -> dict[str, bool]:
+    """Five characterizations of a pure-part operator (sigma or rho), each
+    quantified exhaustively over the filters.
 
     The join-homomorphism condition is stated for arbitrary families; the
     filter lattice is finite and join-closed, so the pairwise law plus the
@@ -158,25 +159,25 @@ def sigma_battery(a: ResiduatedLattice) -> dict[str, bool]:
     maxima = flt.maximal_filters(a)
     one = 1 << a.one
     max_inclusion = all(
-        not (sigma(a, f) & m == sigma(a, f)) or f & m == f
+        not (part(a, f) & m == part(a, f)) or f & m == f
         for f in fs
         for m in maxima
     )
     same_maximals = all(
-        flt.maximals_over(a, f) == flt.maximals_over(a, sigma(a, f)) for f in fs
+        flt.maximals_over(a, f) == flt.maximals_over(a, part(a, f)) for f in fs
     )
     same_radical = all(
-        flt.radical_total(a, f) == flt.radical_total(a, sigma(a, f)) for f in fs
+        flt.radical_total(a, f) == flt.radical_total(a, part(a, f)) for f in fs
     )
     preserves_comax = all(
-        flt.filter_join(a, sigma(a, f), sigma(a, g)) == a.full
+        flt.filter_join(a, part(a, f), part(a, g)) == a.full
         for f in fs
         for g in fs
         if flt.filter_join(a, f, g) == a.full
     )
-    join_hom = sigma(a, one) == one and all(
-        sigma(a, flt.filter_join(a, f, g))
-        == flt.filter_join(a, sigma(a, f), sigma(a, g))
+    join_hom = part(a, one) == one and all(
+        part(a, flt.filter_join(a, f, g))
+        == flt.filter_join(a, part(a, f), part(a, g))
         for f in fs
         for g in fs
     )
@@ -189,48 +190,23 @@ def sigma_battery(a: ResiduatedLattice) -> dict[str, bool]:
     }
 
 
+def sigma_battery(a: ResiduatedLattice) -> dict[str, bool]:
+    """The five pure-part characterizations, read through sigma."""
+    return _part_battery(a, sigma)
+
+
 def rho_battery(a: ResiduatedLattice) -> dict[str, bool]:
-    """Rho-side counterparts, plus comaximality of maximal pure parts."""
-    fs = flt.all_filters(a)
+    """The same five read through rho, plus comaximality of maximal pure
+    parts."""
     maxima = flt.maximal_filters(a)
-    one = 1 << a.one
-    max_inclusion = all(
-        not (rho(a, f) & m == rho(a, f)) or f & m == f
-        for f in fs
-        for m in maxima
-    )
-    same_maximals = all(
-        flt.maximals_over(a, f) == flt.maximals_over(a, rho(a, f)) for f in fs
-    )
-    same_radical = all(
-        flt.radical_total(a, f) == flt.radical_total(a, rho(a, f)) for f in fs
-    )
-    preserves_comax = all(
-        flt.filter_join(a, rho(a, f), rho(a, g)) == a.full
-        for f in fs
-        for g in fs
-        if flt.filter_join(a, f, g) == a.full
-    )
-    join_hom = rho(a, one) == one and all(
-        rho(a, flt.filter_join(a, f, g))
-        == flt.filter_join(a, rho(a, f), rho(a, g))
-        for f in fs
-        for g in fs
-    )
-    max_parts_comax = all(
+    battery = _part_battery(a, rho)
+    battery["maximal_parts_comaximal"] = all(
         flt.filter_join(a, rho(a, m), rho(a, n)) == a.full
         for m in maxima
         for n in maxima
         if m != n
     )
-    return {
-        "max_inclusion_reflects": max_inclusion,
-        "same_maximals": same_maximals,
-        "same_radical": same_radical,
-        "preserves_comaximal": preserves_comax,
-        "join_homomorphism": join_hom,
-        "maximal_parts_comaximal": max_parts_comax,
-    }
+    return battery
 
 
 def pure_characterization_family(a: ResiduatedLattice) -> tuple[int, ...]:
@@ -238,7 +214,7 @@ def pure_characterization_family(a: ResiduatedLattice) -> tuple[int, ...]:
     ranging over the closed sets of Spec_h; the generalization kernel of a
     maximal is its d-part, so this intersects d-parts."""
     primes = flt.prime_filters(a)
-    hspace = top.spec_space(a, "hull", primes)
+    hspace = top.spec_space(a, "hull")
     maxset = set(flt.maximal_filters(a))
     family = set()
     for c in hspace.closed:
@@ -405,7 +381,7 @@ def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
 def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
     """Opens of Spec_h stable under specialization = duals of pure filters."""
     primes = flt.prime_filters(a)
-    hspace = top.spec_space(a, "hull", primes)
+    hspace = top.spec_space(a, "hull")
     stable_opens = {
         o
         for o in hspace.opens()

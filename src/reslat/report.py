@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .core import ResiduatedLattice, bits, is_prelinear
+from .core import ResiduatedLattice, is_prelinear
 from . import filters as flt
 from . import laws
 from . import pure as pr
@@ -34,7 +34,7 @@ def run_laws(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:
     out["continuity"] = pr.continuity_law(a)
     out["stable_open"] = pr.stable_open_law(a)
     primes = flt.prime_filters(a)
-    top.closure_lemmas(a, primes)
+    top.closure_lemmas(a)
     top.hull_closed_family_facts(a)
     for m in range(1 << len(primes)):
         top.closed_iff_patch_and_stable(a, m)

@@ -12,7 +12,7 @@ questions about pairs of points, continuity and homeomorphism about the
 image of each point closure.
 
 Spectral spaces are immutable, so `spec_space` builds each one once per
-algebra and argument tuple (through `core.memo`).
+algebra and kind (through `core.memo`).
 
 The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
@@ -150,29 +150,23 @@ def generalization_mask(points: tuple[int, ...], point_mask: int) -> int:
     return out
 
 
-def spec_space(
-    a: ResiduatedLattice,
-    kind: str = "hull",
-    points: tuple[int, ...] | None = None,
-    label: str | None = None,
-) -> FiniteSpace:
-    """Hull-kernel, dual, or patch space over a prime collection, built
-    once per algebra and argument tuple."""
+def spec_space(a: ResiduatedLattice, kind: str = "hull") -> FiniteSpace:
+    """Hull-kernel, dual, or patch space over the prime spectrum, built
+    once per algebra and kind."""
     if kind not in ("hull", "dual", "patch"):
         raise ValueError(f"unknown space kind {kind!r}")
-    points = flt.prime_filters(a) if points is None else tuple(points)
-    name = label or f"{a.label}:{kind}[{len(points)}pts]"
-    return _spec_space(a, kind, points, name)
+    return _spec_space(a, kind)
 
 
 @memo
-def _spec_space(a: ResiduatedLattice, kind: str, points: tuple[int, ...], name: str) -> FiniteSpace:
+def _spec_space(a: ResiduatedLattice, kind: str) -> FiniteSpace:
+    points = flt.prime_filters(a)
     basis: list[int] = []
     if kind in ("hull", "patch"):
         basis += [hull_in(points, 1 << x) for x in range(a.n)]
     if kind in ("dual", "patch"):
         basis += [cohull_in(points, 1 << x) for x in range(a.n)]
-    return generate_space(name, points, basis)
+    return generate_space(f"{a.label}:{kind}[{len(points)}pts]", points, basis)
 
 
 def is_normal(space: FiniteSpace) -> bool:
@@ -287,11 +281,12 @@ def is_homeomorphism(func, source: FiniteSpace, target: FiniteSpace) -> bool:
     )
 
 
-def closure_lemmas(a: ResiduatedLattice, points: tuple[int, ...]) -> bool:
-    """For every point set: hull-kernel closure = hull of kernel =
+def closure_lemmas(a: ResiduatedLattice) -> bool:
+    """For every set of primes: hull-kernel closure = hull of kernel =
     specialization set, and dual closure = generalization set."""
-    hspace = spec_space(a, "hull", points)
-    dspace = spec_space(a, "dual", points)
+    points = flt.prime_filters(a)
+    hspace = spec_space(a, "hull")
+    dspace = spec_space(a, "dual")
     for pi in range(1 << len(points)):
         cl_h = hspace.closure(pi)
         hk = hull_in(points, kernel_of(a, points, pi))
@@ -310,8 +305,8 @@ def closed_iff_patch_and_stable(a: ResiduatedLattice, point_mask: int) -> bool:
     """A point set is hull-kernel closed iff it is patch closed and stable
     under specialization; asserted, then the left side is returned."""
     points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull", points)
-    pspace = spec_space(a, "patch", points)
+    hspace = spec_space(a, "hull")
+    pspace = spec_space(a, "patch")
     lhs = hspace.is_closed(point_mask)
     rhs = pspace.is_closed(point_mask) and (
         specialization_mask(points, point_mask) == point_mask
@@ -327,7 +322,7 @@ def closed_iff_patch_and_stable(a: ResiduatedLattice, point_mask: int) -> bool:
 def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     """Clopen sets of the spectrum = hulls of Boolean-center elements."""
     points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull", points)
+    hspace = spec_space(a, "hull")
     clopens = {c for c in hspace.closed if (hspace.full ^ c) in hspace.closed}
     beta_hulls = {hull_in(points, 1 << e) for e in bits(flt.analysis(a).beta)}
     if clopens != beta_hulls:
@@ -341,7 +336,7 @@ def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
 def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
     """Density of the maximals in the spectrum = semisimplicity; asserted."""
     points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull", points)
+    hspace = spec_space(a, "hull")
     dense = hspace.closure(flt.analysis(a).max_mask) == hspace.full
     semi = flt.is_semisimple(a)
     if dense != semi:
@@ -355,7 +350,7 @@ def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
     """The hull-kernel closed sets are exactly the filter hulls and exactly
     the specialization-stable sets; checked on the full spectrum."""
     points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull", points)
+    hspace = spec_space(a, "hull")
     filter_hulls = {hull_in(points, f) for f in flt.all_filters(a)}
     stable = {
         pi

@@ -386,3 +386,31 @@ def test_coannihilator_calls_per_report(monkeypatch):
     monkeypatch.setattr(flt, "coannihilator", counting)
     report.build_report(a)
     assert calls == 1212
+
+
+def test_a_report_computes_each_radical_once(monkeypatch):
+    """radical is memoized: a whole report looks up the maximals over each
+    filter at most once on its behalf."""
+    a = core.direct_product(catalog.get("A8"), catalog.get("chain3"))
+    real = flt.maximals_over
+    calls = {}
+
+    def counting(a, subset):
+        if sys._getframe(1).f_code is flt.radical.__wrapped__.__code__:
+            calls[subset] = calls.get(subset, 0) + 1
+        return real(a, subset)
+
+    monkeypatch.setattr(flt, "maximals_over", counting)
+    report.build_report(a)
+    assert calls
+    assert set(calls.values()) == {1}
+    assert set(calls) <= set(flt.all_filters(a))
+
+
+def test_a_rejected_radical_is_rejected_again():
+    """A call that raises stores nothing, so the memo never answers for the
+    improper filter."""
+    a = catalog.get("A6")
+    for _ in range(2):
+        with pytest.raises(ImproperInput):
+            flt.radical(a, a.full)

@@ -225,3 +225,108 @@ def test_forced_disagreement_raises(monkeypatch):
     monkeypatch.setattr(gf, "contessa_check", lambda a: (False, (0, 0)))
     with pytest.raises(EquivalenceViolation, match="criteria disagree"):
         gf.gelfand_verdict(catalog.get("A8"))
+
+
+PART_KEYS = (
+    "max_inclusion_reflects",
+    "same_maximals",
+    "same_radical",
+    "preserves_comaximal",
+    "join_homomorphism",
+)
+
+# Every function whose result gelfand_verdict records, as (module, attribute,
+# the kind argument it is flipped for or None, criterion, leaves): a battery
+# is flipped one leaf at a time; a function voting through a two-leaf class
+# pair names its leaf; a single criterion has the leaf None.
+VOTERS = (
+    (gf, "unique_maximal_over_primes", None, "unique_maximal", (None,)),
+    (gf, "contessa_check", None, "contessa", (None,)),
+    (gf, "maximal_battery", None, "maximal_battery", BATTERY_KEYS),
+    (gf, "normal_filter_lattice", None, "normal_filter_lattice",
+     ("all_filters", "principal_filters")),
+    (gf, "spectral_separation", None, "spectral_separation",
+     ("maximal_pairs_separated", "generalizations_closed")),
+    (gf, "retractions", None, "max_retract", (None,)),
+    (gf.top, "is_normal", None, "spectrum_normal", (None,)),
+    (gf, "relation_class_condition", "comaximal", "comaximal_classes",
+     ("classes_match_generalizations",)),
+    (gf, "quotient_space_homeo", "comaximal", "comaximal_classes",
+     ("quotient_homeomorphic_to_max",)),
+    (gf, "relation_class_condition", "dpart", "dpart_classes",
+     ("classes_match_generalizations",)),
+    (gf, "quotient_space_homeo", "dpart", "dpart_classes",
+     ("quotient_homeomorphic_to_max",)),
+    (gf.pr, "d_topology_coincidence", None, "topologies_match_on_max", (None,)),
+    (gf.pr, "spp_max_homeo", None, "pure_spectrum_homeo", (None,)),
+    (gf.pr, "sigma_battery", None, "sigma_battery", PART_KEYS),
+    (gf.pr, "rho_battery", None, "rho_battery",
+     PART_KEYS + ("maximal_parts_comaximal",)),
+    (gf.pr, "rho_rad_adjunction", None, "rho_rad_adjoint", (None,)),
+)
+
+
+def _flipped(real, kind, battery_leaf):
+    """real with its vote flipped (only for calls with the given kind): one
+    leaf of a battery, the count of a retraction search, the value of a
+    (value, witness) pair, or a bool."""
+
+    def wrapper(a, *args):
+        out = real(a, *args)
+        if kind is not None and args != (kind,):
+            return out
+        if battery_leaf is not None:
+            out = dict(out)
+            out[battery_leaf] = not out[battery_leaf]
+            return out
+        if real is gf.retractions:
+            return (0, None) if out[0] else (1, None)
+        if isinstance(out, tuple):
+            return (not out[0], out[1])
+        return not out
+
+    return wrapper
+
+
+KNOCKOUTS = [
+    pytest.param(
+        module, attr, kind, criterion, leaf,
+        id=f"{attr}[{kind}]" if kind else f"{attr}:{leaf}" if leaf else attr,
+    )
+    for module, attr, kind, criterion, leaves in VOTERS
+    for leaf in leaves
+]
+
+
+def test_knockouts_cover_every_criterion():
+    assert {p.values[3] for p in KNOCKOUTS} == set(CRITERIA)
+
+
+@pytest.mark.parametrize("name", ("A8", "A6"))
+@pytest.mark.parametrize("module, attr, kind, criterion, leaf", KNOCKOUTS)
+def test_each_criterion_feeds_the_vote(
+    monkeypatch, name, module, attr, kind, criterion, leaf
+):
+    """Flip one voter (or one battery leaf); the verdict must refuse, and its
+    detail must show exactly that value disagreeing with every other. On A6
+    a battery leaf flipped to true is visible only in the details, since
+    all() of the battery stays false."""
+    a = catalog.get(name)
+    verdict = gf.gelfand_verdict(a).verdict
+    battery_leaf = leaf if kind is None else None
+    monkeypatch.setattr(
+        module, attr, _flipped(getattr(module, attr), kind, battery_leaf)
+    )
+    with pytest.raises(EquivalenceViolation, match="Gelfand criteria disagree") as exc:
+        gf.gelfand_verdict(a)
+    _, criteria, details = exc.value.detail
+    assert tuple(criteria) == CRITERIA
+    dissent = [
+        (crit, key)
+        for crit in criteria
+        for key, value in (
+            details[crit].items() if crit in details else [(None, criteria[crit])]
+        )
+        if value is not verdict
+    ]
+    assert dissent == [(criterion, leaf)]

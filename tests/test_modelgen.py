@@ -115,3 +115,15 @@ def test_non_gelfand_labels_at_size_six():
 def test_deep_sweep_at_small_size_runs_the_law_suites():
     rep = mg.classify_all(3, deep=True)
     assert rep.structure_count == 2
+
+
+def test_a_failing_lattice_table_build_is_not_read_as_a_non_lattice(monkeypatch):
+    """Only NotALattice rejects an order; any other error stops the
+    enumeration instead of silently shrinking it."""
+
+    def broken(n, up):
+        raise ValueError("table bug")
+
+    monkeypatch.setattr(mg, "_lattice_tables", broken)
+    with pytest.raises(ValueError, match="table bug"):
+        list(mg.enumerate_lattices(4))

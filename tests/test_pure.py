@@ -216,3 +216,16 @@ def test_sigma_and_rho_are_computed_once_per_filter(monkeypatch):
     report.build_report(a)
     n = len(flt.all_filters(a))
     assert calls == {"kernel_of": n, "join_family": n}
+
+
+def test_rho_battery_reads_rho_and_sigma_battery_does_not(monkeypatch):
+    """The five shared conditions are quantified over the operator each
+    battery passes in: perturbing rho alone moves only the rho battery."""
+    before_sigma = pr.sigma_battery(catalog.get("A8"))
+    before_rho = pr.rho_battery(catalog.get("A8"))
+    a = ff.parse(ff.serialize(catalog.get("A8")))
+    monkeypatch.setattr(pr, "rho", lambda a, f: a.full)
+    assert pr.sigma_battery(a) == before_sigma
+    after_rho = pr.rho_battery(a)
+    assert list(after_rho) == list(before_rho)
+    assert after_rho != before_rho

@@ -144,7 +144,7 @@ def test_structural_space_facts(name):
     split; the return value is the fact itself."""
     a = catalog.get(name)
     primes = flt.prime_filters(a)
-    assert top.closure_lemmas(a, primes)
+    assert top.closure_lemmas(a)
     assert top.hull_closed_family_facts(a)
     assert top.max_dense_iff_semisimple(a) is flt.is_semisimple(a)
     sp = top.spec_space(a)
@@ -232,7 +232,7 @@ def test_point_closures_and_neighbourhoods():
 def test_spaces_are_built_once_per_algebra(monkeypatch):
     a = _goedel(8)
     assert top.spec_space(a, "patch") is top.spec_space(a, "patch")
-    assert top.spec_space(a, "hull") is top.spec_space(a, "hull", flt.prime_filters(a))
+    assert top.spec_space(a) is top.spec_space(a, "hull")
 
     b = _goedel(8)
     built = Counter()
