@@ -90,7 +90,8 @@ def _cmd_spectrum(args) -> int:
     maxima = set(flt.maximal_filters(a))
     for p in primes:
         print(f"{a.set_repr(p)}" + (" maximal" if p in maxima else ""))
-    print(f"{len(primes)} points, {len(space.closed)} closed sets")
+    count = 1 << space.npoints if top.is_discrete(space) else len(space.closed)
+    print(f"{len(primes)} points, {count} closed sets")
     preds = top.space_predicates(space)
     print(" ".join(f"{k}={'yes' if v else 'no'}" for k, v in sorted(preds.items())))
     return EX_OK

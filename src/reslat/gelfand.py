@@ -11,7 +11,6 @@ or negative verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 from .core import ResiduatedLattice, bits, quotient
 from .errors import EquivalenceViolation
@@ -169,31 +168,30 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     }
 
 
-def _retraction_images(
+def _retraction(
     space: top.FiniteSpace, mspace: top.FiniteSpace, maxima: tuple[int, ...]
 ):
-    """The continuous maps space -> mspace that fix the maximal points, as
-    tuples of images (indices into maxima, which index mspace's points).
-
-    The map is forced to the identity on maximal points, so the search walks
-    every assignment of the remaining points to maximal filters.
-    """
+    """The continuous map space -> mspace fixing the maximal points, as a
+    tuple of images (indices into maxima, which index mspace's points), or
+    None. mspace is T1, so such a map is constant on each point closure and
+    sends each point to the maximal point in its closure. That map is the
+    only candidate; the continuity check rejects it when a closure holds two."""
+    if not top.is_t1(mspace):
+        raise EquivalenceViolation("maximal spectrum is not T1", detail=mspace.label)
     max_pos = {m: i for i, m in enumerate(maxima)}
-    free = [i for i, p in enumerate(space.keys) if p not in max_pos]
-    for choice in iproduct(range(len(maxima)), repeat=len(free)):
-        img = [max_pos.get(p, 0) for p in space.keys]
-        for slot, c in zip(free, choice):
-            img[slot] = c
-        if top.is_continuous(lambda i: img[i], space, mspace):
-            yield tuple(img)
+    img = []
+    for c in space.cl:
+        above = [max_pos[space.keys[j]] for j in bits(c) if space.keys[j] in max_pos]
+        if not above:
+            raise EquivalenceViolation("prime under no maximal filter", detail=space.label)
+        img.append(above[0])
+    return tuple(img) if top.is_continuous(img.__getitem__, space, mspace) else None
 
 
 def retractions(a: ResiduatedLattice) -> tuple[int, tuple[int, ...] | None]:
-    """Count the continuous retractions Spec_h -> Max_h; keep the first."""
-    images = list(_retraction_images(
-        top.spec_space(a, "hull"), pr.max_subspace(a), flt.maximal_filters(a)
-    ))
-    return len(images), images[0] if images else None
+    """Count the continuous retractions Spec_h -> Max_h (at most one); keep it."""
+    image = _retraction(top.spec_space(a, "hull"), pr.max_subspace(a), flt.maximal_filters(a))
+    return int(image is not None), image
 
 
 def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
@@ -202,15 +200,15 @@ def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
     kind "comaximal": p ~ q when p v q is proper.
     kind "dpart": p ~ q when D(p) v D(q) is proper.
     """
+    if kind not in ("comaximal", "dpart"):
+        raise ValueError(f"unknown relation kind {kind!r}")
     primes = flt.prime_filters(a)
     k = len(primes)
 
     def related(p, q):
         if kind == "comaximal":
             return flt.filter_join(a, p, q) != a.full
-        if kind == "dpart":
-            return flt.filter_join(a, flt.d_part(a, p), flt.d_part(a, q)) != a.full
-        raise ValueError(f"unknown relation kind {kind!r}")
+        return flt.filter_join(a, flt.d_part(a, p), flt.d_part(a, q)) != a.full
 
     parent = list(range(k))
 
@@ -391,9 +389,7 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
         len(flt.maximals_over(a, p)) == 1 for p in hrad_points
     )
 
-    retract = any(_retraction_images(hrad_space, pr.max_subspace(a), maxima))
-    if not maxima and not hrad_points:
-        retract = True
+    retract = _retraction(hrad_space, pr.max_subspace(a), maxima) is not None
 
     normaletc = top.is_normal(hrad_space)
     gens_closed = all(

@@ -1,10 +1,11 @@
-"""Exhaustive generation of small residuated lattices, two ways.
+"""Exhaustive generation of small residuated lattices.
 
-The fast route enumerates bounded lattices up to isomorphism (canonical-form
-pruning over the interior elements) and fills multiplication tables by
+Bounded lattices are enumerated up to isomorphism (canonical-form pruning
+over the interior elements) and multiplication tables are filled by
 backtracking with monotonicity pruning, deduplicating by lattice
-automorphisms. The naive route regenerates everything without pruning and
-deduplicates by explicit isomorphism search; tests compare the two.
+automorphisms. The tests compare the counts with a naive twin that
+regenerates everything without pruning and deduplicates by explicit
+isomorphism search.
 
 Element 0 is always the bottom and element n-1 the top.
 """
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 
 from .core import (
-    ResiduatedLattice,
     _lattice_tables,
     bits,
-    find_isomorphism,
     is_prelinear,
     mask_of,
     size_bound,
@@ -215,76 +214,6 @@ def residuated_structures(n: int, chains_only: bool = False):
                 continue
             idx += 1
             yield validate(names, mul, leq=rows, label=f"n{n}.{idx}")
-
-
-def _order_isomorphic(n: int, up1, up2) -> bool:
-    return any(_apply_perm(n, up1, p) == tuple(up2) for p in _middle_perms(n))
-
-
-def naive_lattices(n: int) -> tuple[tuple[int, ...], ...]:
-    """Unpruned lattice enumeration deduplicated by isomorphism search."""
-    if n == 1:
-        return ((1,),)
-    reps: list[tuple[int, ...]] = []
-    for rel in _middle_orders(n - 2):
-        up = _bounded_up(n, rel)
-        if not _is_lattice(n, up):
-            continue
-        if not any(_order_isomorphic(n, up, r) for r in reps):
-            reps.append(up)
-    return tuple(reps)
-
-
-def naive_structures(n: int) -> tuple[ResiduatedLattice, ...]:
-    """Unpruned table enumeration deduplicated with the isomorphism finder."""
-    names = element_names(n)
-    reps: list[ResiduatedLattice] = []
-    if n == 1:
-        return (validate(names, [[0]], leq=[[True]], label="naive1.1"),)
-    for rel in _middle_orders(n - 2):
-        up = _bounded_up(n, rel)
-        if not _is_lattice(n, up):
-            continue
-        join, meet = _lattice_tables(n, list(up))
-
-        def leq(x, y, up=up):
-            return (up[x] >> y) & 1
-
-        down = [mask_of(y for y in range(n) if leq(y, x)) for x in range(n)]
-        cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
-        choices = [tuple(bits(down[meet[i][j]])) for i, j in cells]
-        rows = [[bool(leq(i, j)) for j in range(n)] for i in range(n)]
-        for picks in iproduct(*choices):
-            mul = [[0] * n for _ in range(n)]
-            for x in range(n):
-                mul[x][n - 1] = x
-                mul[n - 1][x] = x
-            for (i, j), v in zip(cells, picks):
-                mul[i][j] = v
-                mul[j][i] = v
-            ok = all(
-                mul[mul[x][y]][z] == mul[x][mul[y][z]]
-                and mul[x][join[y][z]] == join[mul[x][y]][mul[x][z]]
-                and leq(mul[join[x][y]][join[x][z]], join[x][mul[y][z]])
-                for x in range(n)
-                for y in range(n)
-                for z in range(n)
-            )
-            if ok:
-                for x in range(n):
-                    for y in range(n):
-                        zs = [z for z in range(n) if leq(mul[x][z], y)]
-                        r = zs[0]
-                        for z in zs[1:]:
-                            r = join[r][z]
-                        if not leq(mul[x][r], y):
-                            ok = False
-            if not ok:
-                continue
-            cand = validate(names, mul, leq=rows, label=f"naive{n}.{len(reps) + 1}")
-            if not any(find_isomorphism(cand, r) for r in reps):
-                reps.append(cand)
-    return tuple(reps)
 
 
 @dataclass

@@ -1,0 +1,154 @@
+"""Brute-force references for the tests: the exhaustive enumerations the
+package replaced by checked bases, the naive model enumeration, and a
+Goedel-chain builder. Each is exponential and meant for small inputs."""
+
+from itertools import product as iproduct
+
+from reslat import filters as flt, topology as top
+from reslat.core import _lattice_tables, bits, find_isomorphism, mask_of, validate
+from reslat.modelgen import (
+    _apply_perm,
+    _bounded_up,
+    _is_lattice,
+    _middle_orders,
+    _middle_perms,
+    element_names,
+)
+
+
+def goedel(k):
+    """The Goedel chain of k elements: min as product, 0 < a < b < ... < 1."""
+    names = ["0"] + [chr(ord("a") + i) for i in range(k - 2)] + ["1"]
+    mul = [[min(i, j) for j in range(k)] for i in range(k)]
+    covers = [(i, i + 1) for i in range(k - 1)]
+    return validate(names, mul, covers=covers, label=f"goedel{k}")
+
+
+def coannihilator_laws_by_powerset(a):
+    """The four coannihilator laws, checked on every subset of the carrier."""
+    filterhood = extensive = triple = antitone = True
+    for s in range(1 << a.n):
+        cs = flt.coannihilator(a, s)
+        filterhood &= a.is_filter(cs)
+        ccs = flt.coannihilator(a, cs)
+        extensive &= s & ccs == s
+        triple &= flt.coannihilator(a, ccs) == cs
+        for x in range(a.n):
+            wider = flt.coannihilator(a, s | (1 << x))
+            antitone &= wider & cs == wider
+    return {
+        "always_a_filter": filterhood,
+        "subset_of_double": extensive,
+        "triple_equals_single": triple,
+        "antitone": antitone,
+    }
+
+
+def closure_lemmas_by_scan(a):
+    """The five closure routes agree on every set of primes."""
+    points = flt.prime_filters(a)
+    hspace, dspace = top.spec_space(a, "hull"), top.spec_space(a, "dual")
+    return all(
+        hspace.closure(pi)
+        == top.hull_in(points, top.kernel_of(a, points, pi))
+        == top.specialization_mask(points, pi)
+        and dspace.closure(pi) == top.generalization_mask(points, pi)
+        for pi in range(1 << len(points))
+    )
+
+
+def stable_sets_by_scan(points):
+    """The point sets equal to their specialization set, over all 2^k."""
+    return {
+        pi
+        for pi in range(1 << len(points))
+        if top.specialization_mask(points, pi) == pi
+    }
+
+
+def retraction_images(space, mspace, maxima):
+    """Every continuous map space -> mspace fixing the maximal points, as
+    tuples of images (indices into maxima), by walking every assignment of
+    the other points to maximal filters."""
+    max_pos = {m: i for i, m in enumerate(maxima)}
+    free = [i for i, p in enumerate(space.keys) if p not in max_pos]
+    for choice in iproduct(range(len(maxima)), repeat=len(free)):
+        img = [max_pos.get(p, 0) for p in space.keys]
+        for slot, c in zip(free, choice):
+            img[slot] = c
+        if top.is_continuous(img.__getitem__, space, mspace):
+            yield tuple(img)
+
+
+# The naive twin of modelgen's enumeration: no canonical-form pruning, no
+# backtracking, deduplication by explicit isomorphism search.
+
+
+def _order_isomorphic(n, up1, up2):
+    return any(_apply_perm(n, up1, p) == tuple(up2) for p in _middle_perms(n))
+
+
+def naive_lattices(n):
+    """Unpruned lattice enumeration deduplicated by isomorphism search."""
+    if n == 1:
+        return ((1,),)
+    reps = []
+    for rel in _middle_orders(n - 2):
+        up = _bounded_up(n, rel)
+        if not _is_lattice(n, up):
+            continue
+        if not any(_order_isomorphic(n, up, r) for r in reps):
+            reps.append(up)
+    return tuple(reps)
+
+
+def naive_structures(n):
+    """Unpruned table enumeration deduplicated with the isomorphism finder."""
+    names = element_names(n)
+    reps = []
+    if n == 1:
+        return (validate(names, [[0]], leq=[[True]], label="naive1.1"),)
+    for rel in _middle_orders(n - 2):
+        up = _bounded_up(n, rel)
+        if not _is_lattice(n, up):
+            continue
+        join, meet = _lattice_tables(n, list(up))
+
+        def leq(x, y, up=up):
+            return (up[x] >> y) & 1
+
+        down = [mask_of(y for y in range(n) if leq(y, x)) for x in range(n)]
+        cells = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+        choices = [tuple(bits(down[meet[i][j]])) for i, j in cells]
+        rows = [[bool(leq(i, j)) for j in range(n)] for i in range(n)]
+        for picks in iproduct(*choices):
+            mul = [[0] * n for _ in range(n)]
+            for x in range(n):
+                mul[x][n - 1] = x
+                mul[n - 1][x] = x
+            for (i, j), v in zip(cells, picks):
+                mul[i][j] = v
+                mul[j][i] = v
+            ok = all(
+                mul[mul[x][y]][z] == mul[x][mul[y][z]]
+                and mul[x][join[y][z]] == join[mul[x][y]][mul[x][z]]
+                and leq(mul[join[x][y]][join[x][z]], join[x][mul[y][z]])
+                for x in range(n)
+                for y in range(n)
+                for z in range(n)
+            )
+            if ok:
+                for x in range(n):
+                    for y in range(n):
+                        zs = [z for z in range(n) if leq(mul[x][z], y)]
+                        r = zs[0]
+                        for z in zs[1:]:
+                            r = join[r][z]
+                        if not leq(mul[x][r], y):
+                            ok = False
+            if not ok:
+                continue
+            cand = validate(names, mul, leq=rows, label=f"naive{n}.{len(reps) + 1}")
+            if not any(find_isomorphism(cand, r) for r in reps):
+                reps.append(cand)
+    return tuple(reps)

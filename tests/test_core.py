@@ -261,3 +261,20 @@ def test_only_memo_touches_the_cache():
     assert [p.name for p in sorted(src.glob("*.py")) if "_cache" in p.read_text()] == [
         "core.py"
     ]
+
+
+def test_no_powerset_walk_on_the_report_path():
+    """Laws and theorems are decided from checked bases, not by walking
+    every subset: the one `range(1 <<` left on the report path is run_laws'
+    loop over the patch criterion, and the retraction is built, not
+    searched over maps."""
+    src = Path(core.__file__).parent
+    modules = ("filters", "laws", "pure", "topology", "gelfand", "report")
+    walks = [
+        (name, line.strip())
+        for name in modules
+        for line in (src / f"{name}.py").read_text().splitlines()
+        if "range(1 <<" in line
+    ]
+    assert walks == [("report", "for m in range(1 << len(primes)):")]
+    assert "itertools" not in (src / "gelfand.py").read_text()

@@ -388,6 +388,25 @@ def test_coannihilator_calls_per_report(monkeypatch):
     assert calls == 1212
 
 
+def test_coannihilator_calls_per_small_report(monkeypatch):
+    """Small algebras take the same path: A8 asks for 8 element
+    coannihilators and 11 for each of the 38 subsets of size <= 2 or full,
+    where a walk over all 256 subsets would make 2824. A fresh instance
+    shares no memoized result with the catalog's."""
+    a = dataclasses.replace(catalog.get("A8"))
+    real = flt.coannihilator
+    calls = 0
+
+    def counting(alg, subset):
+        nonlocal calls
+        calls += 1
+        return real(alg, subset)
+
+    monkeypatch.setattr(flt, "coannihilator", counting)
+    report.build_report(a)
+    assert calls == 426
+
+
 def test_a_report_computes_each_radical_once(monkeypatch):
     """radical is memoized: a whole report looks up the maximals over each
     filter at most once on its behalf."""

@@ -182,6 +182,14 @@ def test_relation_closures_merge_inseparable_primes():
     assert gf.quotient_space_homeo(a8, "dpart")
 
 
+@pytest.mark.parametrize("name", ("chain2", "A6"))
+def test_relation_closure_rejects_an_unknown_kind(name):
+    """The kind is checked before any pair of primes is compared, so it is
+    refused also with a single prime."""
+    with pytest.raises(ValueError, match="unknown relation kind 'bogus'"):
+        gf.relation_closure(catalog.get(name), "bogus")
+
+
 @pytest.mark.parametrize("name", sorted(CLASSIFICATION))
 def test_hausdorff_battery_is_unanimous(name):
     battery = gf.hausdorff_battery(catalog.get(name))

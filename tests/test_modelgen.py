@@ -6,6 +6,8 @@ import pytest
 from reslat import catalog, core, modelgen as mg
 from reslat.errors import CarrierTooLarge
 
+from oracles import naive_lattices, naive_structures
+
 LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
 STRUCTURE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
 CHAIN_STRUCTURE_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94}
@@ -34,7 +36,7 @@ def test_lattice_counts(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_lattice_counts_match_naive_enumeration(n):
-    assert len(mg.naive_lattices(n)) == LATTICE_COUNTS[n]
+    assert len(naive_lattices(n)) == LATTICE_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(STRUCTURE_COUNTS))
@@ -46,7 +48,7 @@ def test_structure_counts(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_structure_counts_match_naive_enumeration(n):
-    assert len(mg.naive_structures(n)) == STRUCTURE_COUNTS[n]
+    assert len(naive_structures(n)) == STRUCTURE_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(CHAIN_STRUCTURE_COUNTS))

@@ -1,0 +1,125 @@
+"""The checked-base routes against the exhaustive enumerations they replace:
+coannihilator laws, closure lemmas, stable sets and retractions."""
+
+import time
+import types
+
+import pytest
+
+from reslat import catalog, core, filters as flt, gelfand as gf, laws, modelgen
+from reslat import pure as pr, topology as top
+from reslat.errors import EquivalenceViolation
+
+from oracles import (
+    closure_lemmas_by_scan,
+    coannihilator_laws_by_powerset,
+    goedel,
+    retraction_images,
+    stable_sets_by_scan,
+)
+
+
+def _corpus():
+    """The catalog, the Goedel chains of 2 to 10 elements, every structure
+    with at most five elements and three products."""
+    get, prod = catalog.get, core.direct_product
+    algebras = [get(name) for name in catalog.catalog_names()]
+    algebras += [goedel(k) for k in range(2, 11)]
+    for n in range(1, 6):
+        algebras += list(modelgen.residuated_structures(n))
+    algebras += [
+        prod(get("A6"), get("A6")),
+        prod(get("A6"), get("cube2")),
+        prod(prod(get("chain3"), get("chain3")), get("chain3")),
+    ]
+    return algebras
+
+
+CORPUS = _corpus()
+
+
+def test_coannihilator_laws_match_the_powerset():
+    small = [a for a in CORPUS if a.n <= 10]
+    assert len(small) > 40
+    for a in small:
+        assert laws.coannihilator_laws(a) == coannihilator_laws_by_powerset(a), a.label
+
+
+def test_an_asymmetric_join_row_fails_the_double_law(monkeypatch):
+    """The symmetric Galois base is read from the co-join rows: one row that
+    forgets a partner fails subset_of_double, also above ten elements."""
+    a = core.direct_product(catalog.get("A8"), catalog.get("cube1"))
+    assert a.n == 16
+    rows = list(flt.join_to_one(a))
+    assert rows[a.zero] == 1 << a.one and (rows[a.one] >> a.zero) & 1
+    rows[a.zero] = 0
+    broken = types.SimpleNamespace(**{**vars(flt), "join_to_one": lambda alg: rows})
+    monkeypatch.setattr(laws, "flt", broken)
+    with pytest.raises(EquivalenceViolation, match="coannihilator laws fail") as exc:
+        laws.coannihilator_laws(a)
+    assert exc.value.detail == (a.label, ("subset_of_double",))
+
+
+def test_closure_lemmas_match_the_scan():
+    for a in CORPUS:
+        assert top.closure_lemmas(a) is closure_lemmas_by_scan(a) is True, a.label
+
+
+def test_the_hull_meet_base_is_checked(monkeypatch):
+    """hull(F n G) = hull(F) u hull(G) holds for filters only: offered the
+    non-filters {c,1} and {a,1} of A6, whose meet {1} lies under every
+    prime, the base check refuses."""
+    a = catalog.get("A6")
+    c1, a1 = (core.mask_of((a.names.index(x), a.one)) for x in "ca")
+    family = flt.all_filters(a) + (c1, a1)
+    broken = types.SimpleNamespace(**{**vars(flt), "all_filters": lambda alg: family})
+    monkeypatch.setattr(top, "flt", broken)
+    with pytest.raises(EquivalenceViolation, match="closure lemmas fail"):
+        top.closure_lemmas(a)
+
+
+def test_stable_sets_match_the_scan():
+    for a in CORPUS:
+        points = flt.prime_filters(a)
+        assert top.hull_closed_family_facts(a)
+        assert top.spec_space(a, "hull").closed == stable_sets_by_scan(points), a.label
+
+
+def test_a_broken_stable_family_raises_quickly(monkeypatch):
+    """With every point its own specialization set the stable sets would be
+    all 2^63 point sets of Goedel-64; the family stops growing past the 64
+    filter hulls and the check raises at once."""
+    a = goedel(64)
+    monkeypatch.setattr(top, "specialization_mask", lambda points, mask: mask)
+    t0 = time.perf_counter()
+    with pytest.raises(EquivalenceViolation, match="closed-set descriptions"):
+        top.hull_closed_family_facts(a)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_retractions_match_the_map_search():
+    seen = set()
+    for a in CORPUS:
+        primes = flt.prime_filters(a)
+        maxima = flt.maximal_filters(a)
+        mspace = pr.max_subspace(a)
+        images = list(retraction_images(top.spec_space(a, "hull"), mspace, maxima))
+        assert gf.retractions(a) == (len(images), images[0] if images else None), a.label
+        seen.add(len(images))
+
+        hrad_mask = top.hull_in(primes, flt.radical_total(a, 1 << a.one))
+        hrad = top.subspace(top.spec_space(a, "hull"), hrad_mask, "h(Rad)")
+        found = any(True for _ in retraction_images(hrad, mspace, maxima))
+        assert gf.hausdorff_battery(a)["max_retract_of_radical_hull"] is found, a.label
+    assert seen == {0, 1}
+
+
+def test_a_retraction_target_is_checked():
+    """The target must be T1, and every prime lies under a maximal filter:
+    a target that breaks either is refused, not read as no retraction."""
+    a = catalog.get("A6")
+    hull, maxima = top.spec_space(a, "hull"), flt.maximal_filters(a)
+    with pytest.raises(EquivalenceViolation, match="not T1"):
+        gf._retraction(hull, hull, maxima)
+    with pytest.raises(EquivalenceViolation, match="under no maximal"):
+        gf._retraction(hull, pr.max_subspace(a), maxima[:1])

@@ -1,0 +1,88 @@
+"""Reach: the topology facts, the coannihilator laws, the Hausdorff battery
+and the Gelfand verdict on chains and products whose spectra have 31 to 63
+points, with fact oracles and generous wall-clock bounds."""
+
+import contextlib
+import io
+import time
+
+import pytest
+
+from reslat import catalog, cli, core, fileformat, filters as flt, gelfand as gf
+from reslat import laws, topology as top
+
+from oracles import goedel
+
+
+def _chain2_goedel32():
+    return core.direct_product(catalog.get("chain2"), goedel(32))
+
+
+def run_cli(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+# name -> (builder, primes, maximals, retraction count)
+REACH = {
+    "goedel32": (lambda: goedel(32), 31, 1, 1),
+    "goedel64": (lambda: goedel(64), 63, 1, 1),
+    "chain2xgoedel32": (_chain2_goedel32, 32, 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACH))
+def test_reach_of_the_polynomial_routes(name):
+    """A chain of k elements has k-1 primes and one maximal filter;
+    chain2 x Goedel32 has 32 primes and 2 maximals. All are Gelfand on all
+    fourteen criteria, with one retraction, and every fact holds; each
+    algebra takes well under a minute."""
+    build, primes, maximals, retractions = REACH[name]
+    t0 = time.perf_counter()
+    a = build()
+    assert len(flt.prime_filters(a)) == primes
+    assert len(flt.maximal_filters(a)) == maximals
+    assert top.closure_lemmas(a)
+    assert top.hull_closed_family_facts(a)
+    assert set(laws.coannihilator_laws(a).values()) == {True}
+    assert set(gf.hausdorff_battery(a).values()) == {True}
+    verdict = gf.gelfand_verdict(a)
+    assert verdict.verdict is True
+    assert len(verdict.criteria) == 14
+    assert set(verdict.criteria.values()) == {True}
+    assert gf.retractions(a)[0] == retractions
+    assert time.perf_counter() - t0 < 60.0
+
+
+def test_reach_of_the_gelfand_command(tmp_path):
+    """`reslat gelfand` on a chain2 x Goedel32 file says yes and exits 0."""
+    path = tmp_path / "c2g32.txt"
+    path.write_text(fileformat.serialize(_chain2_goedel32()))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["gelfand", str(path)])
+    assert (code, err) == (cli.EX_OK, "")
+    assert out == "Gelfand: yes (14/14 criteria)\n"
+    assert time.perf_counter() - t0 < 60.0
+
+
+def test_patch_count_on_goedel64_builds_no_family(tmp_path, monkeypatch):
+    """The patch space of a finite spectrum is discrete, so its closed sets
+    are counted as 2^63 without enumerating them."""
+    path = tmp_path / "goedel64.json"
+    path.write_text(fileformat.to_json(goedel(64)))
+    loaded, real = [], fileformat.load
+
+    def load(p):
+        loaded.append(real(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli.fileformat, "load", load)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(["spectrum", "--kind", "patch", str(path)])
+    assert code == cli.EX_OK
+    assert "63 points, 9223372036854775808 closed sets\n" in out
+    assert "discrete=yes" in out
+    assert "closed" not in top.spec_space(loaded[0], "patch").__dict__
+    assert time.perf_counter() - t0 < 60.0

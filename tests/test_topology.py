@@ -11,6 +11,8 @@ from reslat import pure as pr, report
 from reslat import topology as top
 from reslat.errors import EquivalenceViolation
 
+from oracles import goedel as _goedel
+
 
 def test_spec_space_a6():
     a = catalog.get("A6")
@@ -156,13 +158,6 @@ def test_spectrum_is_connected_for_the_flagship_algebras():
     for name in ("A6", "A8"):
         a = catalog.get(name)
         assert top.clopen_check(a) == (0, (1 << len(flt.prime_filters(a))) - 1)
-
-
-def _goedel(k):
-    names = ["0"] + [chr(ord("a") + i) for i in range(k - 2)] + ["1"]
-    mul = [[min(i, j) for j in range(k)] for i in range(k)]
-    covers = [(i, i + 1) for i in range(k - 1)]
-    return core.validate(names, mul, covers=covers, label=f"goedel{k}")
 
 
 def _normal_by_opens(space):
