@@ -20,6 +20,7 @@ from .errors import (
     NotALattice,
     NotCommutativeMonoid,
     NotResiduated,
+    ResiduumMismatch,
     UsageError,
 )
 
@@ -194,6 +195,21 @@ def _residuum_table(n: int, up, join, mul):
     return res
 
 
+def _operation_laws(names, up, join, mul) -> None:
+    """Associativity, distributivity of mul over join and the join inequality
+    x v yz >= (x v y)(x v z), on every triple."""
+    for x, y, z in iproduct(range(len(names)), repeat=3):
+        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+            error, law = NotCommutativeMonoid, "not associative"
+        elif mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]:
+            error, law = NotResiduated, "multiplication fails to distribute over join"
+        elif not (up[mul[join[x][y]][join[x][z]]] >> join[x][mul[y][z]]) & 1:
+            error, law = NotResiduated, "join inequality fails"
+        else:
+            continue
+        raise error(f"{law} at {names[x]},{names[y]},{names[z]}")
+
+
 def validate(
     names,
     mul,
@@ -206,8 +222,8 @@ def validate(
     """Check every axiom and build the algebra, or raise a specific error.
 
     Order data comes either as a full <= matrix (`leq`, rows of truthy values)
-    or as covering pairs of indices (`covers`). When `res` is omitted it is
-    derived; when given, the adjunction is checked against it directly.
+    or as covering pairs of indices (`covers`). The residuum is always
+    derived; a supplied `res` must equal it (ResiduumMismatch otherwise).
     """
     names = tuple(str(s) for s in names)
     n = len(names)
@@ -255,38 +271,21 @@ def validate(
             if mul[x][y] != mul[y][x]:
                 raise NotCommutativeMonoid(f"not commutative at {names[x]},{names[y]}")
 
-    # Adjunction before associativity: a broken table should be reported
+    # Residuum before associativity: a broken table should be reported
     # against the residuation first, matching how the axioms are layered.
+    derived = _residuum_table(n, up, join, mul)
+    _operation_laws(names, up, join, mul)
     if res is not None:
         res = [list(map(int, row)) for row in res]
         if len(res) != n or any(len(r) != n for r in res):
             raise NotResiduated("residuum table must be n x n")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if ((up[mul[x][z]] >> y) & 1) != ((up[z] >> res[x][y]) & 1):
-                        raise AdjunctionFails(x, y, z)
-    else:
-        res = _residuum_table(n, up, join, mul)
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                    raise NotCommutativeMonoid(
-                        f"not associative at {names[x]},{names[y]},{names[z]}"
-                    )
-                if mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]:
-                    raise NotResiduated(
-                        f"multiplication fails to distribute over join at "
-                        f"{names[x]},{names[y]},{names[z]}"
-                    )
-                lhs = join[x][mul[y][z]]
-                rhs = mul[join[x][y]][join[x][z]]
-                if not (up[rhs] >> lhs) & 1:
-                    raise NotResiduated(
-                        f"join inequality fails at {names[x]},{names[y]},{names[z]}"
-                    )
+        for x, y in iproduct(range(n), repeat=2):
+            r, d = res[x][y], derived[x][y]
+            if r != d:
+                got = names[r] if 0 <= r < n else f"{r} (outside the carrier)"
+                raise ResiduumMismatch(
+                    f"residuum at ({names[x]},{names[y]}) is {got}, derived {names[d]}"
+                )
 
     return ResiduatedLattice(
         names=names,
@@ -294,7 +293,7 @@ def validate(
         join=tuple(tuple(r) for r in join),
         meet=tuple(tuple(r) for r in meet),
         mul=tuple(tuple(r) for r in mul),
-        res=tuple(tuple(r) for r in res),
+        res=tuple(tuple(r) for r in derived),
         zero=zero,
         one=one,
         label=label or "unnamed",

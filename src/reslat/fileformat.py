@@ -22,18 +22,8 @@ from __future__ import annotations
 import json
 
 from .core import ResiduatedLattice, bits, validate
-from .errors import FormatError, ResiduumMismatch
+from .errors import FormatError
 from . import filters as flt
-
-
-def _check_res(a: ResiduatedLattice, res_rows) -> None:
-    for x in range(a.n):
-        for y in range(a.n):
-            if res_rows[x][y] != a.res[x][y]:
-                raise ResiduumMismatch(
-                    f"residuum at ({a.names[x]},{a.names[y]}) is "
-                    f"{a.names[res_rows[x][y]]}, derived {a.names[a.res[x][y]]}"
-                )
 
 
 def parse_text(text: str) -> ResiduatedLattice:
@@ -123,10 +113,7 @@ def parse_text(text: str) -> ResiduatedLattice:
         raise FormatError("need exactly one of covers or leq")
     if mul is None:
         raise FormatError("no mul table")
-    a = validate(names, mul, leq=leq, covers=covers, label=label)
-    if res is not None:
-        _check_res(a, res)
-    return a
+    return validate(names, mul, leq=leq, covers=covers, res=res, label=label)
 
 
 def cover_pairs(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
@@ -140,6 +127,12 @@ def cover_pairs(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
 
 
 def serialize(a: ResiduatedLattice) -> str:
+    """The text form; refuses element names that parse_text cannot read back
+    (empty, holding whitespace or a line break as str.split sees them, '#'
+    or '<')."""
+    for name in a.names:
+        if name.split() != [name] or "#" in name or "<" in name:
+            raise FormatError(f"element name {name!r} cannot be written as text")
     lines = [f"name {a.label}", "elements " + " ".join(a.names)]
     lines.append(
         "covers "
@@ -161,10 +154,11 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         raise FormatError(f"bad JSON: {exc.msg}", exc.lineno) from exc
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
-    try:
-        names = [str(s) for s in data["elements"]]
-    except KeyError:
-        raise FormatError("missing elements") from None
+    if "elements" not in data:
+        raise FormatError("missing elements")
+    if not isinstance(data["elements"], list):
+        raise FormatError("elements must be a list")
+    names = [str(s) for s in data["elements"]]
     index = {s: i for i, s in enumerate(names)}
 
     def table(key):
@@ -185,15 +179,15 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         raise FormatError(f"unknown element or missing field: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed table: {exc}") from None
-    a = validate(
-        names, mul, leq=leq, covers=covers, label=str(data.get("name", ""))
+    try:
+        res = table("res") if "res" in data else None
+    except KeyError as exc:
+        raise FormatError(f"unknown element in res: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"malformed table: {exc}") from None
+    return validate(
+        names, mul, leq=leq, covers=covers, res=res, label=str(data.get("name", ""))
     )
-    if "res" in data:
-        try:
-            _check_res(a, table("res"))
-        except KeyError as exc:
-            raise FormatError(f"unknown element in res: {exc}") from None
-    return a
 
 
 def to_json(a: ResiduatedLattice) -> str:

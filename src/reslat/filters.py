@@ -18,7 +18,6 @@ from .errors import (
     ImproperInput,
     NotAFilter,
     NotAnIdeal,
-    Unsatisfiable,
 )
 
 
@@ -126,11 +125,6 @@ def join_family(a: ResiduatedLattice, family) -> int:
     return out
 
 
-def primes_over(a: ResiduatedLattice, subset: int) -> tuple[int, ...]:
-    """Primes containing the subset (the hull, as filters)."""
-    return tuple(p for p in analysis(a).primes if p & subset == subset)
-
-
 def maximals_over(a: ResiduatedLattice, subset: int) -> tuple[int, ...]:
     return tuple(m for m in analysis(a).maximals if m & subset == subset)
 
@@ -185,15 +179,6 @@ def is_comaximal(a: ResiduatedLattice, f: int, g: int) -> bool:
     return routes[0]
 
 
-def comaximal_witness(a: ResiduatedLattice, f: int, g: int):
-    """First (x, y) with x in f, y in g, x*y = 0, or None."""
-    for x in bits(f):
-        for y in bits(g):
-            if a.mul[x][y] == a.zero:
-                return x, y
-    return None
-
-
 def is_maximal_by_powers(a: ResiduatedLattice, f: int) -> bool:
     """Power test: proper f is maximal iff every x outside has neg(x^k) in f."""
     if f == a.full:
@@ -211,38 +196,6 @@ def is_maximal_by_powers(a: ResiduatedLattice, f: int) -> bool:
         if not hit:
             return False
     return True
-
-
-def prime_extension(a: ResiduatedLattice, f: int, cone: int) -> int:
-    """A filter containing f, maximal among those missing the join-closed
-    cone; such filters are prime, and that is asserted for all of them.
-    Returns the canonically first one."""
-    if not a.is_filter(f):
-        raise NotAFilter(a.set_repr(f))
-    if cone == 0:
-        raise ValueError("cone must be non-empty")
-    for x in bits(cone):
-        for y in bits(cone):
-            if not (cone >> a.join[x][y]) & 1:
-                raise ValueError("cone must be closed under joins")
-    if f & cone:
-        raise Unsatisfiable(
-            f"filter {a.set_repr(f)} already meets {a.set_repr(cone)}"
-        )
-    avoiders = [g for g in analysis(a).filters if g & f == f and not g & cone]
-    best = [
-        g
-        for g in avoiders
-        if not any(h != g and h & g == g for h in avoiders)
-    ]
-    primes = set(analysis(a).primes)
-    for g in best:
-        if g not in primes:
-            raise EquivalenceViolation(
-                "maximal cone-avoiding filter is not prime",
-                detail=(a.label, a.set_repr(g), a.set_repr(cone)),
-            )
-    return best[0]
 
 
 @memo

@@ -144,20 +144,14 @@ def normal_filter_lattice(a: ResiduatedLattice) -> dict[str, bool]:
 
 
 def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
+    """Distinct maximal points have disjoint open sets around them, i.e.
+    disjoint minimal neighbourhoods; and each maximal point's set of
+    generalizations is closed."""
     primes = flt.prime_filters(a)
     maxima = flt.maximal_filters(a)
     hspace = top.spec_space(a, "hull")
-    opens = tuple(hspace.opens())
-    sep = True
-    for i, m in enumerate(maxima):
-        for n in maxima[i + 1:]:
-            pi, pj = primes.index(m), primes.index(n)
-            if not any(
-                (u >> pi) & 1 and (v >> pj) & 1 and not u & v
-                for u in opens
-                for v in opens
-            ):
-                sep = False
+    nb = [hspace.nb[primes.index(m)] for m in maxima]
+    sep = all(not u & v for i, u in enumerate(nb) for v in nb[i + 1:])
     gens_closed = all(
         hspace.is_closed(top.generalization_mask(primes, 1 << primes.index(m)))
         for m in maxima

@@ -17,14 +17,24 @@ from itertools import permutations, product as iproduct
 
 from .core import (
     _lattice_tables,
+    _operation_laws,
+    _residuum_table,
     bits,
     is_prelinear,
     mask_of,
     size_bound,
     validate,
 )
-from .errors import CarrierTooLarge, EquivalenceViolation, NotALattice
+from .errors import (
+    CarrierTooLarge,
+    EquivalenceViolation,
+    NotALattice,
+    NotCommutativeMonoid,
+    NotResiduated,
+)
+from .fileformat import serialize
 from .gelfand import classification, gelfand_verdict
+from .report import run_laws
 
 
 def element_names(n: int) -> tuple[str, ...]:
@@ -127,6 +137,7 @@ def lattice_automorphisms(n: int, up) -> tuple[tuple[int, ...], ...]:
 def _structures_on(n: int, up):
     """Multiplication tables completing the lattice, by backtracking."""
     join, meet = _lattice_tables(n, list(up))
+    names = element_names(n)
     top = n - 1
 
     def leq(x, y):
@@ -154,23 +165,11 @@ def _structures_on(n: int, up):
         return True
 
     def complete():
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-                        return False
-                    if mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]:
-                        return False
-                    if not leq(mul[join[x][y]][join[x][z]], join[x][mul[y][z]]):
-                        return False
-        for x in range(n):
-            for y in range(n):
-                zs = [z for z in range(n) if leq(mul[x][z], y)]
-                r = zs[0]
-                for z in zs[1:]:
-                    r = join[r][z]
-                if not leq(mul[x][r], y):
-                    return False
+        try:
+            _operation_laws(names, up, join, mul)
+            _residuum_table(n, up, join, mul)
+        except (NotCommutativeMonoid, NotResiduated):
+            return False
         return True
 
     def rec(k):
@@ -237,9 +236,6 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
     Any EquivalenceViolation aborts the sweep, re-raised with the offending
     model serialized so it can be replayed.
     """
-    from .fileformat import serialize
-    from .report import run_laws
-
     lattice_count = sum(1 for _ in enumerate_lattices(n, chains_only))
     counts = {
         "gelfand": 0,

@@ -1,11 +1,13 @@
 """Brute-force references for the tests: the exhaustive enumerations the
-package replaced by checked bases, the naive model enumeration, and a
-Goedel-chain builder. Each is exponential and meant for small inputs."""
+package replaced by checked bases, the naive model enumeration, a
+Goedel-chain constructor, and filter helpers that only the tests use. The
+enumerations are exponential and meant for small inputs."""
 
 from itertools import product as iproduct
 
 from reslat import filters as flt, topology as top
 from reslat.core import _lattice_tables, bits, find_isomorphism, mask_of, validate
+from reslat.errors import EquivalenceViolation, NotAFilter, Unsatisfiable
 from reslat.modelgen import (
     _apply_perm,
     _bounded_up,
@@ -78,6 +80,52 @@ def retraction_images(space, mspace, maxima):
             img[slot] = c
         if top.is_continuous(img.__getitem__, space, mspace):
             yield tuple(img)
+
+
+def primes_over(a, subset):
+    """Primes containing the subset (the hull, as filters)."""
+    return tuple(p for p in flt.analysis(a).primes if p & subset == subset)
+
+
+def comaximal_witness(a, f, g):
+    """First (x, y) with x in f, y in g, x*y = 0, or None."""
+    for x in bits(f):
+        for y in bits(g):
+            if a.mul[x][y] == a.zero:
+                return x, y
+    return None
+
+
+def prime_extension(a, f, cone):
+    """A filter containing f, maximal among those missing the join-closed
+    cone; such filters are prime, and that is asserted for all of them.
+    Returns the canonically first one."""
+    if not a.is_filter(f):
+        raise NotAFilter(a.set_repr(f))
+    if cone == 0:
+        raise ValueError("cone must be non-empty")
+    for x in bits(cone):
+        for y in bits(cone):
+            if not (cone >> a.join[x][y]) & 1:
+                raise ValueError("cone must be closed under joins")
+    if f & cone:
+        raise Unsatisfiable(
+            f"filter {a.set_repr(f)} already meets {a.set_repr(cone)}"
+        )
+    avoiders = [g for g in flt.analysis(a).filters if g & f == f and not g & cone]
+    best = [
+        g
+        for g in avoiders
+        if not any(h != g and h & g == g for h in avoiders)
+    ]
+    primes = set(flt.analysis(a).primes)
+    for g in best:
+        if g not in primes:
+            raise EquivalenceViolation(
+                "maximal cone-avoiding filter is not prime",
+                detail=(a.label, a.set_repr(g), a.set_repr(cone)),
+            )
+    return best[0]
 
 
 # The naive twin of modelgen's enumeration: no canonical-form pruning, no

@@ -3,8 +3,14 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import reslat
 
 from reslat import catalog, cli, fileformat as ff, report
 import reslat.filters as flt
@@ -42,6 +48,31 @@ def test_check_invalid_algebra_exits_one(tmp_path):
     code, out, err = run(["check", str(p)])
     assert code == cli.EX_FALSE
     assert "not commutative at a,c" in out + err
+
+
+CHAIN3 = json.loads(ff.to_json(catalog.get("chain3")))
+MALFORMED_JSON = {
+    "res_is_a_number": dict(CHAIN3, res=5),
+    "res_lacks_rows": dict(CHAIN3, res=CHAIN3["res"][:2]),
+    "res_rows_too_short": dict(CHAIN3, res=[r[:2] for r in CHAIN3["res"]]),
+    "elements_is_a_number": dict(CHAIN3, elements=5),
+    "elements_is_a_string": dict(CHAIN3, elements="0a1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_fields_are_reported_not_raised(case, tmp_path):
+    """Run as a process, so an uncaught exception would show as a traceback
+    (and also exit 1) instead of failing inside the test."""
+    p = tmp_path / f"{case}.json"
+    p.write_text(json.dumps(MALFORMED_JSON[case]))
+    env = dict(os.environ, PYTHONPATH=str(Path(reslat.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "reslat.cli", "check", str(p)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EX_FALSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid algebra: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_filters_listing():

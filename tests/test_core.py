@@ -15,6 +15,8 @@ from reslat.errors import (
     NotAFilter,
     NotALattice,
     NotCommutativeMonoid,
+    NotResiduated,
+    ResiduumMismatch,
     UsageError,
 )
 
@@ -60,6 +62,22 @@ def test_validate_rejects_broken_product():
     mul[1][3] = mul[3][1] = 4  # a*c := d destroys the adjunction
     with pytest.raises(AdjunctionFails):
         core.validate(a.names, mul, covers=ff.cover_pairs(a))
+
+
+def test_supplied_residuum_must_equal_the_derived_one():
+    a = catalog.get("A6")
+    covers = ff.cover_pairs(a)
+    res = [list(r) for r in a.res]
+    assert core.validate(a.names, a.mul, covers=covers, res=res).res == a.res
+    res[0][0] = a.zero
+    with pytest.raises(ResiduumMismatch, match=r"residuum at \(0,0\) is 0, derived 1"):
+        core.validate(a.names, a.mul, covers=covers, res=res)
+    res[0][0] = a.n
+    with pytest.raises(NotResiduated, match="outside the carrier"):
+        core.validate(a.names, a.mul, covers=covers, res=res)
+    for bad in (a.res[:-1], [r[:-1] for r in a.res]):
+        with pytest.raises(NotResiduated, match="residuum table must be n x n"):
+            core.validate(a.names, a.mul, covers=covers, res=bad)
 
 
 def test_validate_rejects_noncommutative_product():

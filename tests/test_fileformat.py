@@ -2,12 +2,15 @@
 parse errors, DOT export."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslat import catalog, core, fileformat as ff, modelgen as mg
 from reslat.errors import FormatError, ResiduumMismatch
+
+from oracles import goedel
 
 A6_TEXT = """\
 name A6
@@ -149,6 +152,23 @@ def test_supplied_residuum_is_checked_against_the_derived_one():
     lines[lines.index("res") + 1] = "0 1 1 1 1 1"
     with pytest.raises(ResiduumMismatch, match=r"residuum at \(0,0\) is 0, derived 1"):
         ff.parse_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x\ny", "\x85", "a#", "p<q"])
+def test_serialize_refuses_names_the_text_form_cannot_hold(name):
+    a = catalog.get("chain3")
+    leq = [[a.leq(x, y) for y in range(3)] for x in range(3)]
+    b = core.validate(("0", name, "1"), a.mul, leq=leq)
+    with pytest.raises(FormatError, match=f"element name {re.escape(repr(name))}"):
+        ff.serialize(b)
+    assert ff.parse_json_text(ff.to_json(b)).names == b.names
+
+
+def test_serialize_refuses_the_39_element_letter_chain():
+    """Letters from 'a' reach chr(0x85), which str.split and str.splitlines
+    read as a line break."""
+    with pytest.raises(FormatError, match=r"element name '\\x85'"):
+        ff.serialize(goedel(39))
 
 
 def test_cover_pairs_of_a6():

@@ -218,6 +218,35 @@ def test_point_predicates_match_the_opens_search():
     assert seen == {"normal": {True, False}, "hausdorff": {True, False}}
 
 
+def _maximal_pairs_separated_by_opens(a):
+    """Reference: distinct maximal points of the hull space have disjoint
+    open sets around them, searched over all pairs of opens."""
+    primes = flt.prime_filters(a)
+    maxima = flt.maximal_filters(a)
+    opens = tuple(top.spec_space(a, "hull").opens())
+    return all(
+        any((u >> primes.index(m)) & 1 and (v >> primes.index(n)) & 1 and not u & v
+            for u in opens for v in opens)
+        for i, m in enumerate(maxima)
+        for n in maxima[i + 1:]
+    )
+
+
+def test_maximal_separation_matches_the_opens_search():
+    a6, cube2 = catalog.get("A6"), catalog.get("cube2")
+    algebras = [catalog.get(name) for name in catalog.catalog_names()]
+    for n in range(1, 7):
+        algebras += list(modelgen.residuated_structures(n))
+    algebras += [core.direct_product(a6, a6), core.direct_product(a6, cube2),
+                 core.direct_product(catalog.get("A8"), catalog.get("cube3"))]
+    seen = set()
+    for a in algebras:
+        separated = gf.spectral_separation(a)["maximal_pairs_separated"]
+        assert separated is _maximal_pairs_separated_by_opens(a), a.label
+        seen.add(separated)
+    assert seen == {True, False}
+
+
 def test_point_closures_and_neighbourhoods():
     sp = top.spec_space(catalog.get("A6"))
     assert sp.cl == (0b111, 0b010, 0b100)
