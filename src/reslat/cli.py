@@ -25,6 +25,9 @@ EX_FALSE = 1
 EX_VIOLATION = 2
 EX_USAGE = 64
 EX_IO = 74
+# `search 7` walks 3^10 order relations in about half a minute; `search 8`
+# would walk 3^15 and not return, so larger sizes are refused up front.
+SEARCH_MAX = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,6 +138,8 @@ def _cmd_soft(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.size > SEARCH_MAX:
+        raise UsageError(f"search is limited to {SEARCH_MAX} elements, got {args.size}")
     for n in range(1, args.size + 1):
         rep = modelgen.classify_all(n, deep=args.deep, chains_only=args.chains)
         print(

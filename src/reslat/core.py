@@ -316,9 +316,6 @@ class ElementClassification:
     interior: int          # complement of the nilpotents
     boolean_center: int    # idempotents e with e v neg(e) = 1
 
-    def order_of(self, x: int) -> int | None:
-        return dict(self.nilpotence_order).get(x)
-
 
 def is_prelinear(a: ResiduatedLattice) -> bool:
     """(x -> y) v (y -> x) = 1 everywhere."""

@@ -129,10 +129,13 @@ def cover_pairs(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
 def serialize(a: ResiduatedLattice) -> str:
     """The text form; refuses element names that parse_text cannot read back
     (empty, holding whitespace or a line break as str.split sees them, '#'
-    or '<')."""
+    or '<'), and labels holding '#' or a line break or with whitespace at
+    either end."""
     for name in a.names:
         if name.split() != [name] or "#" in name or "<" in name:
             raise FormatError(f"element name {name!r} cannot be written as text")
+    if "#" in a.label or a.label != a.label.strip() or len(a.label.splitlines()) > 1:
+        raise FormatError(f"label {a.label!r} cannot be written as text")
     lines = [f"name {a.label}", "elements " + " ".join(a.names)]
     lines.append(
         "covers "
@@ -171,7 +174,9 @@ def parse_json_text(text: str) -> ResiduatedLattice:
             leq = None
         elif "leq" in data:
             covers = None
-            leq = [[int(v) for v in row] for row in data["leq"]]
+            leq = [list(row) for row in data["leq"]]
+            if any(type(v) is not int or v not in (0, 1) for row in leq for v in row):
+                raise FormatError("leq rows must contain 0 or 1")
         else:
             raise FormatError("need covers or leq")
         mul = table("mul")

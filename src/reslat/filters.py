@@ -71,7 +71,6 @@ class Analysis:
         self.interior = cls.interior
         self.beta = cls.boolean_center
         self.idempotents = cls.idempotents
-        self.nilpotence_order = cls.nilpotence_order
 
 
 @memo

@@ -33,11 +33,8 @@ def run_laws(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:
     out["purely_prime"] = pr.purely_prime_laws(a)
     out["continuity"] = pr.continuity_law(a)
     out["stable_open"] = pr.stable_open_law(a)
-    primes = flt.prime_filters(a)
     top.closure_lemmas(a)
-    top.hull_closed_family_facts(a)
-    for m in range(1 << len(primes)):
-        top.closed_iff_patch_and_stable(a, m)
+    top.patch_stability_criterion(a)
     top.clopen_check(a)
     top.max_dense_iff_semisimple(a)
     out["topology"] = {

@@ -59,6 +59,18 @@ def closure_lemmas_by_scan(a):
     )
 
 
+def patch_stability_by_scan(a):
+    """A point set is hull-kernel closed iff it is patch closed and stable
+    under specialization, checked on every set of primes."""
+    points = flt.prime_filters(a)
+    hspace, pspace = top.spec_space(a, "hull"), top.spec_space(a, "patch")
+    return all(
+        hspace.is_closed(pi)
+        == (pspace.is_closed(pi) and top.specialization_mask(points, pi) == pi)
+        for pi in range(1 << len(points))
+    )
+
+
 def stable_sets_by_scan(points):
     """The point sets equal to their specialization set, over all 2^k."""
     return {

@@ -171,6 +171,17 @@ def test_search_chains_only():
     assert "n=4: lattices=1 structures=6" in out
 
 
+@pytest.mark.parametrize("size", ["8", "9", "64"])
+def test_search_refuses_sizes_above_seven_before_enumerating(monkeypatch, size):
+    def classify_all(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli.modelgen, "classify_all", classify_all)
+    code, out, err = run(["search", size])
+    assert (code, out) == (cli.EX_USAGE, "")
+    assert err == f"usage error: search is limited to 7 elements, got {size}\n"
+
+
 def test_report_is_deterministic_and_valid_json(tmp_path):
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run(["report", "A8", "-o", str(f1)])[0] == cli.EX_OK

@@ -142,9 +142,35 @@ def test_order_block_is_mandatory_and_unique():
         ff.parse_text(base)
 
 
-def test_leq_rows_must_be_binary():
+def _chain2_json(leq):
+    return json.dumps({"elements": ["0", "1"], "leq": leq, "mul": [["0", "0"], ["0", "1"]]})
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("elements 0 1\nleq\n1 2\n0 1\nmul\n0 0\n0 1\n", id="text"),
+    pytest.param(_chain2_json([[1, 7], [0, 1]]), id="json"),
+    pytest.param(_chain2_json([[1, "1"], [0, 1]]), id="json-string"),
+    pytest.param(_chain2_json([[1, True], [0, 1]]), id="json-bool"),
+])
+def test_leq_rows_must_be_binary(text):
     with pytest.raises(FormatError, match="leq rows must contain 0 or 1"):
-        ff.parse_text("elements 0 1\nleq\n1 2\n0 1\nmul\n0 0\n0 1\n")
+        ff.parse(text)
+
+
+@pytest.mark.parametrize("label", ["x#y", "x\ny", "a\rb", "x\x85y", " padded ", "end\t"])
+def test_serialize_refuses_labels_the_text_form_cannot_hold(label):
+    a = catalog.get("chain3")
+    b = core.validate(a.names, a.mul, covers=ff.cover_pairs(a), label=label)
+    with pytest.raises(FormatError, match=f"label {re.escape(repr(label))}"):
+        ff.serialize(b)
+    assert ff.parse_json_text(ff.to_json(b)).label == label
+
+
+def test_labels_the_text_form_can_hold_round_trip():
+    a = catalog.get("chain3")
+    for label in ["x y", "a<b", "chain3 x A6"]:
+        b = core.validate(a.names, a.mul, covers=ff.cover_pairs(a), label=label)
+        assert ff.parse_text(ff.serialize(b)).label == label
 
 
 def test_supplied_residuum_is_checked_against_the_derived_one():

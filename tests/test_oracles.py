@@ -1,19 +1,23 @@
 """The checked-base routes against the exhaustive enumerations they replace:
-coannihilator laws, closure lemmas, stable sets and retractions."""
+coannihilator laws, closure lemmas, the patch/stability criterion, stable
+sets and retractions."""
 
+import contextlib
+import io
 import time
 import types
 
 import pytest
 
-from reslat import catalog, core, filters as flt, gelfand as gf, laws, modelgen
-from reslat import pure as pr, topology as top
+from reslat import catalog, cli, core, filters as flt, gelfand as gf, laws, modelgen
+from reslat import pure as pr, report, topology as top
 from reslat.errors import EquivalenceViolation
 
 from oracles import (
     closure_lemmas_by_scan,
     coannihilator_laws_by_powerset,
     goedel,
+    patch_stability_by_scan,
     retraction_images,
     stable_sets_by_scan,
 )
@@ -76,6 +80,33 @@ def test_the_hull_meet_base_is_checked(monkeypatch):
     monkeypatch.setattr(top, "flt", broken)
     with pytest.raises(EquivalenceViolation, match="closure lemmas fail"):
         top.closure_lemmas(a)
+
+
+def test_patch_stability_criterion_matches_the_scan():
+    for a in CORPUS:
+        assert top.patch_stability_criterion(a) is patch_stability_by_scan(a) is True, a.label
+
+
+def test_a_patch_space_that_is_not_discrete_is_caught(monkeypatch):
+    """With the hull space standing in for the patch space the per-set scan
+    still agrees, since hull-closed sets are stable; the criterion reads the
+    patch space's point closures and refuses, in the library and the CLI."""
+    a = catalog.get("A6")
+    real = top.spec_space
+
+    def hull_for_patch(alg, kind="hull"):
+        return real(alg, "hull" if kind == "patch" else kind)
+
+    monkeypatch.setattr(top, "spec_space", hull_for_patch)
+    assert patch_stability_by_scan(a) is True
+    with pytest.raises(EquivalenceViolation, match="patch topology is not discrete"):
+        report.run_laws(a)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["report", "A6"])
+    assert code == cli.EX_VIOLATION
+    assert out.getvalue() == ""
+    assert "patch topology is not discrete" in err.getvalue()
 
 
 def test_stable_sets_match_the_scan():

@@ -1,9 +1,11 @@
-"""Reach: the topology facts, the coannihilator laws, the Hausdorff battery
-and the Gelfand verdict on chains and products whose spectra have 31 to 63
-points, with fact oracles and generous wall-clock bounds."""
+"""Reach: the topology facts, the coannihilator laws, the Hausdorff battery,
+the Gelfand verdict and the full report on chains and products whose
+spectra have 31 to 63 points, with fact oracles and generous wall-clock
+bounds."""
 
 import contextlib
 import io
+import json
 import time
 
 import pytest
@@ -64,6 +66,42 @@ def test_reach_of_the_gelfand_command(tmp_path):
     code, out, err = run_cli(["gelfand", str(path)])
     assert (code, err) == (cli.EX_OK, "")
     assert out == "Gelfand: yes (14/14 criteria)\n"
+    assert time.perf_counter() - t0 < 60.0
+
+
+def _leaves(tree):
+    for value in tree.values():
+        yield from _leaves(value) if isinstance(value, dict) else [value]
+
+
+# name -> (builder, writer, filters, primes, maximals)
+REPORTS = {
+    "goedel32": (lambda: goedel(32), fileformat.to_json, 32, 31, 1),
+    "chain2xgoedel32": (_chain2_goedel32, fileformat.serialize, 64, 32, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reach_of_the_report_command(tmp_path, name):
+    """`reslat report` decides the patch/stability criterion once per
+    spectrum, so a 32-prime spectrum reports in seconds: a k-chain has k
+    filters, k-1 primes and one maximal filter, chain2 x Goedel32 has 2 x 32
+    filters, 32 primes and 2 maximals; both are Gelfand and every law
+    holds."""
+    build, write, filters, primes, maximals = REPORTS[name]
+    path = tmp_path / f"{name}.alg"
+    path.write_text(write(build()))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["report", str(path)])
+    assert (code, err) == (cli.EX_OK, "")
+    doc = json.loads(out)
+    assert doc["filters"]["count"] == filters
+    assert len(doc["prime_filters"]) == primes
+    assert len(doc["maximal_filters"]) == maximals
+    assert doc["gelfand"]["verdict"] is True
+    assert set(doc["gelfand"]["criteria"].values()) == {True}
+    assert doc["laws"]["topology"]["patch_stability_criterion"] is True
+    assert set(_leaves(doc["laws"])) == {True}
     assert time.perf_counter() - t0 < 60.0
 
 

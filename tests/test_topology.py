@@ -11,7 +11,7 @@ from reslat import pure as pr, report
 from reslat import topology as top
 from reslat.errors import EquivalenceViolation
 
-from oracles import goedel as _goedel
+from oracles import goedel as _goedel, patch_stability_by_scan
 
 
 def test_spec_space_a6():
@@ -145,13 +145,10 @@ def test_structural_space_facts(name):
     """These checkers raise EquivalenceViolation if their internal routes
     split; the return value is the fact itself."""
     a = catalog.get(name)
-    primes = flt.prime_filters(a)
     assert top.closure_lemmas(a)
     assert top.hull_closed_family_facts(a)
     assert top.max_dense_iff_semisimple(a) is flt.is_semisimple(a)
-    sp = top.spec_space(a)
-    for point_mask in range(1 << len(primes)):
-        assert top.closed_iff_patch_and_stable(a, point_mask) is sp.is_closed(point_mask)
+    assert top.patch_stability_criterion(a) is patch_stability_by_scan(a) is True
 
 
 def test_spectrum_is_connected_for_the_flagship_algebras():
@@ -260,24 +257,29 @@ def test_spaces_are_built_once_per_algebra(monkeypatch):
 
     b = _goedel(8)
     built = Counter()
-    patch_checks = Counter()
-    generate, check = top.generate_space, top.closed_iff_patch_and_stable
+    checks = Counter()
+    generate = top.generate_space
 
     def counting_generate(label, keys, basis):
         built[label, tuple(keys)] += 1
         return generate(label, keys, basis)
 
-    def counting_check(alg, point_mask):
-        patch_checks[point_mask] += 1
-        return check(alg, point_mask)
+    def counting(name):
+        check = getattr(top, name)
+
+        def counted(alg):
+            checks[name] += 1
+            return check(alg)
+        return counted
 
     monkeypatch.setattr(top, "generate_space", counting_generate)
-    monkeypatch.setattr(top, "closed_iff_patch_and_stable", counting_check)
+    for name in ("patch_stability_criterion", "hull_closed_family_facts"):
+        monkeypatch.setattr(top, name, counting(name))
     report.build_report(b)
     assert set(built.values()) == {1}
     assert sorted(label for label, _ in built) == [
         "goedel8:dual[7pts]", "goedel8:hull[7pts]", "goedel8:patch[7pts]"]
-    assert patch_checks == Counter(range(1 << len(flt.prime_filters(b))))
+    assert checks == {"patch_stability_criterion": 1, "hull_closed_family_facts": 1}
 
 
 def test_patch_family_is_never_built_by_a_report():
