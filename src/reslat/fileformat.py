@@ -223,18 +223,23 @@ def _dot_name(label: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in label) or "algebra"
 
 
+def _dot_id(text: str) -> str:
+    """A quoted DOT node ID, with backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(a: ResiduatedLattice, kind: str = "hasse") -> str:
     """DOT text: the Hasse diagram, or the specialization order on primes."""
     lines = [f"digraph {_dot_name(a.label)} {{", "  rankdir=BT;"]
     if kind == "hasse":
         for name in a.names:
-            lines.append(f'  "{name}";')
+            lines.append(f"  {_dot_id(name)};")
         for x, y in cover_pairs(a):
-            lines.append(f'  "{a.names[x]}" -> "{a.names[y]}";')
+            lines.append(f"  {_dot_id(a.names[x])} -> {_dot_id(a.names[y])};")
     elif kind == "spec":
         primes = flt.prime_filters(a)
         for p in primes:
-            lines.append(f'  "{a.set_repr(p)}";')
+            lines.append(f"  {_dot_id(a.set_repr(p))};")
         for i, p in enumerate(primes):
             for j, q in enumerate(primes):
                 if i == j or p & q != p:
@@ -245,7 +250,9 @@ def export_dot(a: ResiduatedLattice, kind: str = "hasse") -> str:
                     if k not in (i, j) and p & r == p and r & q == r
                 ]
                 if not between:
-                    lines.append(f'  "{a.set_repr(p)}" -> "{a.set_repr(q)}";')
+                    lines.append(
+                        f"  {_dot_id(a.set_repr(p))} -> {_dot_id(a.set_repr(q))};"
+                    )
     else:
         raise ValueError(f"unknown export kind {kind!r}")
     lines.append("}")

@@ -1,9 +1,10 @@
 """Exhaustive generation of small residuated lattices.
 
-Bounded lattices are enumerated up to isomorphism (canonical-form pruning
-over the interior elements) and multiplication tables are filled by
-backtracking with monotonicity pruning, deduplicating by lattice
-automorphisms. The tests compare the counts with a naive twin that
+Bounded lattices are enumerated up to isomorphism from the orders that can
+be canonical, keeping an order unless a relabelling of the interior gives
+smaller up masks (the test stops at the first one). Multiplication tables
+are filled by backtracking with monotonicity pruning, deduplicating by
+lattice automorphisms. The tests compare the counts with a naive twin that
 regenerates everything without pruning and deduplicates by explicit
 isomorphism search.
 
@@ -44,38 +45,25 @@ def element_names(n: int) -> tuple[str, ...]:
     return ("0",) + middle + ("1",)
 
 
-def _middle_orders(m: int):
-    """All strict partial orders on m points, as boolean matrices."""
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    for states in iproduct((0, 1, 2), repeat=len(pairs)):
-        rel = [[i == j for j in range(m)] for i in range(m)]
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                rel[i][j] = True
-            elif s == 2:
-                rel[j][i] = True
-        if all(
-            rel[i][k]
-            for i in range(m)
-            for j in range(m)
-            for k in range(m)
-            if rel[i][j] and rel[j][k]
-        ):
-            yield rel
+def _candidate_orders(n: int):
+    """Bounded orders on n elements, as up masks, that can be canonical.
 
-
-def _bounded_up(n: int, rel) -> tuple[int, ...]:
-    """Attach bottom 0 and top n-1 to an interior order."""
-    up = [0] * n
-    up[0] = (1 << n) - 1
-    up[n - 1] = 1 << (n - 1)
-    for i in range(n - 2):
-        m = (1 << (n - 1)) | (1 << (i + 1))
-        for j in range(n - 2):
-            if rel[i][j]:
-                m |= 1 << (j + 1)
-        up[i + 1] = m
-    return tuple(up)
+    The canonical form is the least relabelling of the interior 1..n-2
+    (up-mask tuples compared lexicographically), and in it no interior pair
+    i < j has i below j. Else, for w < z at indices k < l, swap w and z: a
+    mask before k holds both, neither, or z without w (by transitivity), so
+    it stays equal or bit l becomes bit k; the mask at k becomes the image
+    of up[z], inside up[w] but without bit l, so strictly smaller. Each pair
+    is therefore unrelated (0) or has j below i (1), walked in lexicographic
+    order; only transitive relations are kept, so no class is lost.
+    """
+    pairs = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    for below in iproduct((0, 1), repeat=len(pairs)):
+        up = [(1 << n) - 1] + [(1 << (n - 1)) | (1 << x) for x in range(1, n)]
+        for (i, j), b in zip(pairs, below):
+            up[j] |= b << i
+        if all(up[y] | up[x] == up[x] for x in range(n) for y in bits(up[x])):
+            yield tuple(up)
 
 
 def _is_lattice(n: int, up) -> bool:
@@ -105,10 +93,6 @@ def _middle_perms(n: int):
         yield tuple(p)
 
 
-def canonical_up(n: int, up) -> tuple[int, ...]:
-    return min(_apply_perm(n, up, p) for p in _middle_perms(n))
-
-
 def enumerate_lattices(n: int, chains_only: bool = False):
     """Canonical bounded lattices on n elements, bottom first, top last."""
     if n < 1:
@@ -121,11 +105,10 @@ def enumerate_lattices(n: int, chains_only: bool = False):
     if chains_only:
         yield tuple(mask_of(range(i, n)) for i in range(n))
         return
-    for rel in _middle_orders(n - 2):
-        up = _bounded_up(n, rel)
-        if not _is_lattice(n, up):
-            continue
-        if up == canonical_up(n, up):
+    for up in _candidate_orders(n):
+        if _is_lattice(n, up) and all(
+            _apply_perm(n, up, p) >= up for p in _middle_perms(n)
+        ):
             yield up
 
 

@@ -8,14 +8,7 @@ from itertools import product as iproduct
 from reslat import filters as flt, topology as top
 from reslat.core import _lattice_tables, bits, find_isomorphism, mask_of, validate
 from reslat.errors import EquivalenceViolation, NotAFilter, Unsatisfiable
-from reslat.modelgen import (
-    _apply_perm,
-    _bounded_up,
-    _is_lattice,
-    _middle_orders,
-    _middle_perms,
-    element_names,
-)
+from reslat.modelgen import _apply_perm, _is_lattice, _middle_perms, element_names
 
 
 def goedel(k):
@@ -141,7 +134,63 @@ def prime_extension(a, f, cone):
 
 
 # The naive twin of modelgen's enumeration: no canonical-form pruning, no
-# backtracking, deduplication by explicit isomorphism search.
+# backtracking, deduplication by explicit isomorphism search. It walks every
+# strict partial order on the interior, three states per pair, so it does
+# not rely on the package's restriction to orders that can be canonical.
+
+
+def _middle_orders(m):
+    """All strict partial orders on m points, as boolean matrices."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for states in iproduct((0, 1, 2), repeat=len(pairs)):
+        rel = [[i == j for j in range(m)] for i in range(m)]
+        for (i, j), s in zip(pairs, states):
+            if s == 1:
+                rel[i][j] = True
+            elif s == 2:
+                rel[j][i] = True
+        if all(
+            rel[i][k]
+            for i in range(m)
+            for j in range(m)
+            for k in range(m)
+            if rel[i][j] and rel[j][k]
+        ):
+            yield rel
+
+
+def _bounded_up(n, rel):
+    """Attach bottom 0 and top n-1 to an interior order."""
+    up = [0] * n
+    up[0] = (1 << n) - 1
+    up[n - 1] = 1 << (n - 1)
+    for i in range(n - 2):
+        m = (1 << (n - 1)) | (1 << (i + 1))
+        for j in range(n - 2):
+            if rel[i][j]:
+                m |= 1 << (j + 1)
+        up[i + 1] = m
+    return tuple(up)
+
+
+def _bounded_lattices(n):
+    """Every bounded lattice order on n > 1 elements, in walk order."""
+    for rel in _middle_orders(n - 2):
+        up = _bounded_up(n, rel)
+        if _is_lattice(n, up):
+            yield up
+
+
+def lattices_by_full_walk(n):
+    """The canonical lattices in walk order: each lattice whose up masks are
+    the minimum over every relabelling of the interior."""
+    if n == 1:
+        return [(1,)]
+    return [
+        up
+        for up in _bounded_lattices(n)
+        if up == min(_apply_perm(n, up, p) for p in _middle_perms(n))
+    ]
 
 
 def _order_isomorphic(n, up1, up2):
@@ -153,10 +202,7 @@ def naive_lattices(n):
     if n == 1:
         return ((1,),)
     reps = []
-    for rel in _middle_orders(n - 2):
-        up = _bounded_up(n, rel)
-        if not _is_lattice(n, up):
-            continue
+    for up in _bounded_lattices(n):
         if not any(_order_isomorphic(n, up, r) for r in reps):
             reps.append(up)
     return tuple(reps)
@@ -168,10 +214,7 @@ def naive_structures(n):
     reps = []
     if n == 1:
         return (validate(names, [[0]], leq=[[True]], label="naive1.1"),)
-    for rel in _middle_orders(n - 2):
-        up = _bounded_up(n, rel)
-        if not _is_lattice(n, up):
-            continue
+    for up in _bounded_lattices(n):
         join, meet = _lattice_tables(n, list(up))
 
         def leq(x, y, up=up):

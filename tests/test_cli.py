@@ -171,15 +171,29 @@ def test_search_chains_only():
     assert "n=4: lattices=1 structures=6" in out
 
 
-@pytest.mark.parametrize("size", ["8", "9", "64"])
+# size -> (RESLAT_MAX_SIZE, exit code, stderr)
+SEARCH_REFUSALS = {
+    "8": (None, cli.EX_USAGE, "usage error: search is limited to 7 elements, got 8\n"),
+    "9": (None, cli.EX_USAGE, "usage error: search is limited to 7 elements, got 9\n"),
+    "64": (None, cli.EX_USAGE, "usage error: search is limited to 7 elements, got 64\n"),
+    "0": (None, cli.EX_USAGE, "usage error: search needs a positive size, got 0\n"),
+    "-2": (None, cli.EX_USAGE, "usage error: search needs a positive size, got -2\n"),
+    "5": ("3", cli.EX_FALSE, "invalid algebra: carrier size 5 exceeds bound 3\n"),
+}
+
+
+@pytest.mark.parametrize("size", list(SEARCH_REFUSALS))
 def test_search_refuses_sizes_above_seven_before_enumerating(monkeypatch, size):
+    """Sizes above seven, below one or above RESLAT_MAX_SIZE are refused
+    before the first size is classified, so nothing is printed."""
     def classify_all(*args, **kwargs):
         raise AssertionError("the search started")
 
+    bound, code, err = SEARCH_REFUSALS[size]
     monkeypatch.setattr(cli.modelgen, "classify_all", classify_all)
-    code, out, err = run(["search", size])
-    assert (code, out) == (cli.EX_USAGE, "")
-    assert err == f"usage error: search is limited to 7 elements, got {size}\n"
+    if bound is not None:
+        monkeypatch.setenv("RESLAT_MAX_SIZE", bound)
+    assert run(["search", size]) == (code, "", err)
 
 
 def test_report_is_deterministic_and_valid_json(tmp_path):

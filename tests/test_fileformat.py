@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reslat import catalog, core, fileformat as ff, modelgen as mg
+from reslat import catalog, core, fileformat as ff, filters as flt, modelgen as mg
 from reslat.errors import FormatError, ResiduumMismatch
 
 from oracles import goedel
@@ -210,6 +210,34 @@ def test_export_dot_hasse_is_byte_frozen():
 
 def test_export_dot_spec_is_byte_frozen():
     assert ff.export_dot(catalog.get("A8"), kind="spec") == A8_SPEC_DOT
+
+
+DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+DOT_STATEMENT = re.compile(rf"  {DOT_ID}(?: -> {DOT_ID})?;")
+
+
+@pytest.mark.parametrize("kind", ["hasse", "spec"])
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, kind):
+    """Every node line of a JSON algebra named with a quote and a backslash
+    is one well-formed DOT statement, and unescaping its IDs gives back the
+    element names (hasse) or the prime filters (spec)."""
+    names = ["0", 'a"b', "c\\", "1"]
+    covers = [(0, 1), (1, 2), (2, 3)]
+    chain = core.validate(names, goedel(4).mul, covers=covers, label="q")
+    path = tmp_path / "quoted.json"
+    path.write_text(ff.to_json(chain))
+    a = ff.load(str(path))
+    lines = ff.export_dot(a, kind).splitlines()
+    assert lines[:2] == ["digraph q {", "  rankdir=BT;"] and lines[-1] == "}"
+    ids = []
+    for line in lines[2:-1]:
+        m = DOT_STATEMENT.fullmatch(line)
+        assert m, line
+        ids += [re.sub(r"\\(.)", r"\1", x) for x in m.groups() if x is not None]
+    if kind == "hasse":
+        assert set(ids) == set(names)
+    else:
+        assert set(ids) == {a.set_repr(p) for p in flt.prime_filters(a)}
 
 
 def test_export_dot_rejects_unknown_kind():

@@ -6,9 +6,9 @@ import pytest
 from reslat import catalog, core, modelgen as mg
 from reslat.errors import CarrierTooLarge
 
-from oracles import naive_lattices, naive_structures
+from oracles import lattices_by_full_walk, naive_lattices, naive_structures
 
-LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
 STRUCTURE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
 CHAIN_STRUCTURE_COUNTS = {2: 1, 3: 2, 4: 6, 5: 22, 6: 94}
 
@@ -34,9 +34,18 @@ def test_lattice_counts(n):
     assert sum(1 for _ in mg.enumerate_lattices(n)) == LATTICE_COUNTS[n]
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_lattice_counts_match_naive_enumeration(n):
     assert len(naive_lattices(n)) == LATTICE_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_enumeration_matches_the_full_walk(n):
+    """Walking only the orders that can be canonical, with an early-exit
+    canonical test, yields the same lattices in the same order as walking
+    every order with three states per pair and taking the minimum over all
+    relabellings; the order fixes the structure labels."""
+    assert list(mg.enumerate_lattices(n)) == lattices_by_full_walk(n)
 
 
 @pytest.mark.parametrize("n", sorted(STRUCTURE_COUNTS))

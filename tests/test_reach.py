@@ -1,7 +1,7 @@
-"""Reach: the topology facts, the coannihilator laws, the Hausdorff battery,
-the Gelfand verdict and the full report on chains and products whose
-spectra have 31 to 63 points, with fact oracles and generous wall-clock
-bounds."""
+"""Reach: the lattice enumeration at eight elements; the topology facts,
+the coannihilator laws, the Hausdorff battery, the Gelfand verdict and the
+full report on chains and products whose spectra have 31 to 63 points; all
+with fact oracles and generous wall-clock bounds."""
 
 import contextlib
 import io
@@ -11,7 +11,7 @@ import time
 import pytest
 
 from reslat import catalog, cli, core, fileformat, filters as flt, gelfand as gf
-from reslat import laws, topology as top
+from reslat import laws, modelgen as mg, topology as top
 
 from oracles import goedel
 
@@ -123,4 +123,13 @@ def test_patch_count_on_goedel64_builds_no_family(tmp_path, monkeypatch):
     assert "63 points, 9223372036854775808 closed sets\n" in out
     assert "discrete=yes" in out
     assert "closed" not in top.spec_space(loaded[0], "patch").__dict__
+    assert time.perf_counter() - t0 < 60.0
+
+
+def test_reach_of_the_lattice_enumeration():
+    """There are 222 lattices on eight elements up to isomorphism (OEIS
+    A006966); walking only the orders that can be canonical finds them in
+    seconds."""
+    t0 = time.perf_counter()
+    assert sum(1 for _ in mg.enumerate_lattices(8)) == 222
     assert time.perf_counter() - t0 < 60.0
