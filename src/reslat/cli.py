@@ -25,10 +25,9 @@ EX_FALSE = 1
 EX_VIOLATION = 2
 EX_USAGE = 64
 EX_IO = 74
-# `search 7` takes about 9 s on a 2-CPU host. At 8 elements the lattices are
-# enumerated in seconds, but the multiplication-table backtracker does not
-# return, so larger sizes are refused up front.
-SEARCH_MAX = 7
+# `search 7` takes about 2 s and `search 8` about 25 s on a 2-CPU host;
+# larger sizes are refused up front.
+SEARCH_MAX = 8
 
 
 class _Parser(argparse.ArgumentParser):

@@ -331,15 +331,10 @@ def classify_elements(a: ResiduatedLattice) -> ElementClassification:
     nil = 0
     orders = []
     for x in range(a.n):
-        p = a.one
-        for k in range(1, a.n + 1):
-            p = a.mul[p][x]
-            if p == a.zero:
-                nil |= 1 << x
-                orders.append((x, k))
-                break
-            if a.mul[p][x] == p:
-                break
+        powers = a.powers(x)
+        if a.zero in powers:
+            nil |= 1 << x
+            orders.append((x, powers.index(a.zero) + 1))
     beta = mask_of(
         e for e in bits(idem) if a.join[e][a.neg(e)] == a.one
     )

@@ -182,19 +182,9 @@ def is_maximal_by_powers(a: ResiduatedLattice, f: int) -> bool:
     """Power test: proper f is maximal iff every x outside has neg(x^k) in f."""
     if f == a.full:
         raise ImproperInput("maximality test is about proper filters")
-    for x in bits(a.full ^ f):
-        p = a.one
-        hit = False
-        while True:
-            p = a.mul[p][x]
-            if (f >> a.neg(p)) & 1:
-                hit = True
-                break
-            if a.mul[p][x] == p:
-                break
-        if not hit:
-            return False
-    return True
+    return all(
+        any((f >> a.neg(p)) & 1 for p in a.powers(x)) for x in bits(a.full ^ f)
+    )
 
 
 @memo

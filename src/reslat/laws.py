@@ -12,19 +12,15 @@ from . import filters as flt
 
 
 def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
-    """Least lattice ideal containing the subset."""
-    down = flt.down_sets(a)
-    cur = subset
-    while True:
-        nxt = cur
-        for x in bits(cur):
-            for y in bits(cur):
-                nxt |= 1 << a.join[x][y]
-        for x in bits(nxt):
-            nxt |= down[x]
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Least lattice ideal containing the subset: the down-set of its join,
+    as a finite lattice has only principal non-empty ideals; empty for the
+    empty set."""
+    if not subset:
+        return 0
+    sup = a.zero
+    for x in bits(subset):
+        sup = a.join[sup][x]
+    return flt.down_sets(a)[sup]
 
 
 def _raise_failures(a: ResiduatedLattice, tag: str, laws: dict[str, bool]):

@@ -6,8 +6,22 @@ enumerations are exponential and meant for small inputs."""
 from itertools import product as iproduct
 
 from reslat import filters as flt, topology as top
-from reslat.core import _lattice_tables, bits, find_isomorphism, mask_of, validate
-from reslat.errors import EquivalenceViolation, NotAFilter, Unsatisfiable
+from reslat.core import (
+    _lattice_tables,
+    _operation_laws,
+    _residuum_table,
+    bits,
+    find_isomorphism,
+    mask_of,
+    validate,
+)
+from reslat.errors import (
+    EquivalenceViolation,
+    NotAFilter,
+    NotCommutativeMonoid,
+    NotResiduated,
+    Unsatisfiable,
+)
 from reslat.modelgen import _apply_perm, _is_lattice, _middle_perms, element_names
 
 
@@ -206,6 +220,66 @@ def naive_lattices(n):
         if not any(_order_isomorphic(n, up, r) for r in reps):
             reps.append(up)
     return tuple(reps)
+
+
+def structures_by_complete_check(n, up):
+    """The tables of modelgen._structures_on, found by a backtracker that
+    prunes on monotonicity only and checks the laws on each full table."""
+    join, meet = _lattice_tables(n, list(up))
+    names = element_names(n)
+    top = n - 1
+
+    def leq(x, y):
+        return (up[x] >> y) & 1
+
+    down = [mask_of(y for y in range(n) if leq(y, x)) for x in range(n)]
+    mul = [[None] * n for _ in range(n)]
+    for x in range(n):
+        mul[x][top] = x
+        mul[top][x] = x
+        if n > 1:
+            mul[x][0] = 0
+            mul[0][x] = 0
+    free = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+    found = []
+
+    def row_ok(i, j, v):
+        for y in range(n):
+            w = mul[i][y]
+            if w is None:
+                continue
+            if leq(y, j) and not leq(w, v):
+                return False
+            if leq(j, y) and not leq(v, w):
+                return False
+        return True
+
+    def complete():
+        try:
+            _operation_laws(names, up, join, mul)
+            _residuum_table(n, up, join, mul)
+        except (NotCommutativeMonoid, NotResiduated):
+            return False
+        return True
+
+    def rec(k):
+        if k == len(free):
+            if complete():
+                found.append(tuple(tuple(row) for row in mul))
+            return
+        i, j = free[k]
+        for v in bits(down[meet[i][j]]):
+            if not row_ok(i, j, v) or (i != j and not row_ok(j, i, v)):
+                continue
+            mul[i][j] = v
+            mul[j][i] = v
+            rec(k + 1)
+            mul[i][j] = None
+            if i != j:
+                mul[j][i] = None
+
+    rec(0)
+    return found
 
 
 def naive_structures(n):

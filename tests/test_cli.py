@@ -173,9 +173,8 @@ def test_search_chains_only():
 
 # size -> (RESLAT_MAX_SIZE, exit code, stderr)
 SEARCH_REFUSALS = {
-    "8": (None, cli.EX_USAGE, "usage error: search is limited to 7 elements, got 8\n"),
-    "9": (None, cli.EX_USAGE, "usage error: search is limited to 7 elements, got 9\n"),
-    "64": (None, cli.EX_USAGE, "usage error: search is limited to 7 elements, got 64\n"),
+    "9": (None, cli.EX_USAGE, "usage error: search is limited to 8 elements, got 9\n"),
+    "64": (None, cli.EX_USAGE, "usage error: search is limited to 8 elements, got 64\n"),
     "0": (None, cli.EX_USAGE, "usage error: search needs a positive size, got 0\n"),
     "-2": (None, cli.EX_USAGE, "usage error: search needs a positive size, got -2\n"),
     "5": ("3", cli.EX_FALSE, "invalid algebra: carrier size 5 exceeds bound 3\n"),
@@ -184,7 +183,7 @@ SEARCH_REFUSALS = {
 
 @pytest.mark.parametrize("size", list(SEARCH_REFUSALS))
 def test_search_refuses_sizes_above_seven_before_enumerating(monkeypatch, size):
-    """Sizes above seven, below one or above RESLAT_MAX_SIZE are refused
+    """Sizes above eight, below one or above RESLAT_MAX_SIZE are refused
     before the first size is classified, so nothing is printed."""
     def classify_all(*args, **kwargs):
         raise AssertionError("the search started")

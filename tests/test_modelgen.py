@@ -6,7 +6,12 @@ import pytest
 from reslat import catalog, core, modelgen as mg
 from reslat.errors import CarrierTooLarge
 
-from oracles import lattices_by_full_walk, naive_lattices, naive_structures
+from oracles import (
+    lattices_by_full_walk,
+    naive_lattices,
+    naive_structures,
+    structures_by_complete_check,
+)
 
 LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53}
 STRUCTURE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 7, 5: 26, 6: 129}
@@ -46,6 +51,15 @@ def test_enumeration_matches_the_full_walk(n):
     every order with three states per pair and taking the minimum over all
     relabellings; the order fixes the structure labels."""
     assert list(mg.enumerate_lattices(n)) == lattices_by_full_walk(n)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_table_search_matches_the_complete_check(n):
+    """Pruning on associativity and distributivity as cells are set yields
+    the same tables, in the same order, as pruning on monotonicity and
+    checking the laws on each full table."""
+    for up in mg.enumerate_lattices(n):
+        assert list(mg._structures_on(n, up)) == structures_by_complete_check(n, up), up
 
 
 @pytest.mark.parametrize("n", sorted(STRUCTURE_COUNTS))
