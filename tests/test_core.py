@@ -12,6 +12,7 @@ from reslat import topology as top
 from reslat.errors import (
     AdjunctionFails,
     CarrierTooLarge,
+    NoResiduum,
     NotAFilter,
     NotALattice,
     NotCommutativeMonoid,
@@ -95,6 +96,116 @@ def test_validate_rejects_non_lattice_order():
     mul = [[min(i, j) for j in range(6)] for i in range(6)]
     with pytest.raises(NotALattice):
         core.validate(names, mul, covers=covers)
+
+
+CHAIN3 = dict(names="0a1", mul=[[0, 0, 0], [0, 1, 1], [0, 1, 2]], covers=[(0, 1), (1, 2)])
+
+
+def _chain4(aa, ab, bb):
+    """0 < a < b < 1 with the three interior products given."""
+    mul = [[0, 0, 0, 0], [0, aa, ab, 1], [0, ab, bb, 2], [0, 1, 2, 3]]
+    return dict(names="0ab1", mul=mul, covers=[(0, 1), (1, 2), (2, 3)])
+
+
+def _with(base, **changes):
+    return {**base, **changes}
+
+
+# (id, validate arguments, error class, message); the last cases hold two
+# faults each and pin which one is reported first.
+REJECTIONS = [
+    ("empty", dict(names=(), mul=[], covers=[]), NotALattice, "empty carrier"),
+    ("too-large", dict(names=range(65), mul=[], covers=[]),
+     CarrierTooLarge, "carrier size 65 exceeds bound 64"),
+    ("duplicate", _with(CHAIN3, names="0a0"), NotALattice, "duplicate element names"),
+    ("both-orders", _with(CHAIN3, leq=[[1, 1, 1], [0, 1, 1], [0, 0, 1]]),
+     NotALattice, "supply exactly one of leq matrix or covering pairs"),
+    ("no-order", _with(CHAIN3, covers=None),
+     NotALattice, "supply exactly one of leq matrix or covering pairs"),
+    ("cover-range", _with(CHAIN3, covers=[(0, 1), (1, 3)]),
+     NotALattice, "cover (1,3) out of range"),
+    ("leq-rows", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 1, 1]]),
+     NotALattice, "order matrix must be n x n"),
+    ("leq-columns", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 1], [0, 0, 1]]),
+     NotALattice, "order matrix must be n x n"),
+    ("reflexive", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 0, 1], [0, 0, 1]]),
+     NotALattice, "order not reflexive at a"),
+    ("antisymmetric", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [1, 1, 1], [0, 0, 1]]),
+     NotALattice, "order not antisymmetric at 0,a"),
+    ("cover-cycle", _with(CHAIN3, covers=[(0, 1), (1, 0), (1, 2)]),
+     NotALattice, "order not antisymmetric at 0,a"),
+    ("transitive", _with(CHAIN3, covers=None, leq=[[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+     NotALattice, "order not transitive at 0,a,1"),
+    ("bounds", dict(names="xy", mul=[[0, 0], [0, 1]], leq=[[1, 0], [0, 1]]),
+     NotALattice, "order has no unique bottom or top"),
+    ("join", dict(names="0abcd1", mul=[[min(i, j) for j in range(6)] for i in range(6)],
+                  covers=[(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]),
+     NotALattice, "elements 1,2 have no join"),
+    # c, d first: the pair (c, d) has the join 1 but no meet
+    ("meet", dict(names="cdab01", mul=[[0] * 6 for _ in range(6)],
+                  covers=[(2, 0), (2, 1), (3, 0), (3, 1), (4, 2), (4, 3), (0, 5), (1, 5)]),
+     NotALattice, "elements 0,1 have no meet"),
+    ("mul-shape", _with(CHAIN3, mul=[[0, 0, 0], [0, 1, 1]]),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    ("mul-value", _with(CHAIN3, mul=[[0, 0, 0], [0, 3, 1], [0, 1, 2]]),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    ("unit", _with(CHAIN3, mul=[[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
+     NotCommutativeMonoid, "1 is not a unit at a"),
+    ("commutative", _with(CHAIN3, mul=[[0, 0, 0], [1, 1, 1], [0, 1, 2]]),
+     NotCommutativeMonoid, "not commutative at 0,a"),
+    # a = index 0 and a*z = a for every z: nothing multiplies a below 0
+    ("no-residuum", dict(names="a01", mul=[[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+                         covers=[(1, 0), (0, 2)]),
+     NoResiduum, "no residuum for (x=0, y=1)"),
+    # the diamond with a*a = a*b = 0: their join 1 gives a*1 = a, not 0
+    ("no-maximum", dict(names="0ab1", mul=[[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 2],
+                                           [0, 1, 2, 3]],
+                        covers=[(0, 1), (0, 2), (1, 3), (2, 3)]),
+     NoResiduum, "{z : 1*z <= 0} has no maximum"),
+    ("adjunction", _chain4(1, 0, 0), AdjunctionFails, "adjunction fails at (x=1, y=0, z=1)"),
+    ("associative", _chain4(0, 1, 1), NotCommutativeMonoid, "not associative at a,b,b"),
+    ("res-rows", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2]]),
+     NotResiduated, "residuum table must be n x n"),
+    ("res-value", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1, 1]]),
+     ResiduumMismatch, "residuum at (1,1) is a, derived 1"),
+    ("res-outside", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1, 3]]),
+     ResiduumMismatch, "residuum at (1,1) is 3 (outside the carrier), derived 1"),
+    ("size-before-names", dict(names=[0] * 65, mul=[], covers=[]),
+     CarrierTooLarge, "carrier size 65 exceeds bound 64"),
+    ("names-before-orders", _with(CHAIN3, names="0a0", covers=None),
+     NotALattice, "duplicate element names"),
+    ("orders-before-range", _with(CHAIN3, covers=[(0, 5)], leq=[[1]]),
+     NotALattice, "supply exactly one of leq matrix or covering pairs"),
+    ("antisymmetric-before-reflexive",
+     _with(CHAIN3, covers=None, leq=[[1, 1, 1], [1, 0, 1], [0, 0, 1]]),
+     NotALattice, "order not antisymmetric at 0,a"),
+    ("transitive-before-antisymmetric",
+     dict(names="0ab1", mul=[[0] * 4] * 4,
+          leq=[[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]),
+     NotALattice, "order not transitive at 0,a,b"),
+    ("order-before-mul", _with(CHAIN3, covers=[(0, 1)], mul=[]),
+     NotALattice, "order has no unique bottom or top"),
+    ("commutative-before-unit", _with(CHAIN3, mul=[[0, 1, 0], [0, 1, 0], [0, 0, 2]]),
+     NotCommutativeMonoid, "not commutative at 0,a"),
+    ("residuum-before-associative", _chain4(0, 1, 0),
+     AdjunctionFails, "adjunction fails at (x=2, y=0, z=1)"),
+    ("derived-before-supplied", _with(_chain4(1, 0, 0), res=[[0]]),
+     AdjunctionFails, "adjunction fails at (x=1, y=0, z=1)"),
+]
+
+
+@pytest.mark.parametrize("args,error,message", [c[1:] for c in REJECTIONS],
+                         ids=[c[0] for c in REJECTIONS])
+def test_each_validate_rejection(monkeypatch, args, error, message):
+    """Class and text of every rejection `validate` can reach. Two cannot:
+    once the residuum passes, mul is residuated, so it distributes over
+    joins and, being integral, satisfies the join inequality."""
+    monkeypatch.delenv("RESLAT_MAX_SIZE", raising=False)
+    args = dict(args)
+    with pytest.raises(error) as info:
+        core.validate(args.pop("names"), args.pop("mul"), **args)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_validate_respects_size_bound(monkeypatch):
