@@ -3,104 +3,58 @@
 A6 and A8 are the two running examples: A6 has two maximal filters that every
 Gelfand criterion rejects, A8 is local and passes all of them. The chains carry
 the Goedel structure (mul = min), the cubes are Boolean, MV3 is the
-three-element MV-chain. Residuum tables are stored explicitly so that
-re-derivation from mul can be checked bit-exactly against them.
+three-element MV-chain. A6 and A8 are kept in the text format of
+`fileformat`. Residuum tables are stored explicitly so that re-derivation
+from mul can be checked bit-exactly against them.
 """
 from __future__ import annotations
 
 from .core import ResiduatedLattice, validate
+from .fileformat import parse_text
 
-_A6_NAMES = ("0", "a", "b", "c", "d", "1")
-_A6_COVERS = (("0", "a"), ("a", "b"), ("0", "c"), ("c", "d"), ("b", "d"), ("d", "1"))
-_A6_MUL = {
-    ("0", "0"): "0", ("0", "a"): "0", ("0", "b"): "0",
-    ("0", "c"): "0", ("0", "d"): "0", ("0", "1"): "0",
-    ("a", "a"): "a", ("a", "b"): "a", ("a", "c"): "0",
-    ("a", "d"): "a", ("a", "1"): "a",
-    ("b", "b"): "a", ("b", "c"): "0", ("b", "d"): "a", ("b", "1"): "b",
-    ("c", "c"): "c", ("c", "d"): "c", ("c", "1"): "c",
-    ("d", "d"): "d", ("d", "1"): "d",
-    ("1", "1"): "1",
-}
-_A6_RES = (
-    ("1", "1", "1", "1", "1", "1"),
-    ("c", "1", "1", "c", "1", "1"),
-    ("c", "d", "1", "c", "1", "1"),
-    ("b", "b", "b", "1", "1", "1"),
-    ("0", "b", "b", "c", "1", "1"),
-    ("0", "a", "b", "c", "d", "1"),
-)
+_A6 = """\
+name A6
+elements 0 a b c d 1
+covers 0<a 0<c a<b b<d c<d d<1
+mul
+0 0 0 0 0 0
+0 a a 0 a a
+0 a a 0 a b
+0 0 0 c c c
+0 a a c d d
+0 a b c d 1
+res
+1 1 1 1 1 1
+c 1 1 c 1 1
+c d 1 c 1 1
+b b b 1 1 1
+0 b b c 1 1
+0 a b c d 1
+"""
 
-_A8_NAMES = ("0", "a", "b", "c", "d", "e", "f", "1")
-_A8_COVERS = (
-    ("0", "a"), ("0", "b"), ("b", "d"), ("d", "f"), ("f", "1"),
-    ("a", "d"), ("a", "c"), ("c", "e"), ("d", "e"), ("e", "1"),
-)
-_A8_MUL = {
-    ("0", "0"): "0", ("0", "a"): "0", ("0", "b"): "0", ("0", "c"): "0",
-    ("0", "d"): "0", ("0", "e"): "0", ("0", "f"): "0", ("0", "1"): "0",
-    ("a", "a"): "a", ("a", "b"): "0", ("a", "c"): "a", ("a", "d"): "a",
-    ("a", "e"): "a", ("a", "f"): "a", ("a", "1"): "a",
-    ("b", "b"): "0", ("b", "c"): "0", ("b", "d"): "0", ("b", "e"): "0",
-    ("b", "f"): "b", ("b", "1"): "b",
-    ("c", "c"): "c", ("c", "d"): "a", ("c", "e"): "c", ("c", "f"): "a",
-    ("c", "1"): "c",
-    ("d", "d"): "a", ("d", "e"): "a", ("d", "f"): "d", ("d", "1"): "d",
-    ("e", "e"): "c", ("e", "f"): "d", ("e", "1"): "e",
-    ("f", "f"): "f", ("f", "1"): "f",
-    ("1", "1"): "1",
-}
-_A8_RES = (
-    ("1", "1", "1", "1", "1", "1", "1", "1"),
-    ("b", "1", "b", "1", "1", "1", "1", "1"),
-    ("e", "e", "1", "e", "1", "1", "1", "1"),
-    ("b", "f", "b", "1", "f", "1", "f", "1"),
-    ("b", "e", "b", "e", "1", "1", "1", "1"),
-    ("b", "d", "b", "e", "f", "1", "f", "1"),
-    ("0", "c", "b", "c", "e", "e", "1", "1"),
-    ("0", "a", "b", "c", "d", "e", "f", "1"),
-)
-
-
-def _sym_table(names, pairs):
-    idx = {s: i for i, s in enumerate(names)}
-    n = len(names)
-    t = [[-1] * n for _ in range(n)]
-    for (x, y), v in pairs.items():
-        t[idx[x]][idx[y]] = idx[v]
-        t[idx[y]][idx[x]] = idx[v]
-    assert all(v >= 0 for row in t for v in row)
-    return t
-
-
-def _named_table(names, rows):
-    idx = {s: i for i, s in enumerate(names)}
-    return [[idx[v] for v in row] for row in rows]
-
-
-def _cover_idx(names, covers):
-    idx = {s: i for i, s in enumerate(names)}
-    return [(idx[a], idx[b]) for a, b in covers]
-
-
-def _a6() -> ResiduatedLattice:
-    return validate(
-        _A6_NAMES,
-        _sym_table(_A6_NAMES, _A6_MUL),
-        covers=_cover_idx(_A6_NAMES, _A6_COVERS),
-        res=_named_table(_A6_NAMES, _A6_RES),
-        label="A6",
-    )
-
-
-def _a8() -> ResiduatedLattice:
-    return validate(
-        _A8_NAMES,
-        _sym_table(_A8_NAMES, _A8_MUL),
-        covers=_cover_idx(_A8_NAMES, _A8_COVERS),
-        res=_named_table(_A8_NAMES, _A8_RES),
-        label="A8",
-    )
+_A8 = """\
+name A8
+elements 0 a b c d e f 1
+covers 0<a 0<b a<c a<d b<d c<e d<e d<f e<1 f<1
+mul
+0 0 0 0 0 0 0 0
+0 a 0 a a a a a
+0 0 0 0 0 0 b b
+0 a 0 c a c a c
+0 a 0 a a a d d
+0 a 0 c a c d e
+0 a b a d d f f
+0 a b c d e f 1
+res
+1 1 1 1 1 1 1 1
+b 1 b 1 1 1 1 1
+e e 1 e 1 1 1 1
+b f b 1 f 1 f 1
+b e b e 1 1 1 1
+b d b e f 1 f 1
+0 c b c e e 1 1
+0 a b c d e f 1
+"""
 
 
 def _chain(k: int) -> ResiduatedLattice:
@@ -134,8 +88,8 @@ def _mv3() -> ResiduatedLattice:
 
 
 _BUILDERS = {
-    "A6": _a6,
-    "A8": _a8,
+    "A6": lambda: parse_text(_A6),
+    "A8": lambda: parse_text(_A8),
     "chain2": lambda: _chain(2),
     "chain3": lambda: _chain(3),
     "chain4": lambda: _chain(4),

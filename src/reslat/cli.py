@@ -25,7 +25,7 @@ EX_FALSE = 1
 EX_VIOLATION = 2
 EX_USAGE = 64
 EX_IO = 74
-# `search 7` takes about 2 s and `search 8` about 25 s on a 2-CPU host;
+# `search 7` takes about 2 s and `search 8` about 20 s on a 2-CPU host;
 # larger sizes are refused up front.
 SEARCH_MAX = 8
 

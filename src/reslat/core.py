@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -28,14 +29,18 @@ DEFAULT_MAX_SIZE = 64
 
 
 def size_bound() -> int:
-    """Carrier bound; RESLAT_MAX_SIZE overrides the default of 64."""
+    """Carrier bound; RESLAT_MAX_SIZE, a positive integer, overrides the
+    default of 64."""
     raw = os.environ.get("RESLAT_MAX_SIZE")
     if raw is None:
         return DEFAULT_MAX_SIZE
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise UsageError(f"RESLAT_MAX_SIZE must be an integer, got {raw!r}") from None
+    if bound < 1:
+        raise UsageError(f"RESLAT_MAX_SIZE must be a positive integer, got {raw!r}")
+    return bound
 
 
 def bits(mask: int):
@@ -136,42 +141,50 @@ class ResiduatedLattice:
         return True
 
 
-def _covers_to_leq(n: int, covers) -> list[list[bool]]:
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for lo, hi in covers:
-        if not (0 <= lo < n and 0 <= hi < n):
-            raise NotALattice(f"cover ({lo},{hi}) out of range")
-        leq[lo][hi] = True
-    # transitive closure (Warshall)
-    for k in range(n):
-        rk = leq[k]
-        for i in range(n):
-            if leq[i][k]:
-                ri = leq[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return leq
+# A bounded lattice as the order half of `validate` returns it.
+_Lattice = namedtuple("_Lattice", "names up join meet zero one")
 
 
-def _lattice_tables(n: int, up: list[int]):
-    """Join/meet tables from the order, or a NotALattice witness."""
+def _lattice_tables(n: int, up):
+    """Join/meet tables from a partial order, or a NotALattice witness:
+    x v y is the element whose up set is up[x] & up[y], and x ^ y the one
+    whose down set is down[x] & down[y], when there is one."""
     down = [mask_of(y for y in range(n) if (up[y] >> x) & 1) for x in range(n)]
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
+    by_up = {m: x for x, m in enumerate(up)}
+    by_down = {m: x for x, m in enumerate(down)}
+    join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
+    meet = tuple(tuple(by_down.get(d & e) for e in down) for d in down)
     for x in range(n):
         for y in range(n):
-            ub = up[x] & up[y]
-            least = [z for z in bits(ub) if up[z] & ub == ub]
-            if len(least) != 1:
+            if join[x][y] is None:
                 raise NotALattice(f"elements {x},{y} have no join")
-            join[x][y] = least[0]
-            lb = down[x] & down[y]
-            greatest = [z for z in bits(lb) if down[z] & lb == lb]
-            if len(greatest) != 1:
+            if meet[x][y] is None:
                 raise NotALattice(f"elements {x},{y} have no meet")
-            meet[x][y] = greatest[0]
     return join, meet
+
+
+def _order(names: tuple[str, ...], up) -> _Lattice:
+    """The order half of `validate`: the order axioms, a unique bottom and
+    top, and the join/meet tables, read off the up masks (bit j of up[i] is
+    set iff i <= j). Faults are reported in the order of a scan over
+    (i, j, k)."""
+    n = len(names)
+    for i in range(n):
+        if not (up[i] >> i) & 1:
+            raise NotALattice(f"order not reflexive at {names[i]}")
+        for j in bits(up[i]):
+            if j != i and (up[j] >> i) & 1:
+                raise NotALattice(f"order not antisymmetric at {names[i]},{names[j]}")
+            for k in bits(up[j] & ~up[i]):
+                raise NotALattice(
+                    f"order not transitive at {names[i]},{names[j]},{names[k]}"
+                )
+    bottoms = [i for i in range(n) if up[i] == (1 << n) - 1]
+    tops = list(bits(functools.reduce(int.__and__, up)))
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotALattice("order has no unique bottom or top")
+    join, meet = _lattice_tables(n, up)
+    return _Lattice(names, tuple(up), join, meet, bottoms[0], tops[0])
 
 
 def _residuum_table(n: int, up, join, mul):
@@ -210,6 +223,48 @@ def _operation_laws(names, up, join, mul) -> None:
         raise error(f"{law} at {names[x]},{names[y]},{names[z]}")
 
 
+def _operations(lattice: _Lattice, mul, res=None, label: str = "") -> ResiduatedLattice:
+    """The operation half of `validate`: mul is a commutative monoid with
+    the top as unit, residuated on the lattice, associative, and its
+    residuum equals a supplied `res`."""
+    names, up, join = lattice.names, lattice.up, lattice.join
+    n = len(names)
+    mul = [list(map(int, row)) for row in mul]
+    if len(mul) != n or any(len(r) != n for r in mul) or any(
+        not 0 <= v < n for r in mul for v in r
+    ):
+        raise NotCommutativeMonoid("multiplication table must be n x n over the carrier")
+    for x in range(n):
+        if mul[x][lattice.one] != x or mul[lattice.one][x] != x:
+            raise NotCommutativeMonoid(f"1 is not a unit at {names[x]}")
+        for y in range(x + 1, n):
+            if mul[x][y] != mul[y][x]:
+                raise NotCommutativeMonoid(f"not commutative at {names[x]},{names[y]}")
+
+    # Residuum before associativity: a broken table should be reported
+    # against the residuation first, matching how the axioms are layered.
+    derived = _residuum_table(n, up, join, mul)
+    _operation_laws(names, up, join, mul)
+    if res is not None:
+        res = [list(map(int, row)) for row in res]
+        if len(res) != n or any(len(r) != n for r in res):
+            raise NotResiduated("residuum table must be n x n")
+        for x, y in iproduct(range(n), repeat=2):
+            r, d = res[x][y], derived[x][y]
+            if r != d:
+                got = names[r] if 0 <= r < n else f"{r} (outside the carrier)"
+                raise ResiduumMismatch(
+                    f"residuum at ({names[x]},{names[y]}) is {got}, derived {names[d]}"
+                )
+
+    return ResiduatedLattice(
+        **lattice._asdict(),
+        mul=tuple(tuple(r) for r in mul),
+        res=tuple(tuple(r) for r in derived),
+        label=label or "unnamed",
+    )
+
+
 def validate(
     names,
     mul,
@@ -236,68 +291,22 @@ def validate(
 
     if (leq is None) == (covers is None):
         raise NotALattice("supply exactly one of leq matrix or covering pairs")
-    rows = _covers_to_leq(n, covers) if covers is not None else [list(map(bool, r)) for r in leq]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise NotALattice("order matrix must be n x n")
-    for i in range(n):
-        if not rows[i][i]:
-            raise NotALattice(f"order not reflexive at {names[i]}")
-        for j in range(n):
-            if i != j and rows[i][j] and rows[j][i]:
-                raise NotALattice(f"order not antisymmetric at {names[i]},{names[j]}")
-            for k in range(n):
-                if rows[i][j] and rows[j][k] and not rows[i][k]:
-                    raise NotALattice(
-                        f"order not transitive at {names[i]},{names[j]},{names[k]}"
-                    )
-    up = [mask_of(j for j in range(n) if rows[i][j]) for i in range(n)]
-    full = (1 << n) - 1
-    bottoms = [i for i in range(n) if up[i] == full]
-    tops = [i for i in range(n) if all((up[j] >> i) & 1 for j in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotALattice("order has no unique bottom or top")
-    zero, one = bottoms[0], tops[0]
-    join, meet = _lattice_tables(n, up)
-
-    mul = [list(map(int, row)) for row in mul]
-    if len(mul) != n or any(len(r) != n for r in mul) or any(
-        not 0 <= v < n for r in mul for v in r
-    ):
-        raise NotCommutativeMonoid("multiplication table must be n x n over the carrier")
-    for x in range(n):
-        if mul[x][one] != x or mul[one][x] != x:
-            raise NotCommutativeMonoid(f"1 is not a unit at {names[x]}")
-        for y in range(x + 1, n):
-            if mul[x][y] != mul[y][x]:
-                raise NotCommutativeMonoid(f"not commutative at {names[x]},{names[y]}")
-
-    # Residuum before associativity: a broken table should be reported
-    # against the residuation first, matching how the axioms are layered.
-    derived = _residuum_table(n, up, join, mul)
-    _operation_laws(names, up, join, mul)
-    if res is not None:
-        res = [list(map(int, row)) for row in res]
-        if len(res) != n or any(len(r) != n for r in res):
-            raise NotResiduated("residuum table must be n x n")
-        for x, y in iproduct(range(n), repeat=2):
-            r, d = res[x][y], derived[x][y]
-            if r != d:
-                got = names[r] if 0 <= r < n else f"{r} (outside the carrier)"
-                raise ResiduumMismatch(
-                    f"residuum at ({names[x]},{names[y]}) is {got}, derived {names[d]}"
-                )
-
-    return ResiduatedLattice(
-        names=names,
-        up=tuple(up),
-        join=tuple(tuple(r) for r in join),
-        meet=tuple(tuple(r) for r in meet),
-        mul=tuple(tuple(r) for r in mul),
-        res=tuple(tuple(r) for r in derived),
-        zero=zero,
-        one=one,
-        label=label or "unnamed",
-    )
+    if covers is not None:
+        up = [1 << i for i in range(n)]
+        for lo, hi in covers:
+            if not (0 <= lo < n and 0 <= hi < n):
+                raise NotALattice(f"cover ({lo},{hi}) out of range")
+            up[lo] |= 1 << hi
+        for k in range(n):  # transitive closure (Warshall)
+            for i in range(n):
+                if (up[i] >> k) & 1:
+                    up[i] |= up[k]
+    else:
+        rows = [list(map(bool, r)) for r in leq]
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise NotALattice("order matrix must be n x n")
+        up = [mask_of(j for j, v in enumerate(r) if v) for r in rows]
+    return _operations(_order(names, up), mul, res, label)
 
 
 def derive_residuum(algebra: ResiduatedLattice) -> tuple[tuple[int, ...], ...]:

@@ -29,9 +29,7 @@ class Analysis:
     """Filter analysis of one algebra; analysis(a) builds it once (`memo`)."""
 
     def __init__(self, a: ResiduatedLattice):
-        self.algebra = a
         n = a.n
-        self.one_mask = 1 << a.one
         self.principal = tuple(a.up[a.power_limit(x)] for x in range(n))
         self.filters = canonical_sort(self.principal)
         self.filter_id = {f: i for i, f in enumerate(self.filters)}

@@ -1,13 +1,14 @@
 """Exhaustive generation of small residuated lattices.
 
 Bounded lattices are enumerated up to isomorphism from the orders that can
-be canonical, keeping an order unless a relabelling of the interior gives
-smaller up masks (the test stops at the first one). Multiplication tables
-are filled by backtracking that prunes on associativity and on
-distributivity over joins as each cell is set, deduplicating by lattice
-automorphisms. The tests compare the counts with a naive twin that
-regenerates everything without pruning and deduplicates by explicit
-isomorphism search.
+be canonical, each decided once by core's order half, keeping an order
+unless a relabelling of the interior gives smaller up masks (the test stops
+at the first one, so for a kept lattice it reads off the automorphisms).
+Multiplication tables are filled by backtracking that prunes on
+associativity and distributivity over joins as each cell is set,
+deduplicating by the automorphisms; core's operation half decides each
+table. The tests compare the counts with a naive twin that regenerates
+everything without pruning and deduplicates by isomorphism search.
 
 Element 0 is always the bottom and element n-1 the top.
 """
@@ -17,14 +18,7 @@ import string
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 
-from .core import (
-    _lattice_tables,
-    bits,
-    is_prelinear,
-    mask_of,
-    size_bound,
-    validate,
-)
+from .core import _operations, _order, bits, is_prelinear, mask_of, size_bound
 from .errors import (
     CarrierTooLarge,
     EquivalenceViolation,
@@ -63,14 +57,6 @@ def _candidate_orders(n: int):
             yield tuple(up)
 
 
-def _is_lattice(n: int, up) -> bool:
-    try:
-        _lattice_tables(n, list(up))
-    except NotALattice:
-        return False
-    return True
-
-
 def _apply_perm(n: int, up, p) -> tuple[int, ...]:
     new_up = [0] * n
     for i in range(n):
@@ -90,31 +76,41 @@ def _middle_perms(n: int):
         yield tuple(p)
 
 
-def enumerate_lattices(n: int, chains_only: bool = False):
-    """Canonical bounded lattices on n elements, bottom first, top last."""
+def _lattices(n: int, chains_only: bool = False):
+    """Each canonical lattice on n elements as core's order half returns it,
+    with the interior relabellings that fix it, in `_middle_perms` order:
+    the canonical test walks them all for a lattice it keeps."""
     if n < 1:
         raise ValueError("carrier size must be positive")
     if n > size_bound():
         raise CarrierTooLarge(f"carrier size {n} exceeds bound {size_bound()}")
-    if n == 1:
-        yield (1,)
-        return
-    if chains_only:
-        yield tuple(mask_of(range(i, n)) for i in range(n))
+    names = element_names(n)
+    if n == 1 or chains_only:
+        yield _order(names, [mask_of(range(i, n)) for i in range(n)]), (tuple(range(n)),)
         return
     for up in _candidate_orders(n):
-        if _is_lattice(n, up) and all(
-            _apply_perm(n, up, p) >= up for p in _middle_perms(n)
-        ):
-            yield up
+        try:
+            lattice = _order(names, up)
+        except NotALattice:
+            continue
+        autos = []
+        for p in _middle_perms(n):
+            image = _apply_perm(n, up, p)
+            if image < up:
+                break
+            if image == up:
+                autos.append(p)
+        else:
+            yield lattice, tuple(autos)
 
 
-def lattice_automorphisms(n: int, up) -> tuple[tuple[int, ...], ...]:
-    up = tuple(up)
-    return tuple(p for p in _middle_perms(n) if _apply_perm(n, up, p) == up)
+def enumerate_lattices(n: int, chains_only: bool = False):
+    """Canonical bounded lattices on n elements, bottom first, top last."""
+    for lattice, _ in _lattices(n, chains_only):
+        yield lattice.up
 
 
-def _structures_on(n: int, up):
+def _structures_on(lattice):
     """Multiplication tables completing the lattice, by backtracking.
 
     Each free cell {i, j} takes a value below i ∧ j, and the value is kept
@@ -127,9 +123,9 @@ def _structures_on(n: int, up):
     Distributivity on comparable y ≤ z is monotonicity. In a finite
     lattice, distributivity and x0 = 0 make ⋁{z : xz ≤ y} the residuum, and
     integrality gives the join inequality, so every table yielded is
-    residuated; `validate` decides it again.
+    residuated; core's operation half decides it again.
     """
-    join, meet = _lattice_tables(n, list(up))
+    n, up, join, meet = len(lattice.names), lattice.up, lattice.join, lattice.meet
     down = [mask_of(y for y in range(n) if (up[y] >> x) & 1) for x in range(n)]
     mul = [[None] * n for _ in range(n)]
     for x in range(n):
@@ -178,18 +174,15 @@ def _permuted_mul(n: int, mul, p):
 
 def residuated_structures(n: int, chains_only: bool = False):
     """All residuated lattices on n elements, one per isomorphism class."""
-    names = element_names(n)
     idx = 0
-    for up in enumerate_lattices(n, chains_only):
-        autos = lattice_automorphisms(n, up)
-        rows = [[bool((up[i] >> j) & 1) for j in range(n)] for i in range(n)]
-        for mul in _structures_on(n, up):
+    for lattice, autos in _lattices(n, chains_only):
+        for mul in _structures_on(lattice):
             if len(autos) > 1 and min(
                 _permuted_mul(n, mul, p) for p in autos
             ) != mul:
                 continue
             idx += 1
-            yield validate(names, mul, leq=rows, label=f"n{n}.{idx}")
+            yield _operations(lattice, mul, label=f"n{n}.{idx}")
 
 
 @dataclass

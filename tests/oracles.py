@@ -18,11 +18,12 @@ from reslat.core import (
 from reslat.errors import (
     EquivalenceViolation,
     NotAFilter,
+    NotALattice,
     NotCommutativeMonoid,
     NotResiduated,
     Unsatisfiable,
 )
-from reslat.modelgen import _apply_perm, _is_lattice, _middle_perms, element_names
+from reslat.modelgen import _apply_perm, _middle_perms, element_names
 
 
 def goedel(k):
@@ -187,6 +188,20 @@ def _bounded_up(n, rel):
     return tuple(up)
 
 
+def _is_lattice(n, up):
+    try:
+        _lattice_tables(n, up)
+    except NotALattice:
+        return False
+    return True
+
+
+def lattice_automorphisms(n, up):
+    """The interior relabellings that fix the up masks, by walking all."""
+    up = tuple(up)
+    return tuple(p for p in _middle_perms(n) if _apply_perm(n, up, p) == up)
+
+
 def _bounded_lattices(n):
     """Every bounded lattice order on n > 1 elements, in walk order."""
     for rel in _middle_orders(n - 2):
@@ -225,7 +240,7 @@ def naive_lattices(n):
 def structures_by_complete_check(n, up):
     """The tables of modelgen._structures_on, found by a backtracker that
     prunes on monotonicity only and checks the laws on each full table."""
-    join, meet = _lattice_tables(n, list(up))
+    join, meet = _lattice_tables(n, up)
     names = element_names(n)
     top = n - 1
 
@@ -289,7 +304,7 @@ def naive_structures(n):
     if n == 1:
         return (validate(names, [[0]], leq=[[True]], label="naive1.1"),)
     for up in _bounded_lattices(n):
-        join, meet = _lattice_tables(n, list(up))
+        join, meet = _lattice_tables(n, up)
 
         def leq(x, y, up=up):
             return (up[x] >> y) & 1

@@ -221,6 +221,14 @@ def test_usage_errors_exit_64():
     assert run([])[0] == cli.EX_USAGE
 
 
+def test_a_size_bound_below_one_is_a_usage_error(monkeypatch):
+    monkeypatch.setattr(catalog, "_built", {})
+    monkeypatch.setenv("RESLAT_MAX_SIZE", "-1")
+    assert run(["check", "A6"]) == (
+        cli.EX_USAGE, "", "usage error: RESLAT_MAX_SIZE must be a positive integer, got '-1'\n"
+    )
+
+
 def test_missing_input_exits_74():
     code, _, err = run(["check", "nosuchthing"])
     assert code == cli.EX_IO

@@ -216,9 +216,15 @@ def test_validate_respects_size_bound(monkeypatch):
 
 
 def test_size_bound_rejects_garbage_env(monkeypatch):
-    monkeypatch.setenv("RESLAT_MAX_SIZE", "banana")
-    with pytest.raises(UsageError, match="RESLAT_MAX_SIZE must be an integer, got 'banana'"):
-        core.size_bound()
+    for raw, message in (
+        ("banana", "RESLAT_MAX_SIZE must be an integer, got 'banana'"),
+        ("0", "RESLAT_MAX_SIZE must be a positive integer, got '0'"),
+        ("-1", "RESLAT_MAX_SIZE must be a positive integer, got '-1'"),
+    ):
+        monkeypatch.setenv("RESLAT_MAX_SIZE", raw)
+        with pytest.raises(UsageError) as info:
+            core.size_bound()
+        assert str(info.value) == message
 
 
 def test_classify_elements_a6():

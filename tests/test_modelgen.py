@@ -4,9 +4,10 @@ brute-force routes, plus the classification sweep."""
 import pytest
 
 from reslat import catalog, core, modelgen as mg
-from reslat.errors import CarrierTooLarge
+from reslat.errors import CarrierTooLarge, NotResiduated
 
 from oracles import (
+    lattice_automorphisms,
     lattices_by_full_walk,
     naive_lattices,
     naive_structures,
@@ -58,8 +59,9 @@ def test_table_search_matches_the_complete_check(n):
     """Pruning on associativity and distributivity as cells are set yields
     the same tables, in the same order, as pruning on monotonicity and
     checking the laws on each full table."""
-    for up in mg.enumerate_lattices(n):
-        assert list(mg._structures_on(n, up)) == structures_by_complete_check(n, up), up
+    for lattice, _ in mg._lattices(n):
+        up = lattice.up
+        assert list(mg._structures_on(lattice)) == structures_by_complete_check(n, up), up
 
 
 @pytest.mark.parametrize("n", sorted(STRUCTURE_COUNTS))
@@ -98,9 +100,24 @@ def test_six_element_stream_contains_the_first_flagship_exactly_once():
     assert hits == ["n6.8"]
 
 
-def test_lattice_automorphism_groups_at_size_four():
-    autos = [len(mg.lattice_automorphisms(4, up)) for up in mg.enumerate_lattices(4)]
-    assert sorted(autos) == [1, 2]  # the chain is rigid, the diamond is not
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
+def test_automorphism_groups_match_the_oracle(n):
+    """The groups the search deduplicates by, read off the canonical test's
+    walk, are the relabellings that fix each lattice, in the same order."""
+    for chains_only in (False, True):
+        for lattice, autos in mg._lattices(n, chains_only):
+            assert autos == lattice_automorphisms(n, lattice.up), lattice.up
+
+
+def test_the_search_yields_only_what_core_accepts(monkeypatch):
+    """Every table the search finds goes through core's operation laws."""
+
+    def knocked_out(names, up, join, mul):
+        raise NotResiduated("operation laws knocked out")
+
+    monkeypatch.setattr(core, "_operation_laws", knocked_out)
+    with pytest.raises(NotResiduated, match="knocked out"):
+        list(mg.residuated_structures(4))
 
 
 def test_enumeration_respects_size_bound(monkeypatch):
@@ -149,6 +166,6 @@ def test_a_failing_lattice_table_build_is_not_read_as_a_non_lattice(monkeypatch)
     def broken(n, up):
         raise ValueError("table bug")
 
-    monkeypatch.setattr(mg, "_lattice_tables", broken)
+    monkeypatch.setattr(core, "_lattice_tables", broken)
     with pytest.raises(ValueError, match="table bug"):
         list(mg.enumerate_lattices(4))
