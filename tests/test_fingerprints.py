@@ -1,5 +1,5 @@
-"""Every catalog algebra and every enumerated model up to seven elements
-gives the serialized form, report JSON and Gelfand verdict recorded in
+"""Every catalog algebra, every enumerated model up to seven elements and
+nine catalog products give the serialized form, report JSON and Gelfand verdict recorded in
 tests/fingerprints.txt (see tests/fingerprints.py for the format and how to
 regenerate it)."""
 
