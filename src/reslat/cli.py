@@ -68,7 +68,7 @@ def _cmd_filters(args) -> int:
     a = _resolve(args.algebra)
     ctx = flt.analysis(a)
     pure_set = set(pr.pure_filters(a))
-    for i, f in enumerate(ctx.filters):
+    for f in ctx.filters:
         tags = []
         if f == a.full:
             tags.append("improper")
@@ -78,7 +78,7 @@ def _cmd_filters(args) -> int:
             tags.append("prime")
         if f in pure_set:
             tags.append("pure")
-        gen = a.names[ctx.generator[i]]
+        gen = a.names[ctx.generator[f]]
         line = f"{a.set_repr(f)} generator={gen}"
         if tags:
             line += " " + ",".join(tags)
@@ -147,11 +147,8 @@ def _cmd_search(args) -> int:
     for n in range(1, args.size + 1):
         rep = modelgen.classify_all(n, deep=args.deep, chains_only=args.chains)
         print(
-            f"n={n}: lattices={rep.lattice_count} "
-            f"structures={rep.structure_count} gelfand={rep.gelfand_count} "
-            f"soft={rep.soft_count} local={rep.local_count} "
-            f"semisimple={rep.semisimple_count} rickart={rep.rickart_count} "
-            f"baer={rep.baer_count} prelinear={rep.prelinear_count}"
+            f"n={n}: lattices={rep.lattice_count} structures={rep.structure_count}",
+            *(f"{k}={getattr(rep, k + '_count')}" for k in modelgen.SWEEP_FLAGS),
         )
     return EX_OK
 

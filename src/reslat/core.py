@@ -115,13 +115,6 @@ class ResiduatedLattice:
             out.append(p)
         return out
 
-    def power_limit(self, x: int) -> int:
-        """The idempotent where the decreasing power sequence stabilizes."""
-        p = x
-        while self.mul[p][x] != p:
-            p = self.mul[p][x]
-        return p
-
     def set_names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bits(mask))
 

@@ -24,6 +24,7 @@ import json
 from .core import ResiduatedLattice, bits, validate
 from .errors import FormatError
 from . import filters as flt
+from . import topology as top
 
 
 def parse_text(text: str) -> ResiduatedLattice:
@@ -116,14 +117,21 @@ def parse_text(text: str) -> ResiduatedLattice:
     return validate(names, mul, leq=leq, covers=covers, res=res, label=label)
 
 
-def cover_pairs(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
+def _covers(up) -> tuple[tuple[int, int], ...]:
+    """The covering pairs (x, y) of the order whose up masks are `up` (bit y
+    of up[x] is set iff x <= y): x < y with nothing strictly between, in
+    ascending order."""
     out = []
-    for x in range(a.n):
-        for y in bits(a.up[x] & ~(1 << x)):
-            between = a.up[x] & ~(1 << x) & ~(1 << y)
-            if not any((a.up[z] >> y) & 1 for z in bits(between)):
+    for x, above in enumerate(up):
+        above &= ~(1 << x)
+        for y in bits(above):
+            if not any((up[z] >> y) & 1 for z in bits(above & ~(1 << y))):
                 out.append((x, y))
-    return tuple(sorted(out))
+    return tuple(out)
+
+
+def cover_pairs(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
+    return _covers(a.up)
 
 
 def serialize(a: ResiduatedLattice) -> str:
@@ -220,7 +228,10 @@ def load(path: str) -> ResiduatedLattice:
 
 
 def _dot_name(label: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in label) or "algebra"
+    """An unquoted DOT ID: letters, digits and '_', not starting with a
+    digit."""
+    name = "".join(c if c.isalnum() else "_" for c in label) or "algebra"
+    return "_" + name if name[0].isdigit() else name
 
 
 def _dot_id(text: str) -> str:
@@ -238,21 +249,11 @@ def export_dot(a: ResiduatedLattice, kind: str = "hasse") -> str:
             lines.append(f"  {_dot_id(a.names[x])} -> {_dot_id(a.names[y])};")
     elif kind == "spec":
         primes = flt.prime_filters(a)
-        for p in primes:
-            lines.append(f"  {_dot_id(a.set_repr(p))};")
-        for i, p in enumerate(primes):
-            for j, q in enumerate(primes):
-                if i == j or p & q != p:
-                    continue
-                between = [
-                    r
-                    for k, r in enumerate(primes)
-                    if k not in (i, j) and p & r == p and r & q == r
-                ]
-                if not between:
-                    lines.append(
-                        f"  {_dot_id(a.set_repr(p))} -> {_dot_id(a.set_repr(q))};"
-                    )
+        ids = [_dot_id(a.set_repr(p)) for p in primes]
+        for i in ids:
+            lines.append(f"  {i};")
+        for i, j in _covers([top.hull_in(primes, p) for p in primes]):
+            lines.append(f"  {ids[i]} -> {ids[j]};")
     else:
         raise ValueError(f"unknown export kind {kind!r}")
     lines.append("}")

@@ -25,33 +25,29 @@ def canonical_sort(masks) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=lambda m: (bin(m).count("1"), m)))
 
 
+def maximal_members(family) -> tuple[int, ...]:
+    """The members of a sequence of masks that no other member contains, in
+    the sequence's order."""
+    return tuple(f for f in family if not any(g != f and g & f == f for g in family))
+
+
 class Analysis:
     """Filter analysis of one algebra; analysis(a) builds it once (`memo`)."""
 
     def __init__(self, a: ResiduatedLattice):
-        n = a.n
-        self.principal = tuple(a.up[a.power_limit(x)] for x in range(n))
+        limits = [a.powers(x)[-1] for x in range(a.n)]
+        self.principal = tuple(a.up[e] for e in limits)
         self.filters = canonical_sort(self.principal)
-        self.filter_id = {f: i for i, f in enumerate(self.filters)}
-        gens = []
+        # each filter's least element, the idempotent that generates it
+        self.generator = {a.up[e]: e for e in limits}
         for f in self.filters:
-            e = a.one
-            for x in bits(f):
-                e = a.mul[e][x]
-            g = a.power_limit(e)
-            if a.up[g] != f:
+            if generated_filter(a, f) != f:
                 raise EquivalenceViolation(
                     "principal generator does not regenerate its filter",
                     detail=(a.label, a.set_repr(f)),
                 )
-            gens.append(g)
-        self.generator = tuple(gens)
         self.proper = tuple(f for f in self.filters if f != a.full)
-        self.maximals = tuple(
-            f
-            for f in self.proper
-            if not any(g != f and g != a.full and g & f == f for g in self.proper)
-        )
+        self.maximals = maximal_members(self.proper)
         primes = []
         for f in self.proper:
             outside = a.full ^ f
@@ -85,7 +81,7 @@ def generated_filter(a: ResiduatedLattice, subset: int) -> int:
     e = a.one
     for x in bits(subset):
         e = a.mul[e][x]
-    return a.up[a.power_limit(e)]
+    return a.up[a.powers(e)[-1]]
 
 
 def all_filters(a: ResiduatedLattice) -> tuple[int, ...]:
@@ -105,10 +101,10 @@ def prime_filters(a: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def filter_join(a: ResiduatedLattice, f: int, g: int) -> int:
-    ctx = analysis(a)
-    gf = ctx.generator[ctx.filter_id[f]]
-    gg = ctx.generator[ctx.filter_id[g]]
-    return a.up[a.power_limit(a.mul[gf][gg])]
+    """up(e * e') for the generators e, e' of f and g: a product of
+    idempotents is idempotent, so it generates the join."""
+    gen = analysis(a).generator
+    return a.up[a.mul[gen[f]][gen[g]]]
 
 
 def filter_meet(a: ResiduatedLattice, f: int, g: int) -> int:
@@ -245,17 +241,13 @@ def gamma(a: ResiduatedLattice) -> tuple[int, ...]:
 
 
 def big_gamma(a: ResiduatedLattice) -> tuple[int, ...]:
-    """All coannihilators: intersections of element coannihilators, plus A."""
-    base = set(gamma(a)) | {a.full}
-    changed = True
-    while changed:
-        changed = False
-        for u in list(base):
-            for v in list(base):
-                if u & v not in base:
-                    base.add(u & v)
-                    changed = True
-    return canonical_sort(base)
+    """All coannihilators: meets of element coannihilators, A the empty one.
+    Meeting each element coannihilator with the meets found so far reaches
+    every subfamily in one pass."""
+    meets = {a.full}
+    for u in gamma(a):
+        meets |= {m & u for m in meets}
+    return canonical_sort(meets)
 
 
 def is_rickart(a: ResiduatedLattice) -> bool:

@@ -15,6 +15,7 @@ Element 0 is always the bottom and element n-1 the top.
 from __future__ import annotations
 
 import string
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
 
@@ -185,6 +186,10 @@ def residuated_structures(n: int, chains_only: bool = False):
             yield _operations(lattice, mul, label=f"n{n}.{idx}")
 
 
+# The flags a sweep counts, in the order of SweepReport's *_count fields.
+SWEEP_FLAGS = ("gelfand", "soft", "local", "semisimple", "rickart", "baer", "prelinear")
+
+
 @dataclass
 class SweepReport:
     size: int
@@ -207,48 +212,24 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
     model serialized so it can be replayed.
     """
     lattice_count = sum(1 for _ in enumerate_lattices(n, chains_only))
-    counts = {
-        "gelfand": 0,
-        "soft": 0,
-        "local": 0,
-        "semisimple": 0,
-        "rickart": 0,
-        "baer": 0,
-    }
-    prelinear_count = 0
+    counts = Counter()
     labels = []
-    total = 0
     for a in residuated_structures(n, chains_only):
-        total += 1
         labels.append(a.label)
         try:
             verdict = gelfand_verdict(a)
             flags = classification(a, verdict)
-            if is_prelinear(a):
-                prelinear_count += 1
-                if not verdict.verdict:
-                    raise EquivalenceViolation(
-                        "prelinear model is not Gelfand", detail=a.label
-                    )
+            flags["prelinear"] = is_prelinear(a)
+            if flags["prelinear"] and not verdict.verdict:
+                raise EquivalenceViolation(
+                    "prelinear model is not Gelfand", detail=a.label
+                )
             if deep:
                 run_laws(a)
         except EquivalenceViolation as exc:
             raise EquivalenceViolation(
                 f"sweep aborted on {a.label}", detail=serialize(a)
             ) from exc
-        for key in counts:
-            if flags[key]:
-                counts[key] += 1
-    return SweepReport(
-        size=n,
-        lattice_count=lattice_count,
-        structure_count=total,
-        gelfand_count=counts["gelfand"],
-        soft_count=counts["soft"],
-        local_count=counts["local"],
-        semisimple_count=counts["semisimple"],
-        rickart_count=counts["rickart"],
-        baer_count=counts["baer"],
-        prelinear_count=prelinear_count,
-        labels=tuple(labels),
-    )
+        counts.update(key for key in SWEEP_FLAGS if flags[key])
+    flag_counts = [counts[key] for key in SWEEP_FLAGS]
+    return SweepReport(n, lattice_count, len(labels), *flag_counts, tuple(labels))

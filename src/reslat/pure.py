@@ -74,12 +74,7 @@ def purely_prime(a: ResiduatedLattice) -> tuple[int, ...]:
 
 def purely_maximal(a: ResiduatedLattice) -> tuple[int, ...]:
     """Maximal elements among the proper pure filters."""
-    proper = [f for f in pure_filters(a) if f != a.full]
-    return flt.canonical_sort(
-        f
-        for f in proper
-        if not any(g != f and g & f == f for g in proper)
-    )
+    return flt.maximal_members([f for f in pure_filters(a) if f != a.full])
 
 
 def _pure_hull_space(a: ResiduatedLattice, points, label: str) -> top.FiniteSpace:
@@ -128,10 +123,8 @@ def spp_max_homeo(a: ResiduatedLattice) -> bool:
 def d_topology_coincidence(a: ResiduatedLattice) -> bool:
     """Do the hull-kernel and d-topologies agree on the maximals? Both have
     the same points in the same order, so comparing point closures suffices."""
-    mask = flt.analysis(a).max_mask
-    via_hull = top.subspace(top.spec_space(a, "hull"), mask, "h")
-    via_d = top.subspace(d_topology_space(a), mask, "d")
-    return via_hull.cl == via_d.cl
+    via_d = top.subspace(d_topology_space(a), flt.analysis(a).max_mask, "d")
+    return max_subspace(a).cl == via_d.cl
 
 
 def rho_rad_adjunction(a: ResiduatedLattice) -> bool:

@@ -1,5 +1,6 @@
 """Brute-force references for the tests: the exhaustive enumerations the
-package replaced by checked bases, the naive model enumeration, a
+package replaced by checked bases, the pairwise meet fixpoint and the
+between scan it replaced by one pass, the naive model enumeration, a
 Goedel-chain constructor, and filter helpers that only the tests use. The
 enumerations are exponential and meant for small inputs."""
 
@@ -100,6 +101,40 @@ def retraction_images(space, mspace, maxima):
             img[slot] = c
         if top.is_continuous(img.__getitem__, space, mspace):
             yield tuple(img)
+
+
+def big_gamma_by_fixpoint(a):
+    """All coannihilators: the element coannihilators and A, closed under
+    pairwise meets until nothing new appears."""
+    base = set(flt.gamma(a)) | {a.full}
+    changed = True
+    while changed:
+        changed = False
+        for u in list(base):
+            for v in list(base):
+                if u & v not in base:
+                    base.add(u & v)
+                    changed = True
+    return flt.canonical_sort(base)
+
+
+def spec_edges_by_scan(a):
+    """The covering pairs (p, q) of the primes under inclusion, found by
+    looking for a third prime strictly between."""
+    primes = flt.prime_filters(a)
+    edges = []
+    for i, p in enumerate(primes):
+        for j, q in enumerate(primes):
+            if i == j or p & q != p:
+                continue
+            between = [
+                r
+                for k, r in enumerate(primes)
+                if k not in (i, j) and p & r == p and r & q == r
+            ]
+            if not between:
+                edges.append((p, q))
+    return edges
 
 
 def primes_over(a, subset):

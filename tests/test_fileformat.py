@@ -240,6 +240,17 @@ def test_export_dot_escapes_quotes_and_backslashes(tmp_path, kind):
         assert set(ids) == {a.set_repr(p) for p in flt.prime_filters(a)}
 
 
+@pytest.mark.parametrize("kind", ["hasse", "spec"])
+def test_export_dot_graph_name_never_starts_with_a_digit(kind):
+    """An unquoted DOT ID is letters, digits and underscores, not starting
+    with a digit; a file named 2chain is exported as graph _2chain."""
+    text = ff.serialize(catalog.get("chain2")).replace("name chain2", "name 2chain")
+    a = ff.parse_text(text)
+    assert a.label == "2chain"
+    head = ff.export_dot(a, kind).splitlines()[0]
+    assert head == "digraph _2chain {"
+
+
 def test_export_dot_rejects_unknown_kind():
     with pytest.raises(ValueError):
         ff.export_dot(catalog.get("A6"), kind="nope")

@@ -127,6 +127,15 @@ def test_principal_generation_identities():
             assert flt.principal_filter(a, a.mul[x][y]) == flt.filter_join(a, fx, fy)
 
 
+def test_a_generator_the_product_route_does_not_regenerate_is_caught(monkeypatch):
+    """Each filter's generator is read off the power limits; the product of
+    its members must generate the same filter, or the analysis refuses."""
+    a = dataclasses.replace(catalog.get("A6"))
+    monkeypatch.setattr(flt, "generated_filter", lambda alg, subset: alg.full)
+    with pytest.raises(EquivalenceViolation, match="principal generator does not regenerate"):
+        flt.analysis(a)
+
+
 def test_generated_filter_of_empty_set_is_trivial():
     a = catalog.get("A6")
     assert a.set_repr(flt.generated_filter(a, 0)) == "{1}"

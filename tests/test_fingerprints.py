@@ -1,7 +1,7 @@
 """Every catalog algebra, every enumerated model up to seven elements and
-nine catalog products give the serialized form, report JSON and Gelfand verdict recorded in
-tests/fingerprints.txt (see tests/fingerprints.py for the format and how to
-regenerate it)."""
+nine catalog products give the serialized form, report JSON and Gelfand
+verdict recorded in tests/fingerprints.txt (see tests/fingerprints.py for
+the format and how to regenerate it)."""
 
 from pathlib import Path
 

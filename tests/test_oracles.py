@@ -1,6 +1,7 @@
 """The checked-base routes against the exhaustive enumerations they replace:
 coannihilator laws, closure lemmas, the patch/stability criterion, stable
-sets and retractions."""
+sets and retractions; and the one-step derivations against the routes they
+replace: filter joins, all coannihilators and the spectrum's DOT edges."""
 
 import contextlib
 import io
@@ -9,16 +10,18 @@ import types
 
 import pytest
 
-from reslat import catalog, cli, core, filters as flt, gelfand as gf, laws, modelgen
-from reslat import pure as pr, report, topology as top
+from reslat import catalog, cli, core, fileformat as ff, filters as flt, gelfand as gf
+from reslat import laws, modelgen, pure as pr, report, topology as top
 from reslat.errors import EquivalenceViolation
 
 from oracles import (
+    big_gamma_by_fixpoint,
     closure_lemmas_by_scan,
     coannihilator_laws_by_powerset,
     goedel,
     patch_stability_by_scan,
     retraction_images,
+    spec_edges_by_scan,
     stable_sets_by_scan,
 )
 
@@ -154,3 +157,43 @@ def test_a_retraction_target_is_checked():
         gf._retraction(hull, hull, maxima)
     with pytest.raises(EquivalenceViolation, match="under no maximal"):
         gf._retraction(hull, pr.max_subspace(a), maxima[:1])
+
+
+# The catalog, every structure with at most six elements and A6xA6.
+SMALL = (
+    [catalog.get(name) for name in catalog.catalog_names()]
+    + [a for n in range(1, 7) for a in modelgen.residuated_structures(n)]
+    + [core.direct_product(catalog.get("A6"), catalog.get("A6"))]
+)
+
+
+def test_filter_joins_match_the_generated_filter():
+    """up(e * e') of the two generators is the filter the product route
+    generates from the union."""
+    pairs = 0
+    for a in SMALL:
+        fs = flt.all_filters(a)
+        for f in fs:
+            for g in fs:
+                assert flt.filter_join(a, f, g) == flt.generated_filter(a, f | g), a.label
+        pairs += len(fs) ** 2
+    assert pairs == 2822
+
+
+def test_big_gamma_matches_the_fixpoint():
+    baer = 0
+    for a in SMALL:
+        assert flt.big_gamma(a) == big_gamma_by_fixpoint(a), a.label
+        baer += flt.is_baer(a)
+    assert (len(SMALL), baer) == (178, 173)
+
+
+def test_spec_dot_edges_match_the_between_scan():
+    for a in SMALL:
+        ids = {a.set_repr(p): p for p in flt.prime_filters(a)}
+        edges = [
+            tuple(ids[x.strip(' "')] for x in line.rstrip(";").split("->"))
+            for line in ff.export_dot(a, "spec").splitlines()
+            if "->" in line
+        ]
+        assert edges == spec_edges_by_scan(a), a.label
