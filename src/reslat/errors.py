@@ -82,3 +82,28 @@ class EquivalenceViolation(ReslatError):
     def __init__(self, message: str, detail: object = None):
         self.detail = detail
         super().__init__(message)
+
+
+def agree(a, message: str, routes: dict, *where: int):
+    """The common value of the routes, a dict from route name to value.
+
+    If any two differ, raise EquivalenceViolation(message) with detail
+    (label, the subsets compared on, the routes). Nothing is formatted
+    unless it raises, since the hottest routes are compared per subset."""
+    values = iter(routes.values())
+    first = next(values)
+    for value in values:
+        if value != first:
+            raise EquivalenceViolation(
+                message, detail=(a.label, *(a.set_repr(m) for m in where), routes)
+            )
+    return first
+
+
+def hold(a, tag: str, laws: dict[str, bool]) -> dict[str, bool]:
+    """The results of a law suite, if every law holds; otherwise raise
+    EquivalenceViolation("<tag> laws fail") with detail (label, failing laws)."""
+    failing = tuple(name for name, ok in laws.items() if not ok)
+    if failing:
+        raise EquivalenceViolation(f"{tag} laws fail", detail=(a.label, failing))
+    return laws

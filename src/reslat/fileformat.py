@@ -223,8 +223,15 @@ def parse(text: str) -> ResiduatedLattice:
 
 
 def load(path: str) -> ResiduatedLattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse a UTF-8 file, with or without a byte order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        byte, line = exc.object[exc.start], exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"not UTF-8: {exc.reason} 0x{byte:02x}", line) from None
+    return parse(text)
 
 
 def _dot_name(label: str) -> str:

@@ -13,12 +13,7 @@ means first in that order.
 from __future__ import annotations
 
 from .core import ResiduatedLattice, bits, classify_elements, mask_of, memo
-from .errors import (
-    EquivalenceViolation,
-    ImproperInput,
-    NotAFilter,
-    NotAnIdeal,
-)
+from .errors import EquivalenceViolation, ImproperInput, NotAFilter, NotAnIdeal, agree
 
 
 def canonical_sort(masks) -> tuple[int, ...]:
@@ -41,11 +36,8 @@ class Analysis:
         # each filter's least element, the idempotent that generates it
         self.generator = {a.up[e]: e for e in limits}
         for f in self.filters:
-            if generated_filter(a, f) != f:
-                raise EquivalenceViolation(
-                    "principal generator does not regenerate its filter",
-                    detail=(a.label, a.set_repr(f)),
-                )
+            routes = {"power_limit": f, "product": generated_filter(a, f)}
+            agree(a, "principal generator does not regenerate its filter", routes, f)
         self.proper = tuple(f for f in self.filters if f != a.full)
         self.maximals = maximal_members(self.proper)
         primes = []
@@ -149,27 +141,20 @@ def is_semisimple(a: ResiduatedLattice) -> bool:
     return radical_total(a, 1 << a.one) == 1 << a.one
 
 
-def comaximal_routes(a: ResiduatedLattice, f: int, g: int):
-    """(join is improper, zero product witness, negation witness)."""
-    by_join = filter_join(a, f, g) == a.full
-    by_zero = any(
-        a.mul[x][y] == a.zero for x in bits(f) for y in bits(g)
-    )
-    by_neg = any((g >> a.neg(x)) & 1 for x in bits(f))
-    return by_join, by_zero, by_neg
+def comaximal_routes(a: ResiduatedLattice, f: int, g: int) -> dict[str, bool]:
+    """The join is improper; some product is 0; some negation of f is in g."""
+    return {
+        "join": filter_join(a, f, g) == a.full,
+        "zero_product": any(a.mul[x][y] == a.zero for x in bits(f) for y in bits(g)),
+        "negation": any((g >> a.neg(x)) & 1 for x in bits(f)),
+    }
 
 
 def is_comaximal(a: ResiduatedLattice, f: int, g: int) -> bool:
     """Three independent routes, which must agree on proper filters."""
     if f == a.full or g == a.full:
         raise ImproperInput("comaximality is about proper filters")
-    routes = comaximal_routes(a, f, g)
-    if len(set(routes)) != 1:
-        raise EquivalenceViolation(
-            "comaximality routes disagree",
-            detail=(a.label, a.set_repr(f), a.set_repr(g), routes),
-        )
-    return routes[0]
+    return agree(a, "comaximality routes disagree", comaximal_routes(a, f, g), f, g)
 
 
 def is_maximal_by_powers(a: ResiduatedLattice, f: int) -> bool:
@@ -214,20 +199,15 @@ def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     """kernel of the primes omitting the subset; checked against the
     elementwise route {y : y v x = 1 for all x in the subset}, the meet of
     the join_to_one rows of the subset."""
-    via_primes = a.full
+    via_primes = via_joins = a.full
     for p in analysis(a).primes:
         if p & subset != subset:
             via_primes &= p
     rows = join_to_one(a)
-    via_joins = a.full
     for x in bits(subset):
         via_joins &= rows[x]
-    if via_primes != via_joins:
-        raise EquivalenceViolation(
-            "coannihilator routes disagree",
-            detail=(a.label, a.set_repr(subset)),
-        )
-    return via_primes
+    routes = {"primes": via_primes, "joins": via_joins}
+    return agree(a, "coannihilator routes disagree", routes, subset)
 
 
 @memo
@@ -324,11 +304,8 @@ def d_part(a: ResiduatedLattice, prime: int) -> int:
     for q in ctx.primes:
         if q & prime == q:
             via_kernel &= q
-    if via_omega != via_kernel:
-        raise EquivalenceViolation(
-            "d_part routes disagree", detail=(a.label, a.set_repr(prime))
-        )
-    return via_omega
+    routes = {"omega": via_omega, "kernel": via_kernel}
+    return agree(a, "d_part routes disagree", routes, prime)
 
 
 def local_battery(a: ResiduatedLattice) -> dict[str, bool]:
@@ -353,10 +330,8 @@ def local_battery(a: ResiduatedLattice) -> dict[str, bool]:
             if (ctx.nilpotents >> a.mul[x][y]) & 1
         ),
     }
-    if a.n > 1 and len(set(battery.values())) != 1:
-        raise EquivalenceViolation(
-            "local characterizations disagree", detail=(a.label, battery)
-        )
+    if a.n > 1:
+        agree(a, "local characterizations disagree", battery)
     return battery
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import ResiduatedLattice, bits, quotient
-from .errors import EquivalenceViolation
+from .errors import EquivalenceViolation, agree
 from . import filters as flt
 from . import pure as pr
 from . import topology as top
@@ -132,14 +132,17 @@ def _normal_over(a: ResiduatedLattice, family: tuple[int, ...]) -> bool:
 def normal_filter_lattice(a: ResiduatedLattice) -> dict[str, bool]:
     """Normality of the filter lattice and of the principal-filter lattice.
 
-    Finite filters are all principal, so the two families coincide as sets;
-    they are still assembled by their own routes and checked separately.
+    Every filter of a finite algebra is up(e) for an idempotent e, and every
+    such up(e) is a filter, so the two families coincide as sets; they are
+    still assembled by their own routes, from the idempotents and from the
+    principal filters of all elements, and checked separately.
     """
+    ctx = flt.analysis(a)
     return {
-        "all_filters": _normal_over(a, flt.all_filters(a)),
-        "principal_filters": _normal_over(
-            a, flt.canonical_sort(flt.analysis(a).principal)
+        "all_filters": _normal_over(
+            a, flt.canonical_sort(a.up[e] for e in bits(ctx.idempotents))
         ),
+        "principal_filters": _normal_over(a, flt.canonical_sort(ctx.principal)),
     }
 
 
@@ -283,17 +286,18 @@ def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
     criteria: dict[str, bool] = {}
     details: dict[str, dict[str, bool]] = {}
     witnesses: dict[str, str] = {}
-    leaves: list[bool] = []
+    leaves: dict[str, bool] = {}
 
     def record(name: str, result) -> None:
-        """A dict result is a battery: every leaf votes, and the criterion
-        holds when all of them do. A bool result is a single leaf."""
+        """A dict result is a battery: every leaf votes as "name.leaf", and
+        the criterion holds when all of them do. A bool result is a single
+        leaf, voting as "name"."""
         if isinstance(result, dict):
             details[name] = result
-            leaves.extend(result.values())
+            leaves.update((f"{name}.{leaf}", v) for leaf, v in result.items())
             criteria[name] = all(result.values())
         else:
-            leaves.append(result)
+            leaves[name] = result
             criteria[name] = result
 
     uniq, wit = unique_maximal_over_primes(a)
@@ -331,12 +335,7 @@ def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
     record("rho_battery", pr.rho_battery(a))
     record("rho_rad_adjoint", pr.rho_rad_adjunction(a))
 
-    if len(set(leaves)) != 1:
-        raise EquivalenceViolation(
-            "Gelfand criteria disagree",
-            detail=(a.label, criteria, details),
-        )
-    verdict = leaves[0]
+    verdict = agree(a, "Gelfand criteria disagree", leaves)
 
     # theorems implied by the verdict, asserted rather than reported
     if verdict:
@@ -349,10 +348,8 @@ def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
         expected = tuple(
             maxima.index(flt.maximals_over(a, p)[0]) for p in primes
         )
-        if first != expected:
-            raise EquivalenceViolation(
-                "unique retraction is not the unique-maximal map", detail=a.label
-            )
+        routes = {"retraction": first, "unique_maximal": expected}
+        agree(a, "unique retraction is not the unique-maximal map", routes)
         mspace = pr.max_subspace(a)
         if not (top.is_hausdorff(mspace) and top.is_discrete(mspace)):
             raise EquivalenceViolation(
@@ -412,10 +409,7 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
         "generalizations_closed_in_radical_hull": gens_closed,
         "negation_joins_in_radical": negations_in_radical,
     }
-    if len(set(battery.values())) != 1:
-        raise EquivalenceViolation(
-            "Hausdorff battery disagrees", detail=(a.label, battery)
-        )
+    agree(a, "Hausdorff battery disagrees", battery)
     return battery
 
 
@@ -442,11 +436,7 @@ def is_soft(a: ResiduatedLattice, verdict: GelfandVerdict | None = None):
         "max_hausdorff_and_dense": by_topology,
         "gelfand_and_trivial_radical": by_gelfand,
     }
-    if len(set(routes.values())) != 1:
-        raise EquivalenceViolation(
-            "softness routes disagree", detail=(a.label, routes)
-        )
-    return by_definition, routes
+    return agree(a, "softness routes disagree", routes), routes
 
 
 def classification(a: ResiduatedLattice, verdict: GelfandVerdict | None = None) -> dict[str, bool]:

@@ -7,7 +7,7 @@ corresponding facts. Reports run all suites on every algebra they describe.
 from __future__ import annotations
 
 from .core import ResiduatedLattice, bits, mask_of, quotient
-from .errors import EquivalenceViolation
+from .errors import hold
 from . import filters as flt
 
 
@@ -21,15 +21,6 @@ def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
     for x in bits(subset):
         sup = a.join[sup][x]
     return flt.down_sets(a)[sup]
-
-
-def _raise_failures(a: ResiduatedLattice, tag: str, laws: dict[str, bool]):
-    bad = [k for k, v in laws.items() if not v]
-    if bad:
-        raise EquivalenceViolation(
-            f"{tag} laws fail", detail=(a.label, tuple(bad))
-        )
-    return laws
 
 
 def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -65,17 +56,13 @@ def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
     sublattice = all(
         u & v in fam and flt.filter_join(a, u, v) in fam for u in fam for v in fam
     )
-    return _raise_failures(
-        a,
-        "generated filter",
-        {
-            "join_is_power_cone": join_is_power_cone,
-            "antitone": antitone,
-            "meet_of_principals": meet_rule,
-            "join_of_principals": join_rule,
-            "principal_sublattice": sublattice,
-        },
-    )
+    return hold(a, "generated filter", {
+        "join_is_power_cone": join_is_power_cone,
+        "antitone": antitone,
+        "meet_of_principals": meet_rule,
+        "join_of_principals": join_rule,
+        "principal_sublattice": sublattice,
+    })
 
 
 def comaximality_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -93,7 +80,7 @@ def maximality_power_law(a: ResiduatedLattice) -> dict[str, bool]:
         (f in maxima) == flt.is_maximal_by_powers(a, f)
         for f in flt.proper_filters(a)
     )
-    return _raise_failures(a, "maximality power", {"powers_detect_maximality": ok})
+    return hold(a, "maximality power", {"powers_detect_maximality": ok})
 
 
 def filter_lattice_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -107,21 +94,17 @@ def filter_lattice_laws(a: ResiduatedLattice) -> dict[str, bool]:
     )
     empty_join = flt.join_family(a, []) == 1 << a.one
     total_join = flt.join_family(a, fs) == a.full
-    return _raise_failures(
-        a,
-        "filter lattice",
-        {
-            "distributive": distributive,
-            "empty_join_is_bottom": empty_join,
-            "total_join_is_top": total_join,
-        },
-    )
+    return hold(a, "filter lattice", {
+        "distributive": distributive,
+        "empty_join_is_bottom": empty_join,
+        "total_join_is_top": total_join,
+    })
 
 
 def nilpotent_ideal_law(a: ResiduatedLattice) -> dict[str, bool]:
     ni = flt.analysis(a).nilpotents
     ok = flt.is_ideal(a, ni) if ni else True
-    return _raise_failures(a, "nilpotent ideal", {"nilpotents_form_ideal": ok})
+    return hold(a, "nilpotent ideal", {"nilpotents_form_ideal": ok})
 
 
 def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -151,16 +134,12 @@ def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
         for p in ctx.primes
         for q in ctx.primes
     )
-    return _raise_failures(
-        a,
-        "boolean center",
-        {
-            "center_in_dpart": center_in_dpart,
-            "center_meets_radical_trivially": center_meets_radical_trivially,
-            "dpart_comaximal_implies_witness": dpart_comaximal_implies_witness,
-            "complement_ideal_join_iff_witness": ideal_join_iff_witness,
-        },
-    )
+    return hold(a, "boolean center", {
+        "center_in_dpart": center_in_dpart,
+        "center_meets_radical_trivially": center_meets_radical_trivially,
+        "dpart_comaximal_implies_witness": dpart_comaximal_implies_witness,
+        "complement_ideal_join_iff_witness": ideal_join_iff_witness,
+    })
 
 
 def dpart_meet_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -168,9 +147,7 @@ def dpart_meet_law(a: ResiduatedLattice) -> dict[str, bool]:
     out = a.full
     for m in flt.maximal_filters(a):
         out &= flt.d_part(a, m)
-    return _raise_failures(
-        a, "d-part meet", {"maximal_dparts_meet_in_one": out == 1 << a.one}
-    )
+    return hold(a, "d-part meet", {"maximal_dparts_meet_in_one": out == 1 << a.one})
 
 
 def quotient_maximals_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -183,7 +160,7 @@ def quotient_maximals_law(a: ResiduatedLattice) -> dict[str, bool]:
         }
         if set(flt.maximal_filters(q)) != image:
             ok = False
-    return _raise_failures(a, "quotient maximals", {"maximals_project": ok})
+    return hold(a, "quotient maximals", {"maximals_project": ok})
 
 
 def local_quotient_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -194,7 +171,7 @@ def local_quotient_law(a: ResiduatedLattice) -> dict[str, bool]:
         q, _ = quotient(a, flt.d_part(a, m))
         if flt.is_local(q) != flt.power_negations_join_outside(a, m):
             ok = False
-    return _raise_failures(a, "local quotient", {"dpart_quotient_local_iff": ok})
+    return hold(a, "local quotient", {"dpart_quotient_local_iff": ok})
 
 
 def coannihilator_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -227,16 +204,12 @@ def coannihilator_laws(a: ResiduatedLattice) -> dict[str, bool]:
             wider = flt.coannihilator(a, s | (1 << x))
             if wider & cs != wider:
                 antitone = False
-    return _raise_failures(
-        a,
-        "coannihilator",
-        {
-            "always_a_filter": filterhood,
-            "subset_of_double": extensive,
-            "triple_equals_single": triple,
-            "antitone": antitone,
-        },
-    )
+    return hold(a, "coannihilator", {
+        "always_a_filter": filterhood,
+        "subset_of_double": extensive,
+        "triple_equals_single": triple,
+        "antitone": antitone,
+    })
 
 
 def omega_monotone_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -253,7 +226,7 @@ def omega_monotone_law(a: ResiduatedLattice) -> dict[str, bool]:
             for j in ideals
             if j & i == i
         )
-    return _raise_failures(a, "omega", {"monotone_on_ideals": ok})
+    return hold(a, "omega", {"monotone_on_ideals": ok})
 
 
 def run_all(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:

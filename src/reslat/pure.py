@@ -9,10 +9,9 @@ whose closed sets are the pure hulls h_p(F).
 from __future__ import annotations
 
 from .core import ResiduatedLattice, bits, memo
-from .errors import EquivalenceViolation
+from .errors import EquivalenceViolation, agree, hold
 from . import filters as flt
 from . import topology as top
-from .laws import _raise_failures
 
 
 @memo
@@ -26,12 +25,8 @@ def sigma(a: ResiduatedLattice, f: int) -> int:
     for x in range(a.n):
         if flt.filter_join(a, f, flt.element_coannihilator(a, x)) == a.full:
             via_joins |= 1 << x
-    if via_kernel != via_joins:
-        raise EquivalenceViolation(
-            "sigma routes disagree",
-            detail=(a.label, a.set_repr(f), a.set_repr(via_kernel), a.set_repr(via_joins)),
-        )
-    return via_kernel
+    routes = {"kernel": via_kernel, "joins": via_joins}
+    return agree(a, "sigma routes disagree", routes, f)
 
 
 @memo
@@ -259,7 +254,7 @@ def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
         for f in fs
         for g in fs
     )
-    return _raise_failures(a, "sigma", laws)
+    return hold(a, "sigma", laws)
 
 
 def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -286,7 +281,7 @@ def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
             for h in pure
         ),
     }
-    return _raise_failures(a, "sigma frame", laws)
+    return hold(a, "sigma frame", laws)
 
 
 def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -299,7 +294,7 @@ def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
         if k != f:
             ok = False
     laws = {"pure_is_meet_of_d_parts": ok}
-    return _raise_failures(a, "pure intersection", laws)
+    return hold(a, "pure intersection", laws)
 
 
 def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -328,7 +323,7 @@ def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
     laws["same_part_as_d_part_on_primes"] = all(
         rho(a, p) == rho(a, flt.d_part(a, p)) for p in flt.prime_filters(a)
     )
-    return _raise_failures(a, "rho", laws)
+    return hold(a, "rho", laws)
 
 
 def _meet_of_rho_maximals(a: ResiduatedLattice, f: int) -> int:
@@ -356,7 +351,7 @@ def purely_prime_laws(a: ResiduatedLattice) -> dict[str, bool]:
         if k != f:
             ok = False
     laws["pure_is_meet_of_purely_primes_above"] = ok
-    return _raise_failures(a, "purely prime", laws)
+    return hold(a, "purely prime", laws)
 
 
 def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -368,7 +363,7 @@ def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
         for p in flt.prime_filters(a)
     )
     laws = {"pure_part_map_reflects_opens": ok}
-    return _raise_failures(a, "continuity", laws)
+    return hold(a, "continuity", laws)
 
 
 def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
@@ -384,7 +379,7 @@ def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
         hspace.full ^ top.hull_in(primes, f) for f in pure_filters(a)
     }
     laws = {"stable_opens_are_pure_duals": stable_opens == pure_duals}
-    return _raise_failures(a, "stable open", laws)
+    return hold(a, "stable open", laws)
 
 
 def gelfand_pure_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -404,4 +399,4 @@ def gelfand_pure_laws(a: ResiduatedLattice) -> dict[str, bool]:
     laws["pure_family_from_closed_sets"] = (
         tuple(pure_characterization_family(a)) == pure_filters(a)
     )
-    return _raise_failures(a, "Gelfand pure", laws)
+    return hold(a, "Gelfand pure", laws)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import ResiduatedLattice, bits, memo
-from .errors import EquivalenceViolation
+from .errors import EquivalenceViolation, agree
 from . import filters as flt
 
 
@@ -295,21 +295,21 @@ def closure_lemmas(a: ResiduatedLattice) -> bool:
     hulls = {f: hull_in(points, f) for f in flt.all_filters(a)}
     for f in hulls:
         for g in hulls:
-            if hull_in(points, f & g) != hulls[f] | hulls[g]:
-                raise EquivalenceViolation(
-                    "closure lemmas fail", detail=(a.label, [a.set_repr(f), a.set_repr(g)])
-                )
+            routes = {"hull_of_meet": hull_in(points, f & g), "union": hulls[f] | hulls[g]}
+            agree(a, "closure lemmas fail", routes, f, g)
     for pi in [0] + [1 << i for i in range(len(points))]:
-        cl_h = hspace.closure(pi)
-        hk = hull_in(points, kernel_of(a, points, pi))
-        spc = specialization_mask(points, pi)
-        cl_d = dspace.closure(pi)
-        gen = generalization_mask(points, pi)
-        if not (cl_h == hk == spc and cl_d == gen):
-            raise EquivalenceViolation(
-                "closure lemmas fail",
-                detail=(a.label, [a.set_repr(points[i]) for i in bits(pi)]),
-            )
+        where = [points[i] for i in bits(pi)]
+        hull = {
+            "hull_closure": hspace.closure(pi),
+            "hull_of_kernel": hull_in(points, kernel_of(a, points, pi)),
+            "specialization": specialization_mask(points, pi),
+        }
+        dual = {
+            "dual_closure": dspace.closure(pi),
+            "generalization": generalization_mask(points, pi),
+        }
+        agree(a, "closure lemmas fail", hull, *where)
+        agree(a, "closure lemmas fail", dual, *where)
     return True
 
 
@@ -331,25 +331,17 @@ def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     hspace = spec_space(a, "hull")
     clopens = {c for c in hspace.closed if (hspace.full ^ c) in hspace.closed}
     beta_hulls = {hull_in(points, 1 << e) for e in bits(flt.analysis(a).beta)}
-    if clopens != beta_hulls:
-        raise EquivalenceViolation(
-            "clopen sets differ from Boolean-center hulls",
-            detail=(a.label, sorted(clopens), sorted(beta_hulls)),
-        )
-    return tuple(sorted(clopens))
+    routes = {"clopen": tuple(sorted(clopens)), "beta_hulls": tuple(sorted(beta_hulls))}
+    return agree(a, "clopen sets differ from Boolean-center hulls", routes)
 
 
 def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
     """Density of the maximals in the spectrum = semisimplicity; asserted."""
-    points = flt.prime_filters(a)
     hspace = spec_space(a, "hull")
-    dense = hspace.closure(flt.analysis(a).max_mask) == hspace.full
-    semi = flt.is_semisimple(a)
-    if dense != semi:
-        raise EquivalenceViolation(
-            "density of maximals disagrees with semisimplicity", detail=a.label
-        )
-    return dense
+    return agree(a, "density of maximals disagrees with semisimplicity", {
+        "max_dense": hspace.closure(flt.analysis(a).max_mask) == hspace.full,
+        "semisimple": flt.is_semisimple(a),
+    })
 
 
 def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
@@ -364,8 +356,6 @@ def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
         stable |= {s | up for s in stable}
         if len(stable) > len(filter_hulls):
             break
-    if not (stable == filter_hulls == hspace.closed):
-        raise EquivalenceViolation(
-            "closed-set descriptions of the spectrum disagree", detail=a.label
-        )
+    routes = {"stable": stable, "filter_hulls": filter_hulls, "closed": hspace.closed}
+    agree(a, "closed-set descriptions of the spectrum disagree", routes)
     return True

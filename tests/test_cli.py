@@ -75,6 +75,24 @@ def test_malformed_json_fields_are_reported_not_raised(case, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("form", (ff.serialize, ff.to_json))
+def test_a_byte_order_mark_is_skipped(form, tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbf" + form(catalog.get("MV3")).encode())
+    code, out, err = run(["check", str(p)])
+    assert (code, err) == (cli.EX_OK, "")
+    assert out.startswith("MV3: valid residuated lattice on 3 elements")
+
+
+def test_a_file_that_is_not_utf8_is_an_invalid_algebra(tmp_path):
+    text = ff.serialize(catalog.get("MV3")).encode()
+    p = tmp_path / "latin.txt"
+    p.write_bytes(text.replace(b"name MV3", b"name MV\xff3"))
+    code, out, err = run(["check", str(p)])
+    assert (code, out) == (cli.EX_FALSE, "")
+    assert err == "invalid algebra: line 1: not UTF-8: invalid start byte 0xff\n"
+
+
 def test_filters_listing():
     code, out, _ = run(["filters", "A6"])
     assert code == cli.EX_OK

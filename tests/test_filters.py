@@ -165,7 +165,9 @@ def test_comaximality_routes_and_witness():
     m1 = flt.generated_filter(a, 1 << a.names.index("c"))
     m2 = flt.generated_filter(a, 1 << a.names.index("a"))
     assert flt.is_comaximal(a, m1, m2)
-    assert flt.comaximal_routes(a, m1, m2) == (True, True, True)
+    assert flt.comaximal_routes(a, m1, m2) == {
+        "join": True, "zero_product": True, "negation": True
+    }
     x, y = comaximal_witness(a, m1, m2)
     assert (a.names[x], a.names[y]) == ("c", "a")
     assert a.mul[x][y] == a.zero
@@ -378,7 +380,8 @@ def test_a_broken_join_mask_is_caught_by_the_prime_route(monkeypatch):
         code = cli.main(["report", "A8"])
     assert code == cli.EX_VIOLATION
     assert "coannihilator routes disagree" in err.getvalue()
-    assert "detail: ('A8', '{c}')" in err.getvalue()
+    routes = {"primes": rows[c] | 1 << f, "joins": rows[c]}
+    assert f"detail: ('A8', '{{c}}', {routes})" in err.getvalue()
 
 
 def test_coannihilator_calls_per_report(monkeypatch):

@@ -165,6 +165,21 @@ def test_normal_over_matches_the_quadruple_search():
     assert seen == {True, False}
 
 
+def test_idempotent_cones_are_the_principal_filters():
+    """The two families normal_filter_lattice votes over, the up-sets of the
+    idempotents and the principal filters of all elements, are the same
+    filters, on the catalog, every structure with at most six elements and
+    A6 x A6."""
+    algebras = [catalog.get(name) for name in catalog.catalog_names()]
+    algebras += [a for n in range(1, 7) for a in modelgen.residuated_structures(n)]
+    algebras.append(core.direct_product(catalog.get("A6"), catalog.get("A6")))
+    assert len(algebras) == 178
+    for a in algebras:
+        ctx = flt.analysis(a)
+        cones = flt.canonical_sort(a.up[e] for e in core.bits(ctx.idempotents))
+        assert cones == flt.canonical_sort(ctx.principal) == ctx.filters, a.label
+
+
 def test_retractions():
     assert gf.retractions(catalog.get("A6")) == (0, None)
     assert gf.retractions(catalog.get("A8")) == (1, (0, 0, 0))
@@ -316,8 +331,8 @@ def test_each_criterion_feeds_the_vote(
     monkeypatch, name, module, attr, kind, criterion, leaf
 ):
     """Flip one voter (or one battery leaf); the verdict must refuse, and its
-    detail must show exactly that value disagreeing with every other. On A6
-    a battery leaf flipped to true is visible only in the details, since
+    detail must show exactly that leaf disagreeing with every other. On A6
+    a battery leaf flipped to true is visible only in the leaves, since
     all() of the battery stays false."""
     a = catalog.get(name)
     verdict = gf.gelfand_verdict(a).verdict
@@ -327,14 +342,7 @@ def test_each_criterion_feeds_the_vote(
     )
     with pytest.raises(EquivalenceViolation, match="Gelfand criteria disagree") as exc:
         gf.gelfand_verdict(a)
-    _, criteria, details = exc.value.detail
-    assert tuple(criteria) == CRITERIA
-    dissent = [
-        (crit, key)
-        for crit in criteria
-        for key, value in (
-            details[crit].items() if crit in details else [(None, criteria[crit])]
-        )
-        if value is not verdict
-    ]
-    assert dissent == [(criterion, leaf)]
+    _, leaves = exc.value.detail
+    assert tuple(dict.fromkeys(key.split(".")[0] for key in leaves)) == CRITERIA
+    dissent = [key for key, value in leaves.items() if value is not verdict]
+    assert dissent == [criterion if leaf is None else f"{criterion}.{leaf}"]
