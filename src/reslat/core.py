@@ -58,6 +58,14 @@ def mask_of(indices) -> int:
     return out
 
 
+def meet(a: ResiduatedLattice, masks) -> int:
+    """Intersection of the masks; the whole carrier when there are none."""
+    out = a.full
+    for m in masks:
+        out &= m
+    return out
+
+
 def memo(fn):
     """Compute fn(a, *args) once per algebra instance, kept in
     a._cache[(fn, args)]: equal but distinct algebras share nothing, and a
@@ -91,14 +99,15 @@ class ResiduatedLattice:
     one: int
     label: str = field(default="", compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Set once by __post_init__. A cached_property would write through
+    # __dict__, which makes every later attribute read on the instance about
+    # three times slower on CPython 3.11.
+    n: int = field(init=False, repr=False, compare=False)
+    full: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full(self) -> int:
-        return (1 << self.n) - 1
+    def __post_init__(self):
+        object.__setattr__(self, "n", len(self.names))
+        object.__setattr__(self, "full", (1 << self.n) - 1)
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)

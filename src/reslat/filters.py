@@ -12,7 +12,7 @@ means first in that order.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, classify_elements, mask_of, memo
+from .core import ResiduatedLattice, bits, classify_elements, mask_of, meet, memo
 from .errors import EquivalenceViolation, ImproperInput, NotAFilter, NotAnIdeal, agree
 
 
@@ -126,10 +126,7 @@ def radical(a: ResiduatedLattice, f: int) -> int:
         raise EquivalenceViolation(
             "proper filter not below any maximal filter", detail=a.label
         )
-    out = a.full
-    for m in over:
-        out &= m
-    return out
+    return meet(a, over)
 
 
 def radical_total(a: ResiduatedLattice, f: int) -> int:
@@ -299,12 +296,10 @@ def d_part(a: ResiduatedLattice, prime: int) -> int:
     ctx = analysis(a)
     if prime not in ctx.primes:
         raise ImproperInput(f"{a.set_repr(prime)} is not a prime filter")
-    via_omega = omega_filter(a, a.full ^ prime)
-    via_kernel = a.full
-    for q in ctx.primes:
-        if q & prime == q:
-            via_kernel &= q
-    routes = {"omega": via_omega, "kernel": via_kernel}
+    routes = {
+        "omega": omega_filter(a, a.full ^ prime),
+        "kernel": meet(a, (q for q in ctx.primes if q & prime == q)),
+    }
     return agree(a, "d_part routes disagree", routes, prime)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ResiduatedLattice, bits, quotient
+from .core import ResiduatedLattice, bits, memo, quotient
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 from . import pure as pr
@@ -281,8 +281,10 @@ CRITERIA = (
 )
 
 
+@memo
 def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
-    """Evaluate all fourteen criteria and assert their unanimity."""
+    """Evaluate all fourteen criteria and assert their unanimity, once per
+    algebra."""
     criteria: dict[str, bool] = {}
     details: dict[str, dict[str, bool]] = {}
     witnesses: dict[str, str] = {}
@@ -413,10 +415,8 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     return battery
 
 
-def is_soft(a: ResiduatedLattice, verdict: GelfandVerdict | None = None):
+def is_soft(a: ResiduatedLattice):
     """Three equivalent readings of softness, with unanimity asserted."""
-    if verdict is None:
-        verdict = gelfand_verdict(a)
     one = 1 << a.one
     rad = flt.radical_total(a, one)
     primes = flt.prime_filters(a)
@@ -430,7 +430,7 @@ def is_soft(a: ResiduatedLattice, verdict: GelfandVerdict | None = None):
     by_topology = top.is_hausdorff(pr.max_subspace(a)) and (
         hspace.closure(flt.analysis(a).max_mask) == hspace.full
     )
-    by_gelfand = verdict.verdict and rad == one
+    by_gelfand = gelfand_verdict(a).verdict and rad == one
     routes = {
         "semisimple_with_unique_maximals_over_radical": by_definition,
         "max_hausdorff_and_dense": by_topology,
@@ -439,13 +439,11 @@ def is_soft(a: ResiduatedLattice, verdict: GelfandVerdict | None = None):
     return agree(a, "softness routes disagree", routes), routes
 
 
-def classification(a: ResiduatedLattice, verdict: GelfandVerdict | None = None) -> dict[str, bool]:
+def classification(a: ResiduatedLattice) -> dict[str, bool]:
     """The six classification flags used by reports and the search."""
-    if verdict is None:
-        verdict = gelfand_verdict(a)
-    soft, _ = is_soft(a, verdict)
+    soft, _ = is_soft(a)
     return {
-        "gelfand": verdict.verdict,
+        "gelfand": gelfand_verdict(a).verdict,
         "soft": soft,
         "local": flt.is_local(a),
         "semisimple": flt.is_semisimple(a),

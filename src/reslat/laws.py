@@ -6,7 +6,7 @@ corresponding facts. Reports run all suites on every algebra they describe.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, mask_of, quotient
+from .core import ResiduatedLattice, bits, mask_of, meet, quotient
 from .errors import hold
 from . import filters as flt
 
@@ -144,9 +144,7 @@ def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
 
 def dpart_meet_law(a: ResiduatedLattice) -> dict[str, bool]:
     """The d-parts of the maximal filters intersect in {1}."""
-    out = a.full
-    for m in flt.maximal_filters(a):
-        out &= flt.d_part(a, m)
+    out = meet(a, (flt.d_part(a, m) for m in flt.maximal_filters(a)))
     return hold(a, "d-part meet", {"maximal_dparts_meet_in_one": out == 1 << a.one})
 
 
@@ -228,19 +226,3 @@ def omega_monotone_law(a: ResiduatedLattice) -> dict[str, bool]:
         )
     return hold(a, "omega", {"monotone_on_ideals": ok})
 
-
-def run_all(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:
-    """Every law suite in this module, keyed by suite name."""
-    return {
-        "generated_filter": generated_filter_laws(a),
-        "comaximality": comaximality_laws(a),
-        "maximality_power": maximality_power_law(a),
-        "filter_lattice": filter_lattice_laws(a),
-        "nilpotent_ideal": nilpotent_ideal_law(a),
-        "boolean_center": beta_radical_laws(a),
-        "dpart_meet": dpart_meet_law(a),
-        "quotient_maximals": quotient_maximals_law(a),
-        "local_quotient": local_quotient_law(a),
-        "coannihilator": coannihilator_laws(a),
-        "omega": omega_monotone_law(a),
-    }

@@ -26,7 +26,7 @@ from .errors import (
     NotALattice,
 )
 from .fileformat import serialize
-from .gelfand import classification, gelfand_verdict
+from .gelfand import classification
 from .report import run_laws
 
 
@@ -208,8 +208,8 @@ class SweepReport:
 def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> SweepReport:
     """Run every model of size n through the full criteria machinery.
 
-    Any EquivalenceViolation aborts the sweep, re-raised with the offending
-    model serialized so it can be replayed.
+    Any EquivalenceViolation aborts the sweep, re-raised with its message
+    and detail and the offending model serialized so it can be replayed.
     """
     lattice_count = sum(1 for _ in enumerate_lattices(n, chains_only))
     counts = Counter()
@@ -217,10 +217,9 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
     for a in residuated_structures(n, chains_only):
         labels.append(a.label)
         try:
-            verdict = gelfand_verdict(a)
-            flags = classification(a, verdict)
+            flags = classification(a)
             flags["prelinear"] = is_prelinear(a)
-            if flags["prelinear"] and not verdict.verdict:
+            if flags["prelinear"] and not flags["gelfand"]:
                 raise EquivalenceViolation(
                     "prelinear model is not Gelfand", detail=a.label
                 )
@@ -228,7 +227,7 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
                 run_laws(a)
         except EquivalenceViolation as exc:
             raise EquivalenceViolation(
-                f"sweep aborted on {a.label}", detail=serialize(a)
+                f"sweep aborted on {a.label}: {exc}", detail=(serialize(a), exc.detail)
             ) from exc
         counts.update(key for key in SWEEP_FLAGS if flags[key])
     flag_counts = [counts[key] for key in SWEEP_FLAGS]

@@ -8,7 +8,7 @@ whose closed sets are the pure hulls h_p(F).
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, memo
+from .core import ResiduatedLattice, bits, mask_of, meet, memo
 from .errors import EquivalenceViolation, agree, hold
 from . import filters as flt
 from . import topology as top
@@ -21,10 +21,10 @@ def sigma(a: ResiduatedLattice, f: int) -> int:
     hf = top.hull_in(primes, f)
     gen = top.generalization_mask(primes, hf)
     via_kernel = top.kernel_of(a, primes, gen)
-    via_joins = 0
-    for x in range(a.n):
-        if flt.filter_join(a, f, flt.element_coannihilator(a, x)) == a.full:
-            via_joins |= 1 << x
+    via_joins = mask_of(
+        x for x in range(a.n)
+        if flt.filter_join(a, f, flt.element_coannihilator(a, x)) == a.full
+    )
     routes = {"kernel": via_kernel, "joins": via_joins}
     return agree(a, "sigma routes disagree", routes, f)
 
@@ -204,14 +204,10 @@ def pure_characterization_family(a: ResiduatedLattice) -> tuple[int, ...]:
     primes = flt.prime_filters(a)
     hspace = top.spec_space(a, "hull")
     maxset = set(flt.maximal_filters(a))
-    family = set()
-    for c in hspace.closed:
-        k = a.full
-        for i in bits(c):
-            if primes[i] in maxset:
-                k &= flt.d_part(a, primes[i])
-        family.add(k)
-    return flt.canonical_sort(family)
+    return flt.canonical_sort(
+        meet(a, (flt.d_part(a, primes[i]) for i in bits(c) if primes[i] in maxset))
+        for c in hspace.closed
+    )
 
 
 # ---------------------------------------------------------------- law suites
@@ -286,13 +282,10 @@ def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
 
 def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
     """Every pure filter is the meet of the d-parts of the maximals over it."""
-    ok = True
-    for f in pure_filters(a):
-        k = a.full
-        for m in flt.maximals_over(a, f):
-            k &= flt.d_part(a, m)
-        if k != f:
-            ok = False
+    ok = all(
+        meet(a, (flt.d_part(a, m) for m in flt.maximals_over(a, f))) == f
+        for f in pure_filters(a)
+    )
     laws = {"pure_is_meet_of_d_parts": ok}
     return hold(a, "pure intersection", laws)
 
@@ -315,7 +308,7 @@ def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
         rho(a, f & g) == rho(a, f) & rho(a, g) for f in fs for g in fs
     )
     laws["pure_is_meet_of_maximal_parts"] = all(
-        _meet_of_rho_maximals(a, f) == f for f in pure
+        meet(a, (rho(a, m) for m in flt.maximals_over(a, f))) == f for f in pure
     )
     laws["pure_recovered_from_radical"] = all(
         rho(a, flt.radical_total(a, f)) == f for f in pure
@@ -324,13 +317,6 @@ def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
         rho(a, p) == rho(a, flt.d_part(a, p)) for p in flt.prime_filters(a)
     )
     return hold(a, "rho", laws)
-
-
-def _meet_of_rho_maximals(a: ResiduatedLattice, f: int) -> int:
-    out = a.full
-    for m in flt.maximals_over(a, f):
-        out &= rho(a, m)
-    return out
 
 
 def purely_prime_laws(a: ResiduatedLattice) -> dict[str, bool]:
@@ -342,15 +328,10 @@ def purely_prime_laws(a: ResiduatedLattice) -> dict[str, bool]:
     laws["purely_maximal_are_max_pure_parts"] = set(purely_maximal(a)) <= {
         rho(a, m) for m in flt.maximal_filters(a)
     }
-    ok = True
-    for f in pure_filters(a):
-        k = a.full
-        for cand in spp:
-            if cand & f == f:
-                k &= cand
-        if k != f:
-            ok = False
-    laws["pure_is_meet_of_purely_primes_above"] = ok
+    laws["pure_is_meet_of_purely_primes_above"] = all(
+        meet(a, (cand for cand in spp if cand & f == f)) == f
+        for f in pure_filters(a)
+    )
     return hold(a, "purely prime", laws)
 
 

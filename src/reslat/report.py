@@ -25,14 +25,26 @@ from .gelfand import (
 def run_laws(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:
     """Every law suite in the package; raises EquivalenceViolation on any
     failure, otherwise returns the named results."""
-    out: dict[str, dict[str, bool]] = dict(laws.run_all(a))
-    out["sigma"] = pr.sigma_laws(a)
-    out["sigma_frame"] = pr.sigma_frame_laws(a)
-    out["pure_intersection"] = pr.pure_intersection_law(a)
-    out["rho"] = pr.rho_laws(a)
-    out["purely_prime"] = pr.purely_prime_laws(a)
-    out["continuity"] = pr.continuity_law(a)
-    out["stable_open"] = pr.stable_open_law(a)
+    out = {
+        "generated_filter": laws.generated_filter_laws(a),
+        "comaximality": laws.comaximality_laws(a),
+        "maximality_power": laws.maximality_power_law(a),
+        "filter_lattice": laws.filter_lattice_laws(a),
+        "nilpotent_ideal": laws.nilpotent_ideal_law(a),
+        "boolean_center": laws.beta_radical_laws(a),
+        "dpart_meet": laws.dpart_meet_law(a),
+        "quotient_maximals": laws.quotient_maximals_law(a),
+        "local_quotient": laws.local_quotient_law(a),
+        "coannihilator": laws.coannihilator_laws(a),
+        "omega": laws.omega_monotone_law(a),
+        "sigma": pr.sigma_laws(a),
+        "sigma_frame": pr.sigma_frame_laws(a),
+        "pure_intersection": pr.pure_intersection_law(a),
+        "rho": pr.rho_laws(a),
+        "purely_prime": pr.purely_prime_laws(a),
+        "continuity": pr.continuity_law(a),
+        "stable_open": pr.stable_open_law(a),
+    }
     top.closure_lemmas(a)
     top.patch_stability_criterion(a)
     top.clopen_check(a)
@@ -58,8 +70,8 @@ def _family(a: ResiduatedLattice, masks) -> list[list[str]]:
 def build_report(a: ResiduatedLattice) -> dict:
     ctx = flt.analysis(a)
     verdict = gelfand_verdict(a)
-    flags = classification(a, verdict)
-    _, soft_routes = is_soft(a, verdict)
+    flags = classification(a)
+    _, soft_routes = is_soft(a)
     battery = hausdorff_battery(a)
     count, _ = retractions(a)
     hspace = top.spec_space(a, "hull")

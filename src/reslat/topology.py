@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import ResiduatedLattice, bits, memo
+from .core import ResiduatedLattice, bits, mask_of, meet, memo
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 
@@ -111,11 +111,7 @@ def generate_space(label: str, keys, closed_basis) -> FiniteSpace:
 
 def hull_in(points: tuple[int, ...], subset: int) -> int:
     """Indices of the points containing the subset."""
-    out = 0
-    for i, p in enumerate(points):
-        if p & subset == subset:
-            out |= 1 << i
-    return out
+    return mask_of(i for i, p in enumerate(points) if p & subset == subset)
 
 
 def cohull_in(points: tuple[int, ...], subset: int) -> int:
@@ -124,10 +120,7 @@ def cohull_in(points: tuple[int, ...], subset: int) -> int:
 
 def kernel_of(a: ResiduatedLattice, points: tuple[int, ...], point_mask: int) -> int:
     """Intersection of the selected points; the whole carrier when none."""
-    out = a.full
-    for i in bits(point_mask):
-        out &= points[i]
-    return out
+    return meet(a, (points[i] for i in bits(point_mask)))
 
 
 def specialization_mask(points: tuple[int, ...], point_mask: int) -> int:
@@ -216,11 +209,7 @@ def space_predicates(space: FiniteSpace) -> dict[str, bool]:
 
 def cut(mask: int, point_mask: int) -> int:
     """The selected points of mask, renumbered as indices into point_mask."""
-    out = 0
-    for new, old in enumerate(bits(point_mask)):
-        if (mask >> old) & 1:
-            out |= 1 << new
-    return out
+    return mask_of(new for new, old in enumerate(bits(point_mask)) if (mask >> old) & 1)
 
 
 def subspace(space: FiniteSpace, point_mask: int, label: str) -> FiniteSpace:
@@ -257,10 +246,7 @@ def quotient_space(space: FiniteSpace, classes: tuple[int, ...], label: str) -> 
 
 
 def _image(func, mask: int) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= 1 << func(i)
-    return out
+    return mask_of(map(func, bits(mask)))
 
 
 def is_continuous(func, source: FiniteSpace, target: FiniteSpace) -> bool:

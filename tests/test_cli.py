@@ -254,6 +254,7 @@ def test_missing_input_exits_74():
 
 
 def test_equivalence_violation_exits_2(monkeypatch):
+    monkeypatch.setattr(catalog, "_built", {})
     monkeypatch.setattr(flt, "radical_total", lambda a, f: 1 << a.one)
     code, out, err = run(["gelfand", "A8"])
     assert code == cli.EX_VIOLATION

@@ -1,6 +1,8 @@
 """The Gelfand criteria engine: fourteen independently computed
 characterizations that must agree, plus the soft/Hausdorff batteries."""
 
+import dataclasses
+
 import pytest
 
 from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
@@ -247,7 +249,7 @@ def test_forced_disagreement_raises(monkeypatch):
     """Sabotage one route; the engine must refuse to pick a side."""
     monkeypatch.setattr(gf, "contessa_check", lambda a: (False, (0, 0)))
     with pytest.raises(EquivalenceViolation, match="criteria disagree"):
-        gf.gelfand_verdict(catalog.get("A8"))
+        gf.gelfand_verdict(dataclasses.replace(catalog.get("A8")))
 
 
 PART_KEYS = (
@@ -341,7 +343,7 @@ def test_each_criterion_feeds_the_vote(
         module, attr, _flipped(getattr(module, attr), kind, battery_leaf)
     )
     with pytest.raises(EquivalenceViolation, match="Gelfand criteria disagree") as exc:
-        gf.gelfand_verdict(a)
+        gf.gelfand_verdict(dataclasses.replace(a))
     _, leaves = exc.value.detail
     assert tuple(dict.fromkeys(key.split(".")[0] for key in leaves)) == CRITERIA
     dissent = [key for key, value in leaves.items() if value is not verdict]

@@ -3,18 +3,21 @@ failure, so a clean return already certifies the algebra; the assertions
 below pin the shape of the results."""
 
 import contextlib
+import dataclasses
 import io
+import re
 import types
 
 import pytest
 
-from reslat import catalog, cli, core, filters as flt, laws, modelgen
+from reslat import catalog, cli, core, filters as flt, laws, modelgen, pure as pr, report
 from reslat.errors import EquivalenceViolation
 
 SUITES = (
     "boolean_center",
     "coannihilator",
     "comaximality",
+    "continuity",
     "dpart_meet",
     "filter_lattice",
     "generated_filter",
@@ -22,7 +25,14 @@ SUITES = (
     "maximality_power",
     "nilpotent_ideal",
     "omega",
+    "pure_intersection",
+    "purely_prime",
     "quotient_maximals",
+    "rho",
+    "sigma",
+    "sigma_frame",
+    "stable_open",
+    "topology",
 )
 
 CATALOG = (
@@ -33,7 +43,7 @@ CATALOG = (
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_run_all_passes_and_covers_every_suite(name):
-    results = laws.run_all(catalog.get(name))
+    results = report.run_laws(catalog.get(name))
     assert tuple(sorted(results)) == SUITES
     for suite, checks in results.items():
         assert checks, suite
@@ -145,10 +155,76 @@ def test_omega_law_is_checked_above_ten_elements(monkeypatch):
 def test_a_failing_law_is_named_and_exits_2(monkeypatch):
     _break_omega(monkeypatch)
     with pytest.raises(EquivalenceViolation, match="omega laws fail") as exc:
-        laws.run_all(catalog.get("A8"))
+        report.run_laws(catalog.get("A8"))
     assert exc.value.detail == ("A8", ("monotone_on_ideals",))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["report", "A8"])
     assert code == cli.EX_VIOLATION
     assert "detail: ('A8', ('monotone_on_ideals',))" in err.getvalue()
+
+
+# Law leaves knocked out, keyed "suite.leaf": the module holding the suite,
+# the input replaced ("flt.<name>" in the module's own filters namespace,
+# otherwise the module's attribute), its replacement, the suite and its tag.
+LEAF_KNOCKOUTS = {
+    "generated_filter.join_is_power_cone": (
+        laws, "flt.filter_join", lambda a, f, g: f & g,
+        laws.generated_filter_laws, "generated filter",
+    ),
+    "quotient_maximals.maximals_project": (
+        laws, "flt.maximals_over", lambda a, subset: (),
+        laws.quotient_maximals_law, "quotient maximals",
+    ),
+    "local_quotient.dpart_quotient_local_iff": (
+        laws, "flt.power_negations_join_outside",
+        lambda a, m: not flt.power_negations_join_outside(a, m),
+        laws.local_quotient_law, "local quotient",
+    ),
+    "coannihilator.always_a_filter": (
+        laws, "flt.coannihilator", lambda a, subset: 0,
+        laws.coannihilator_laws, "coannihilator",
+    ),
+    "coannihilator.subset_of_double": (
+        laws, "flt.coannihilator", lambda a, subset: 1 << a.one,
+        laws.coannihilator_laws, "coannihilator",
+    ),
+    "coannihilator.triple_equals_single": (
+        laws, "flt.coannihilator",
+        lambda a, subset: a.full if subset == 0 else 1 << a.one,
+        laws.coannihilator_laws, "coannihilator",
+    ),
+    "coannihilator.antitone": (
+        laws, "flt.coannihilator", flt.generated_filter,
+        laws.coannihilator_laws, "coannihilator",
+    ),
+    "pure_intersection.pure_is_meet_of_d_parts": (
+        pr, "flt.d_part", lambda a, prime: a.full,
+        pr.pure_intersection_law, "pure intersection",
+    ),
+    "purely_prime.pure_is_meet_of_purely_primes_above": (
+        pr, "purely_prime", lambda a: (),
+        pr.purely_prime_laws, "purely prime",
+    ),
+    "rho.pure_is_meet_of_maximal_parts": (
+        pr, "flt.maximals_over", lambda a, subset: (),
+        pr.rho_laws, "rho",
+    ),
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(LEAF_KNOCKOUTS))
+def test_a_knocked_out_law_leaf_is_named(monkeypatch, leaf):
+    """On a fresh A8, the suite raises its own message and names the leaf
+    among its failing laws."""
+    module, target, replacement, suite, tag = LEAF_KNOCKOUTS[leaf]
+    a = dataclasses.replace(catalog.get("A8"))
+    if target.startswith("flt."):
+        broken = {**vars(module.flt), target[len("flt."):]: replacement}
+        monkeypatch.setattr(module, "flt", types.SimpleNamespace(**broken))
+    else:
+        monkeypatch.setattr(module, target, replacement)
+    with pytest.raises(EquivalenceViolation, match=f"^{re.escape(tag)} laws fail$") as exc:
+        suite(a)
+    label, failing = exc.value.detail
+    assert label == "A8" and leaf.split(".")[1] in failing

@@ -1,10 +1,13 @@
 """Exhaustive enumeration up to isomorphism, cross-checked against naive
 brute-force routes, plus the classification sweep."""
 
+import contextlib
+import io
+
 import pytest
 
-from reslat import catalog, core, modelgen as mg
-from reslat.errors import CarrierTooLarge, NotResiduated
+from reslat import catalog, cli, core, fileformat as ff, gelfand as gf, modelgen as mg
+from reslat.errors import CarrierTooLarge, EquivalenceViolation, NotResiduated
 
 from oracles import (
     lattice_automorphisms,
@@ -157,6 +160,25 @@ def test_non_gelfand_labels_at_size_six():
 def test_deep_sweep_at_small_size_runs_the_law_suites():
     rep = mg.classify_all(3, deep=True)
     assert rep.structure_count == 2
+
+
+def test_a_sweep_violation_keeps_its_cause(monkeypatch):
+    """An aborted sweep names the inner message after the model's label and
+    keeps the inner detail next to the serialized model, which parses back
+    to the same tables; the CLI prints both and exits 2."""
+    monkeypatch.setattr(gf, "contessa_check", lambda a: (False, (0, 0)))
+    with pytest.raises(EquivalenceViolation) as exc:
+        mg.classify_all(3)
+    assert str(exc.value) == "sweep aborted on n3.1: Gelfand criteria disagree"
+    text, inner = exc.value.detail
+    assert ff.parse_text(text) == next(mg.residuated_structures(3))
+    assert inner[0] == "n3.1" and inner[-1]["contessa"] is False
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["search", "3"]) == cli.EX_VIOLATION
+    lines = err.getvalue().splitlines()
+    assert lines[0] == "equivalence violation: sweep aborted on n1.1: Gelfand criteria disagree"
+    assert "'contessa': False" in lines[1]
 
 
 def test_a_failing_lattice_table_build_is_not_read_as_a_non_lattice(monkeypatch):
