@@ -4,135 +4,56 @@ The package represents a finite residuated lattice by its operation tables,
 computes its filter lattice and hull-kernel spectra, and evaluates every
 known characterization of the Gelfand, soft, local and semisimple properties
 independently, insisting that equivalent routes agree before answering.
+
+Importing the package loads none of its modules: each exported name is
+imported from its home module on first use (PEP 562), so a command pays only
+for the modules it runs.
 """
-from .catalog import catalog_names, get
-from .core import (
-    ResiduatedLattice,
-    classify_elements,
-    derive_residuum,
-    direct_product,
-    find_isomorphism,
-    is_isomorphic,
-    is_prelinear,
-    quotient,
-    size_bound,
-    validate,
-)
-from .errors import (
-    AdjunctionFails,
-    CarrierTooLarge,
-    EquivalenceViolation,
-    FormatError,
-    ImproperInput,
-    NoResiduum,
-    NotAFilter,
-    NotALattice,
-    NotAnIdeal,
-    NotCommutativeMonoid,
-    NotResiduated,
-    ReslatError,
-    ResiduumMismatch,
-    Unsatisfiable,
-    UsageError,
-)
-from .fileformat import export_dot, load, parse, serialize, to_json
-from .filters import (
-    all_filters,
-    analysis,
-    coannihilator,
-    d_part,
-    filter_join,
-    filter_meet,
-    generated_filter,
-    is_comaximal,
-    is_local,
-    is_semisimple,
-    local_battery,
-    maximal_filters,
-    omega_filter,
-    prime_filters,
-    principal_filter,
-    radical,
-    radical_total,
-)
-from .gelfand import (
-    GelfandVerdict,
-    classification,
-    gelfand_verdict,
-    hausdorff_battery,
-    is_soft,
-)
-from .modelgen import classify_all, enumerate_lattices, residuated_structures
-from .pure import is_pure, pure_filters, purely_maximal, purely_prime, rho, sigma
-from .report import build_report, render_json, run_laws
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjunctionFails",
-    "CarrierTooLarge",
-    "EquivalenceViolation",
-    "FormatError",
-    "GelfandVerdict",
-    "ImproperInput",
-    "NoResiduum",
-    "NotAFilter",
-    "NotALattice",
-    "NotAnIdeal",
-    "NotCommutativeMonoid",
-    "NotResiduated",
-    "ReslatError",
-    "ResiduatedLattice",
-    "ResiduumMismatch",
-    "Unsatisfiable",
-    "UsageError",
-    "all_filters",
-    "analysis",
-    "build_report",
-    "catalog_names",
-    "classification",
-    "classify_all",
-    "classify_elements",
-    "coannihilator",
-    "d_part",
-    "derive_residuum",
-    "direct_product",
-    "enumerate_lattices",
-    "export_dot",
-    "filter_join",
-    "filter_meet",
-    "find_isomorphism",
-    "gelfand_verdict",
-    "generated_filter",
-    "get",
-    "hausdorff_battery",
-    "is_comaximal",
-    "is_isomorphic",
-    "is_local",
-    "is_prelinear",
-    "is_pure",
-    "is_semisimple",
-    "is_soft",
-    "load",
-    "local_battery",
-    "maximal_filters",
-    "omega_filter",
-    "parse",
-    "prime_filters",
-    "principal_filter",
-    "pure_filters",
-    "purely_maximal",
-    "purely_prime",
-    "quotient",
-    "radical",
-    "radical_total",
-    "render_json",
-    "residuated_structures",
-    "rho",
-    "run_laws",
-    "serialize",
-    "sigma",
-    "size_bound",
-    "to_json",
-    "validate",
-]
+# Home module of each exported name.
+_EXPORTS = {
+    "catalog": "catalog_names get",
+    "core": (
+        "ResiduatedLattice classify_elements derive_residuum direct_product"
+        " find_isomorphism is_isomorphic is_prelinear quotient size_bound validate"
+    ),
+    "errors": (
+        "AdjunctionFails CarrierTooLarge EquivalenceViolation FormatError"
+        " ImproperInput NoResiduum NotAFilter NotALattice NotAnIdeal"
+        " NotCommutativeMonoid NotResiduated ReslatError ResiduumMismatch"
+        " Unsatisfiable UsageError"
+    ),
+    "fileformat": "export_dot load parse serialize to_json",
+    "filters": (
+        "all_filters analysis coannihilator d_part filter_join filter_meet"
+        " generated_filter is_comaximal is_local is_semisimple local_battery"
+        " maximal_filters omega_filter prime_filters principal_filter radical"
+        " radical_total"
+    ),
+    "gelfand": "GelfandVerdict classification gelfand_verdict hausdorff_battery is_soft",
+    "modelgen": "classify_all enumerate_lattices residuated_structures",
+    "pure": "is_pure pure_filters purely_maximal purely_prime rho sigma",
+    "report": "build_report render_json run_laws",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """An exported name, from its home module, or a submodule not imported
+    yet. `__import__` keeps these imports visible to `-X importtime`."""
+    submodule = f"{__name__}.{_HOME.get(name, name)}"
+    try:
+        __import__(submodule)
+    except ModuleNotFoundError as exc:
+        if exc.name != submodule:
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = sys.modules[submodule]
+    value = getattr(module, name) if name in _HOME else module
+    globals()[name] = value
+    return value

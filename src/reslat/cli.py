@@ -11,14 +11,10 @@ import argparse
 import os
 import sys
 
-from . import catalog, fileformat, modelgen
-from . import filters as flt
-from . import pure as pr
-from . import topology as top
+# Each command imports the modules it runs, so a process loads only those.
+from . import catalog, fileformat
 from .core import ResiduatedLattice, size_bound
 from .errors import CarrierTooLarge, EquivalenceViolation, ReslatError, UsageError
-from .gelfand import gelfand_verdict, is_soft
-from .report import build_report, render_json
 
 EX_OK = 0
 EX_FALSE = 1
@@ -54,6 +50,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_check(args) -> int:
+    from . import filters as flt
+
     a = _resolve(args.algebra)
     ctx = flt.analysis(a)
     print(f"{a.label}: valid residuated lattice on {a.n} elements")
@@ -65,6 +63,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_filters(args) -> int:
+    from . import filters as flt
+    from . import pure as pr
+
     a = _resolve(args.algebra)
     ctx = flt.analysis(a)
     pure_set = set(pr.pure_filters(a))
@@ -87,6 +88,9 @@ def _cmd_filters(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import filters as flt
+    from . import topology as top
+
     a = _resolve(args.algebra)
     primes = flt.prime_filters(a)
     space = top.spec_space(a, args.kind)
@@ -101,6 +105,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_gelfand(args) -> int:
+    from .gelfand import gelfand_verdict
+
     a = _resolve(args.algebra)
     verdict = gelfand_verdict(a)
     passed = sum(verdict.criteria.values())
@@ -112,6 +118,8 @@ def _cmd_gelfand(args) -> int:
 
 
 def _cmd_pure(args) -> int:
+    from . import pure as pr
+
     a = _resolve(args.algebra)
     spp = set(pr.purely_prime(a))
     pmax = set(pr.purely_maximal(a))
@@ -129,6 +137,8 @@ def _cmd_pure(args) -> int:
 
 
 def _cmd_soft(args) -> int:
+    from .gelfand import is_soft
+
     a = _resolve(args.algebra)
     soft, routes = is_soft(a)
     for key in sorted(routes):
@@ -138,6 +148,8 @@ def _cmd_soft(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import modelgen
+
     if args.size < 1:
         raise UsageError(f"search needs a positive size, got {args.size}")
     if args.size > SEARCH_MAX:
@@ -154,6 +166,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import build_report, render_json
+
     a = _resolve(args.algebra)
     _emit(render_json(build_report(a)), args.output)
     return EX_OK

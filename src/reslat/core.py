@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .errors import (
@@ -81,33 +80,45 @@ def memo(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
+# The fields that make up an algebra: equality and hashing read these and
+# ignore the label.
+_TABLES = ("names", "up", "join", "meet", "mul", "res", "zero", "one")
+
+
 class ResiduatedLattice:
     """A finite residuated lattice with all operation tables materialized.
 
     `up[x]` is the bitmask of {y : x <= y}. The residuum table always satisfies
     the adjunction against `mul`; `validate` is the only intended constructor.
+    Instances are immutable. `n` and `full` are stored once, and `_cache` holds
+    what `memo` computes for this instance.
     """
 
-    names: tuple[str, ...]
-    up: tuple[int, ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
-    res: tuple[tuple[int, ...], ...]
-    zero: int
-    one: int
-    label: str = field(default="", compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # Set once by __post_init__. A cached_property would write through
-    # __dict__, which makes every later attribute read on the instance about
-    # three times slower on CPython 3.11.
-    n: int = field(init=False, repr=False, compare=False)
-    full: int = field(init=False, repr=False, compare=False)
+    __slots__ = _TABLES + ("label", "_cache", "n", "full")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", len(self.names))
-        object.__setattr__(self, "full", (1 << self.n) - 1)
+    def __init__(self, names, up, join, meet, mul, res, zero, one, label=""):
+        values = (names, up, join, meet, mul, res, zero, one, label,
+                  {}, len(names), (1 << len(names)) - 1)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a ResiduatedLattice")
+
+    def _tables(self) -> tuple:
+        return tuple(getattr(self, f) for f in _TABLES)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._tables() == other._tables()
+
+    def __hash__(self):
+        return hash(self._tables())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in _TABLES + ("label",))
+        return f"{self.__class__.__qualname__}({fields})"
 
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up[x] >> y) & 1)
@@ -317,15 +328,14 @@ def derive_residuum(algebra: ResiduatedLattice) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in table)
 
 
-@dataclass(frozen=True)
-class ElementClassification:
-    """Masks of the distinguished element classes of one algebra."""
-
-    idempotents: int
-    nilpotents: int
-    nilpotence_order: tuple[tuple[int, int], ...]
-    interior: int          # complement of the nilpotents
-    boolean_center: int    # idempotents e with e v neg(e) = 1
+# Masks of the distinguished element classes of one algebra: idempotents,
+# nilpotents, the nilpotence order of each nilpotent, the interior (the
+# complement of the nilpotents) and the Boolean center (idempotents e with
+# e v neg(e) = 1).
+ElementClassification = namedtuple(
+    "ElementClassification",
+    "idempotents nilpotents nilpotence_order interior boolean_center",
+)
 
 
 def is_prelinear(a: ResiduatedLattice) -> bool:

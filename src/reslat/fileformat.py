@@ -19,12 +19,8 @@ the same fields. serialize/parse round-trip byte for byte on canonical output.
 """
 from __future__ import annotations
 
-import json
-
 from .core import ResiduatedLattice, bits, validate
 from .errors import FormatError
-from . import filters as flt
-from . import topology as top
 
 
 def parse_text(text: str) -> ResiduatedLattice:
@@ -159,6 +155,8 @@ def serialize(a: ResiduatedLattice) -> str:
 
 
 def parse_json_text(text: str) -> ResiduatedLattice:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -204,6 +202,8 @@ def parse_json_text(text: str) -> ResiduatedLattice:
 
 
 def to_json(a: ResiduatedLattice) -> str:
+    import json
+
     data = {
         "name": a.label,
         "elements": list(a.names),
@@ -255,6 +255,9 @@ def export_dot(a: ResiduatedLattice, kind: str = "hasse") -> str:
         for x, y in cover_pairs(a):
             lines.append(f"  {_dot_id(a.names[x])} -> {_dot_id(a.names[y])};")
     elif kind == "spec":
+        from . import filters as flt
+        from . import topology as top
+
         primes = flt.prime_filters(a)
         ids = [_dot_id(a.set_repr(p)) for p in primes]
         for i in ids:

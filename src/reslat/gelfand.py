@@ -10,7 +10,7 @@ or negative verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import ResiduatedLattice, bits, memo, quotient
 from .errors import EquivalenceViolation, agree
@@ -255,12 +255,9 @@ def quotient_space_homeo(a: ResiduatedLattice, kind: str) -> bool:
     return top.is_homeomorphism(lambda i: img[i], pr.max_subspace(a), qspace)
 
 
-@dataclass
-class GelfandVerdict:
-    verdict: bool
-    criteria: dict[str, bool]
-    details: dict[str, dict[str, bool]] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
+# The verdict, each criterion's value, each battery's leaves by criterion,
+# and the witnesses some criteria name.
+GelfandVerdict = namedtuple("GelfandVerdict", "verdict criteria details witnesses")
 
 
 CRITERIA = (

@@ -189,17 +189,25 @@ def coannihilator_laws(a: ResiduatedLattice) -> dict[str, bool]:
     )
     triple = True
     antitone = True
+    perps: dict[int, int] = {}
+
+    def perp(s: int) -> int:
+        """flt.coannihilator, with both routes compared once per subset."""
+        if s not in perps:
+            perps[s] = flt.coannihilator(a, s)
+        return perps[s]
+
     for s in subsets:
-        cs = flt.coannihilator(a, s)
+        cs = perp(s)
         if not a.is_filter(cs):
             filterhood = False
-        ccs = flt.coannihilator(a, cs)
+        ccs = perp(cs)
         if s & ccs != s:
             extensive = False
-        if flt.coannihilator(a, ccs) != cs:
+        if perp(ccs) != cs:
             triple = False
         for x in range(a.n):
-            wider = flt.coannihilator(a, s | (1 << x))
+            wider = perp(s | (1 << x))
             if wider & cs != wider:
                 antitone = False
     return hold(a, "coannihilator", {

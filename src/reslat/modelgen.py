@@ -15,8 +15,7 @@ Element 0 is always the bottom and element n-1 the top.
 from __future__ import annotations
 
 import string
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import permutations, product as iproduct
 
 from .core import _operations, _order, bits, is_prelinear, mask_of, size_bound
@@ -58,23 +57,26 @@ def _candidate_orders(n: int):
             yield tuple(up)
 
 
-def _apply_perm(n: int, up, p) -> tuple[int, ...]:
-    new_up = [0] * n
-    for i in range(n):
+def _compare_relabelled(up, up_bits, p, inv) -> int:
+    """The sign of (image > up) - (image < up), where image is `up` relabelled
+    by p (inv is its inverse) and up-mask tuples compare lexicographically.
+    Index k of the image is up[inv[k]] relabelled; the walk stops at the
+    first index that differs. Bottom and top are fixed, so their indices
+    always agree and are skipped."""
+    for k in range(1, len(up) - 1):
         m = 0
-        for j in bits(up[i]):
+        for j in up_bits[inv[k]]:
             m |= 1 << p[j]
-        new_up[p[i]] = m
-    return tuple(new_up)
+        if m != up[k]:
+            return 1 if m > up[k] else -1
+    return 0
 
 
 def _middle_perms(n: int):
+    """The relabellings fixing bottom and top, as maps old -> new index, in
+    lexicographic order."""
     for perm in permutations(range(1, n - 1)):
-        p = [0] * n
-        p[n - 1] = n - 1
-        for k, old in enumerate(range(1, n - 1)):
-            p[old] = perm[k]
-        yield tuple(p)
+        yield (0, *perm, n - 1) if n > 1 else (0,)
 
 
 def _lattices(n: int, chains_only: bool = False):
@@ -94,12 +96,14 @@ def _lattices(n: int, chains_only: bool = False):
             lattice = _order(names, up)
         except NotALattice:
             continue
+        up_bits = [tuple(bits(m)) for m in up]
         autos = []
         for p in _middle_perms(n):
-            image = _apply_perm(n, up, p)
-            if image < up:
+            inv = sorted(range(n), key=p.__getitem__)
+            sign = _compare_relabelled(up, up_bits, p, inv)
+            if sign < 0:
                 break
-            if image == up:
+            if sign == 0:
                 autos.append(p)
         else:
             yield lattice, tuple(autos)
@@ -189,20 +193,10 @@ def residuated_structures(n: int, chains_only: bool = False):
 # The flags a sweep counts, in the order of SweepReport's *_count fields.
 SWEEP_FLAGS = ("gelfand", "soft", "local", "semisimple", "rickart", "baer", "prelinear")
 
-
-@dataclass
-class SweepReport:
-    size: int
-    lattice_count: int
-    structure_count: int
-    gelfand_count: int
-    soft_count: int
-    local_count: int
-    semisimple_count: int
-    rickart_count: int
-    baer_count: int
-    prelinear_count: int
-    labels: tuple[str, ...]
+SweepReport = namedtuple("SweepReport", [
+    "size", "lattice_count", "structure_count",
+    *(f"{flag}_count" for flag in SWEEP_FLAGS), "labels",
+])
 
 
 def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> SweepReport:

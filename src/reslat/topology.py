@@ -24,19 +24,25 @@ patch/stability criterion for every point set at once, not set by set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from .core import ResiduatedLattice, bits, mask_of, meet, memo
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 
 
-@dataclass(frozen=True)
 class FiniteSpace:
-    label: str
-    keys: tuple
-    cl: tuple[int, ...]  # closure of each point
+    """A finite space: its label, the key of each point and the closure of
+    each point (`cl`). Immutable; the closed family and the minimal open
+    neighbourhoods are derived on first read and kept in slots, which keeps
+    every attribute read a slot read."""
+
+    __slots__ = ("label", "keys", "cl", "_closed", "_nb")
+
+    def __init__(self, label: str, keys: tuple, cl: tuple[int, ...]):
+        for slot, value in zip(self.__slots__, (label, keys, cl, None, None)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a FiniteSpace")
 
     @property
     def npoints(self) -> int:
@@ -46,13 +52,15 @@ class FiniteSpace:
     def full(self) -> int:
         return (1 << self.npoints) - 1
 
-    @cached_property
+    @property
     def closed(self) -> frozenset[int]:
         """The closed family: every union of point closures."""
-        family = {0}
-        for c in self.cl:
-            family |= {d | c for d in family}
-        return frozenset(family)
+        if self._closed is None:
+            family = {0}
+            for c in self.cl:
+                family |= {d | c for d in family}
+            object.__setattr__(self, "_closed", frozenset(family))
+        return self._closed
 
     def opens(self) -> frozenset[int]:
         return frozenset(self.full ^ c for c in self.closed)
@@ -60,15 +68,17 @@ class FiniteSpace:
     def is_closed(self, mask: int) -> bool:
         return self.closure(mask) == mask
 
-    @cached_property
+    @property
     def nb(self) -> tuple[int, ...]:
         """Minimal open neighbourhood of each point: the points whose
         closure contains it."""
-        out = [0] * self.npoints
-        for j, c in enumerate(self.cl):
-            for i in bits(c):
-                out[i] |= 1 << j
-        return tuple(out)
+        if self._nb is None:
+            out = [0] * self.npoints
+            for j, c in enumerate(self.cl):
+                for i in bits(c):
+                    out[i] |= 1 << j
+            object.__setattr__(self, "_nb", tuple(out))
+        return self._nb
 
     def closure(self, mask: int) -> int:
         out = 0

@@ -1,13 +1,15 @@
 """Brute-force references for the tests: the exhaustive enumerations the
 package replaced by checked bases, the pairwise meet fixpoint and the
-between scan it replaced by one pass, the naive model enumeration, a
-Goedel-chain constructor, and filter helpers that only the tests use. The
-enumerations are exponential and meant for small inputs."""
+between scan it replaced by one pass, the canonical test that compares
+whole relabelled tuples, the naive model enumeration, a Goedel-chain
+constructor, a fresh copy of an algebra, and filter helpers that only the
+tests use. The enumerations are exponential and meant for small inputs."""
 
 from itertools import product as iproduct
 
 from reslat import filters as flt, topology as top
 from reslat.core import (
+    ResiduatedLattice,
     _lattice_tables,
     _operation_laws,
     _residuum_table,
@@ -24,7 +26,12 @@ from reslat.errors import (
     NotResiduated,
     Unsatisfiable,
 )
-from reslat.modelgen import _apply_perm, _middle_perms, element_names
+from reslat.modelgen import _candidate_orders, _middle_perms, element_names
+
+
+def fresh(a):
+    """An algebra equal to a, with its label and an empty cache of its own."""
+    return ResiduatedLattice(*a._tables(), label=a.label)
 
 
 def goedel(k):
@@ -229,6 +236,37 @@ def _is_lattice(n, up):
     except NotALattice:
         return False
     return True
+
+
+def _apply_perm(n, up, p):
+    """The up masks relabelled by p, built in full."""
+    new_up = [0] * n
+    for i in range(n):
+        m = 0
+        for j in bits(up[i]):
+            m |= 1 << p[j]
+        new_up[p[i]] = m
+    return tuple(new_up)
+
+
+def lattices_by_full_tuples(n):
+    """(up masks, automorphisms) of each canonical lattice among modelgen's
+    candidate orders on n > 1 elements, by the canonical test that builds
+    each relabelled up-mask tuple in full before comparing it."""
+    out = []
+    for up in _candidate_orders(n):
+        if not _is_lattice(n, up):
+            continue
+        autos = []
+        for p in _middle_perms(n):
+            image = _apply_perm(n, up, p)
+            if image < up:
+                break
+            if image == up:
+                autos.append(p)
+        else:
+            out.append((up, tuple(autos)))
+    return out
 
 
 def lattice_automorphisms(n, up):

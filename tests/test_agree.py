@@ -1,13 +1,14 @@
 """The shared agreement check: `agree` and `hold` themselves, and single
 routes knocked out at the sites that compare routes through `agree`."""
 
-import dataclasses
 import re
 
 import pytest
 
 from reslat import catalog, filters as flt, gelfand as gf, pure as pr, topology as top
 from reslat.errors import EquivalenceViolation, agree, hold
+
+from oracles import fresh
 
 
 class Unprintable:
@@ -86,7 +87,7 @@ KNOCKOUTS = {
     ),
     "softness.gelfand": (
         "cube2", gf, "gelfand_verdict",
-        lambda real: lambda a: dataclasses.replace(real(a), verdict=False),
+        lambda real: lambda a: real(a)._replace(verdict=False),
         gf.is_soft, "softness routes disagree", "gelfand_and_trivial_radical",
     ),
     "hausdorff.normal": (
@@ -119,7 +120,7 @@ def test_a_knocked_out_route_is_named(monkeypatch, site):
     of the detail is the route dict, in which the knocked-out route alone
     differs from the others."""
     name, module, attr, replace, call, message, route = KNOCKOUTS[site]
-    a = dataclasses.replace(catalog.get(name))
+    a = fresh(catalog.get(name))
     monkeypatch.setattr(module, attr, replace(getattr(module, attr)))
     with pytest.raises(EquivalenceViolation, match=f"^{re.escape(message)}$") as exc:
         call(a)

@@ -12,7 +12,7 @@ import pytest
 
 import reslat
 
-from reslat import catalog, cli, fileformat as ff, report
+from reslat import catalog, cli, fileformat as ff, modelgen, report
 import reslat.filters as flt
 
 
@@ -207,7 +207,7 @@ def test_search_refuses_sizes_above_seven_before_enumerating(monkeypatch, size):
         raise AssertionError("the search started")
 
     bound, code, err = SEARCH_REFUSALS[size]
-    monkeypatch.setattr(cli.modelgen, "classify_all", classify_all)
+    monkeypatch.setattr(modelgen, "classify_all", classify_all)
     if bound is not None:
         monkeypatch.setenv("RESLAT_MAX_SIZE", bound)
     assert run(["search", size]) == (code, "", err)

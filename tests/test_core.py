@@ -1,7 +1,6 @@
 """Carrier-level checks: validation, residuum derivation, element classes,
 products, quotients, isomorphism."""
 
-import dataclasses
 import types
 from pathlib import Path
 
@@ -20,6 +19,8 @@ from reslat.errors import (
     ResiduumMismatch,
     UsageError,
 )
+
+from oracles import fresh
 
 CATALOG_NAMES = (
     "A6", "A8", "chain2", "chain3", "chain4", "chain5", "chain6",
@@ -346,7 +347,7 @@ def test_memo_computes_once_per_instance_and_arguments():
         return 2 * x
 
     a = catalog.get("A8")
-    b = dataclasses.replace(a)
+    b = fresh(a)
     assert a == b and a is not b
     assert [double(a, 1), double(a, 1), double(a, 2), double(b, 1)] == [2, 2, 4, 2]
     assert calls == [(id(a), 1), (id(a), 2), (id(b), 1)]
@@ -356,10 +357,31 @@ def test_memo_computes_once_per_instance_and_arguments():
 
 def test_equal_algebras_share_no_results():
     a = catalog.get("A8")
-    b = dataclasses.replace(a)
+    b = fresh(a)
     assert flt.analysis(a) is flt.analysis(a)
     assert flt.analysis(a) is not flt.analysis(b)
     assert top.spec_space(a, "hull") is not top.spec_space(b, "hull")
+
+
+def test_algebras_compare_by_their_tables_and_are_immutable():
+    """Equality and hashing read the eight table fields and ignore the label,
+    no field can be assigned, and the repr names every field but the cache."""
+    a = catalog.get("chain3")
+    b = core.validate(a.names, a.mul, covers=[(0, 1), (1, 2)], label="relabelled")
+    assert a == b and hash(a) == hash(b) and a.label != b.label
+    lukasiewicz = catalog.get("MV3").mul
+    assert a != core.validate(a.names, lukasiewicz, covers=[(0, 1), (1, 2)], label="chain3")
+    assert a != a.names and len({a, b, fresh(a)}) == 1
+    for field in ("names", "label", "n", "_cache", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    assert a.label == "chain3" and a.n == 3 and a.full == 7
+    assert repr(a) == (
+        "ResiduatedLattice(names=('0', 'a', '1'), up=(7, 6, 4), "
+        "join=((0, 1, 2), (1, 1, 2), (2, 2, 2)), meet=((0, 0, 0), (0, 1, 1), (0, 1, 2)), "
+        "mul=((0, 0, 0), (0, 1, 1), (0, 1, 2)), res=((2, 2, 2), (0, 2, 2), (0, 1, 2)), "
+        "zero=0, one=2, label='chain3')"
+    )
 
 
 def test_a_report_analyses_each_algebra_once(monkeypatch):

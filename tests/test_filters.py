@@ -2,7 +2,6 @@
 comaximality, coannihilators, d-parts, local batteries."""
 
 import contextlib
-import dataclasses
 import io
 import sys
 
@@ -11,7 +10,7 @@ import pytest
 from reslat import catalog, cli, core, filters as flt, modelgen, report
 from reslat.errors import EquivalenceViolation, ImproperInput, NotAnIdeal, Unsatisfiable
 
-from oracles import comaximal_witness, prime_extension, primes_over
+from oracles import comaximal_witness, fresh, prime_extension, primes_over
 
 # name -> (filters, maximals, primes, radical), all as set_repr strings
 TABLES = {
@@ -130,7 +129,7 @@ def test_principal_generation_identities():
 def test_a_generator_the_product_route_does_not_regenerate_is_caught(monkeypatch):
     """Each filter's generator is read off the power limits; the product of
     its members must generate the same filter, or the analysis refuses."""
-    a = dataclasses.replace(catalog.get("A6"))
+    a = fresh(catalog.get("A6"))
     monkeypatch.setattr(flt, "generated_filter", lambda alg, subset: alg.full)
     with pytest.raises(EquivalenceViolation, match="principal generator does not regenerate"):
         flt.analysis(a)
@@ -264,7 +263,7 @@ def test_d_parts():
 
 def test_d_part_rejects_non_prime():
     """Refused on every call: a call that raises stores no result."""
-    a = dataclasses.replace(catalog.get("A6"))
+    a = fresh(catalog.get("A6"))
     for _ in range(2):
         with pytest.raises(ImproperInput, match="not a prime filter"):
             flt.d_part(a, 1 << a.names.index("d"))
@@ -342,7 +341,7 @@ def test_join_masks_match_the_elementwise_scans():
 
 
 def test_join_masks_are_built_once_per_algebra():
-    a = dataclasses.replace(catalog.get("A8"))
+    a = fresh(catalog.get("A8"))
     build = flt.join_to_one.__wrapped__.__code__
     builds = 0
 
@@ -359,7 +358,7 @@ def test_join_masks_are_built_once_per_algebra():
         sys.setprofile(previous)
     assert builds == 1
     assert flt.join_to_one(a) is flt.join_to_one(a)
-    assert flt.join_to_one(dataclasses.replace(a)) is not flt.join_to_one(a)
+    assert flt.join_to_one(fresh(a)) is not flt.join_to_one(a)
 
 
 def test_a_broken_join_mask_is_caught_by_the_prime_route(monkeypatch):
@@ -386,39 +385,39 @@ def test_a_broken_join_mask_is_caught_by_the_prime_route(monkeypatch):
 
 def test_coannihilator_calls_per_report(monkeypatch):
     """The masks change how a coannihilator is computed, not how many are
-    checked: A6 x cube1 (12 elements) asks for 12 element coannihilators
-    and 15 for each of the 80 subsets of size <= 2 or full."""
+    checked: A6 x cube1 (12 elements) asks for 12 element coannihilators,
+    and the law suite asks once for each of the 301 distinct subsets it
+    meets from the 80 subsets of size <= 2 or full (1 200 lookups)."""
     a = core.direct_product(catalog.get("A6"), catalog.get("cube1"))
     real = flt.coannihilator
-    calls = 0
+    asked = []
 
     def counting(alg, subset):
-        nonlocal calls
-        calls += 1
+        asked.append(subset)
         return real(alg, subset)
 
     monkeypatch.setattr(flt, "coannihilator", counting)
     report.build_report(a)
-    assert calls == 1212
+    assert (len(asked), len(set(asked))) == (12 + 301, 301)
 
 
 def test_coannihilator_calls_per_small_report(monkeypatch):
     """Small algebras take the same path: A8 asks for 8 element
-    coannihilators and 11 for each of the 38 subsets of size <= 2 or full,
-    where a walk over all 256 subsets would make 2824. A fresh instance
-    shares no memoized result with the catalog's."""
-    a = dataclasses.replace(catalog.get("A8"))
+    coannihilators and the law suite for 94 distinct subsets, from the 38
+    subsets of size <= 2 or full (418 lookups), where a walk over all 256
+    subsets would make 2824. A fresh instance shares no memoized result
+    with the catalog's."""
+    a = fresh(catalog.get("A8"))
     real = flt.coannihilator
-    calls = 0
+    asked = []
 
     def counting(alg, subset):
-        nonlocal calls
-        calls += 1
+        asked.append(subset)
         return real(alg, subset)
 
     monkeypatch.setattr(flt, "coannihilator", counting)
     report.build_report(a)
-    assert calls == 426
+    assert (len(asked), len(set(asked))) == (8 + 94, 94)
 
 
 def test_a_report_computes_each_radical_once(monkeypatch):

@@ -1,12 +1,13 @@
 """The Gelfand criteria engine: fourteen independently computed
 characterizations that must agree, plus the soft/Hausdorff batteries."""
 
-import dataclasses
 
 import pytest
 
 from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
 from reslat.errors import EquivalenceViolation
+
+from oracles import fresh
 
 CRITERIA = (
     "unique_maximal",
@@ -249,7 +250,7 @@ def test_forced_disagreement_raises(monkeypatch):
     """Sabotage one route; the engine must refuse to pick a side."""
     monkeypatch.setattr(gf, "contessa_check", lambda a: (False, (0, 0)))
     with pytest.raises(EquivalenceViolation, match="criteria disagree"):
-        gf.gelfand_verdict(dataclasses.replace(catalog.get("A8")))
+        gf.gelfand_verdict(fresh(catalog.get("A8")))
 
 
 PART_KEYS = (
@@ -343,7 +344,7 @@ def test_each_criterion_feeds_the_vote(
         module, attr, _flipped(getattr(module, attr), kind, battery_leaf)
     )
     with pytest.raises(EquivalenceViolation, match="Gelfand criteria disagree") as exc:
-        gf.gelfand_verdict(dataclasses.replace(a))
+        gf.gelfand_verdict(fresh(a))
     _, leaves = exc.value.detail
     assert tuple(dict.fromkeys(key.split(".")[0] for key in leaves)) == CRITERIA
     dissent = [key for key, value in leaves.items() if value is not verdict]

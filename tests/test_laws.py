@@ -3,7 +3,6 @@ failure, so a clean return already certifies the algebra; the assertions
 below pin the shape of the results."""
 
 import contextlib
-import dataclasses
 import io
 import re
 import types
@@ -12,6 +11,8 @@ import pytest
 
 from reslat import catalog, cli, core, filters as flt, laws, modelgen, pure as pr, report
 from reslat.errors import EquivalenceViolation
+
+from oracles import fresh
 
 SUITES = (
     "boolean_center",
@@ -218,7 +219,7 @@ def test_a_knocked_out_law_leaf_is_named(monkeypatch, leaf):
     """On a fresh A8, the suite raises its own message and names the leaf
     among its failing laws."""
     module, target, replacement, suite, tag = LEAF_KNOCKOUTS[leaf]
-    a = dataclasses.replace(catalog.get("A8"))
+    a = fresh(catalog.get("A8"))
     if target.startswith("flt."):
         broken = {**vars(module.flt), target[len("flt."):]: replacement}
         monkeypatch.setattr(module, "flt", types.SimpleNamespace(**broken))

@@ -11,6 +11,7 @@ from reslat.errors import CarrierTooLarge, EquivalenceViolation, NotResiduated
 
 from oracles import (
     lattice_automorphisms,
+    lattices_by_full_tuples,
     lattices_by_full_walk,
     naive_lattices,
     naive_structures,
@@ -110,6 +111,15 @@ def test_automorphism_groups_match_the_oracle(n):
     for chains_only in (False, True):
         for lattice, autos in mg._lattices(n, chains_only):
             assert autos == lattice_automorphisms(n, lattice.up), lattice.up
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+def test_canonical_test_matches_the_full_tuple_comparison(n):
+    """Comparing the relabelled up masks index by index, up to the first
+    that differs, keeps the same lattices with the same automorphisms as
+    building each relabelled tuple in full and comparing the tuples."""
+    got = [(lattice.up, autos) for lattice, autos in mg._lattices(n)]
+    assert got == lattices_by_full_tuples(n)
 
 
 def test_the_search_yields_only_what_core_accepts(monkeypatch):

@@ -1,0 +1,136 @@
+"""Start-up: `import reslat` is lazy, and a CLI process imports only the
+modules its command runs.
+
+pytest has already imported every reslat module, so an in-process check
+cannot see what a command imports: each command runs in a fresh
+`python -X importtime -m reslat.cli` process, whose stderr lists every module
+the process imported."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import reslat
+from reslat import catalog
+
+SRC = str(Path(reslat.__file__).parent.parent)
+# The modules of the Gelfand criteria, the law suites, the JSON report and
+# the model search.
+HEAVY = {"reslat.gelfand", "reslat.laws", "reslat.report", "reslat.modelgen"}
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("RESLAT_MAX_SIZE", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def imported_by(*argv):
+    """(exit code, the modules a fresh process imported) for one command."""
+    proc = run_python("-X", "importtime", "-m", "reslat.cli", *argv)
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "reslat.core" in names, proc.stderr
+    return proc.returncode, names
+
+
+@pytest.fixture(scope="module")
+def malformed(tmp_path_factory):
+    text = reslat.serialize(catalog.get("chain3")).replace("\nmul\n0 0 0\n", "\nmul\n0 0\n")
+    path = tmp_path_factory.mktemp("startup") / "malformed.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+LIGHT_COMMANDS = {
+    "check": (["check", "A8"], 0),
+    "filters": (["filters", "A8"], 0),
+    "export-dot": (["export-dot", "A8"], 0),
+    "export-dot spec": (["export-dot", "--kind", "spec", "A8"], 0),
+    "absent file": (["check", "no/such/file.txt"], 74),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_COMMANDS) + ["malformed file"])
+def test_short_commands_load_no_criteria_laws_report_or_search(name, malformed):
+    argv, code = LIGHT_COMMANDS.get(name, (["check", malformed], 1))
+    got, names = imported_by(*argv)
+    assert got == code
+    assert names & HEAVY == set()
+    assert "dataclasses" not in names
+
+
+def test_report_loads_no_model_search():
+    code, names = imported_by("report", "A8")
+    assert code == 0
+    assert {"reslat.gelfand", "reslat.laws", "reslat.report"} <= names
+    assert "reslat.modelgen" not in names and "dataclasses" not in names
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "A8"], ["gelfand", "A8"], ["pure", "A8"], ["soft", "A8"],
+    ["catalog"], ["search", "3"],
+])
+def test_no_command_loads_dataclasses(argv):
+    code, names = imported_by(*argv)
+    assert code in (0, 1)
+    assert "dataclasses" not in names
+    assert ("reslat.modelgen" in names) == (argv[0] == "search")
+
+
+def test_import_reslat_loads_no_module_until_a_name_is_read():
+    probe = (
+        "import sys, reslat\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('reslat.'))\n"
+        "print(loaded())\n"
+        "reslat.validate\n"
+        "print(loaded())\n"
+        "print(reslat.topology.__name__, loaded())\n"
+        "try:\n"
+        "    reslat.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['reslat.core', 'reslat.errors']",
+        "reslat.topology ['reslat.core', 'reslat.errors', 'reslat.filters', 'reslat.topology']",
+        "module 'reslat' has no attribute 'no_such_name'",
+    ]
+
+
+def test_every_export_is_its_home_modules_object():
+    for module, names in reslat._EXPORTS.items():
+        home = getattr(reslat, module)
+        assert home.__name__ == f"reslat.{module}"
+        for name in names.split():
+            assert getattr(reslat, name) is getattr(home, name), name
+    assert reslat.__all__ == sorted(reslat._HOME)
+    assert len(reslat.__all__) == sum(len(n.split()) for n in reslat._EXPORTS.values())
+
+
+def test_star_import_binds_every_export():
+    scope = {}
+    exec("from reslat import *", scope)
+    assert sorted(k for k in scope if k != "__builtins__") == reslat.__all__
+    assert all(scope[name] is getattr(reslat, name) for name in reslat.__all__)
+
+
+def test_submodules_and_unknown_names():
+    import reslat.core
+
+    assert reslat.core is sys.modules["reslat.core"]
+    assert reslat.ResiduatedLattice is reslat.core.ResiduatedLattice
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        reslat.no_such_name
+    assert not hasattr(reslat, "no_such_name")

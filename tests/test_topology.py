@@ -286,7 +286,7 @@ def test_patch_family_is_never_built_by_a_report():
     a = _goedel(10)
     report.build_report(a)
     pspace = top.spec_space(a, "patch")
-    assert "closed" not in pspace.__dict__
+    assert pspace._closed is None
     assert top.is_discrete(pspace) and top.is_t1(pspace)
 
 
