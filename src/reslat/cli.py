@@ -12,7 +12,6 @@ import os
 import sys
 
 # Each command imports the modules it runs, so a process loads only those.
-from . import catalog, fileformat
 from .core import ResiduatedLattice, size_bound
 from .errors import CarrierTooLarge, EquivalenceViolation, ReslatError, UsageError
 
@@ -21,7 +20,7 @@ EX_FALSE = 1
 EX_VIOLATION = 2
 EX_USAGE = 64
 EX_IO = 74
-# `search 7` takes about 2 s and `search 8` about 20 s on a 2-CPU host;
+# `search 7` takes about 1.5 s and `search 8` about 12 s on a 2-CPU host;
 # larger sizes are refused up front.
 SEARCH_MAX = 8
 
@@ -33,6 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve(spec: str) -> ResiduatedLattice:
     """Catalog name (case insensitive) first, then a file path."""
+    from . import catalog, fileformat
+
     found = catalog.get(spec)
     if found is not None:
         return found
@@ -50,9 +51,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_check(args) -> int:
-    from . import filters as flt
-
     a = _resolve(args.algebra)
+    from . import filters as flt  # after _resolve: a rejected input needs none
+
     ctx = flt.analysis(a)
     print(f"{a.label}: valid residuated lattice on {a.n} elements")
     print(
@@ -174,12 +175,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    from . import fileformat
+
     a = _resolve(args.algebra)
     _emit(fileformat.export_dot(a, args.kind), args.output)
     return EX_OK
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
+
     for name in catalog.catalog_names():
         a = catalog.get(name)
         print(f"{name}: {a.n} elements")

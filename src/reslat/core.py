@@ -42,8 +42,19 @@ def size_bound() -> int:
     return bound
 
 
+# The set bits of every mask below 256, which covers carriers of up to 8.
+_SMALL_BITS = tuple(tuple(i for i in range(8) if (m >> i) & 1) for m in range(256))
+
+
 def bits(mask: int):
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits, ascending: a tuple read from a table for a
+    mask below 256, a generator above it."""
+    if 0 <= mask < 256:
+        return _SMALL_BITS[mask]
+    return _bits_above(mask)
+
+
+def _bits_above(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -65,17 +76,21 @@ def meet(a: ResiduatedLattice, masks) -> int:
     return out
 
 
+_MISSING = object()
+
+
 def memo(fn):
-    """Compute fn(a, *args) once per algebra instance, kept in
-    a._cache[(fn, args)]: equal but distinct algebras share nothing, and a
-    call that raises stores nothing."""
+    """Compute fn(a, *args) once per algebra instance, kept in a._cache under
+    fn alone when there are no args and under (fn, args) otherwise: equal but
+    distinct algebras share nothing, and a call that raises stores nothing."""
 
     @functools.wraps(fn)
     def wrapper(a, *args):
-        key = (fn, args)
-        if key not in a._cache:
-            a._cache[key] = fn(a, *args)
-        return a._cache[key]
+        key = (fn, args) if args else fn
+        value = a._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = a._cache[key] = fn(a, *args)
+        return value
 
     return wrapper
 
@@ -204,19 +219,21 @@ def _residuum_table(n: int, up, join, mul):
     """res[x][y] = max{z : x*z <= y}, checking the full adjunction."""
     res = [[0] * n for _ in range(n)]
     for x in range(n):
+        # ups[z] is the up set of x*z, row[y] becomes x -> y
+        ups, row = [up[v] for v in mul[x]], res[x]
         for y in range(n):
-            zs = [z for z in range(n) if (up[mul[x][z]] >> y) & 1]
+            zs = [z for z, u in enumerate(ups) if (u >> y) & 1]
             if not zs:
                 raise NoResiduum(x, y)
             r = zs[0]
             for z in zs[1:]:
                 r = join[r][z]
-            if not (up[mul[x][r]] >> y) & 1:
+            if not (ups[r] >> y) & 1:
                 raise NoResiduum(x, y, f"{{z : {x}*z <= {y}}} has no maximum")
-            res[x][y] = r
-        for y in range(n):
-            for z in range(n):
-                if ((up[mul[x][z]] >> y) & 1) != ((up[z] >> res[x][y]) & 1):
+            row[y] = r
+        for y, r in enumerate(row):
+            for z, u in enumerate(ups):
+                if ((u >> y) & 1) != ((up[z] >> r) & 1):
                     raise AdjunctionFails(x, y, z)
     return res
 
@@ -224,16 +241,22 @@ def _residuum_table(n: int, up, join, mul):
 def _operation_laws(names, up, join, mul) -> None:
     """Associativity, distributivity of mul over join and the join inequality
     x v yz >= (x v y)(x v z), on every triple."""
-    for x, y, z in iproduct(range(len(names)), repeat=3):
-        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
-            error, law = NotCommutativeMonoid, "not associative"
-        elif mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]:
-            error, law = NotResiduated, "multiplication fails to distribute over join"
-        elif not (up[mul[join[x][y]][join[x][z]]] >> join[x][mul[y][z]]) & 1:
-            error, law = NotResiduated, "join inequality fails"
-        else:
-            continue
-        raise error(f"{law} at {names[x]},{names[y]},{names[z]}")
+    n = len(names)
+    for x in range(n):
+        mx, jx = mul[x], join[x]
+        for y in range(n):
+            xy, my, jy = mx[y], mul[y], join[y]
+            mxy, jxy, mjx = mul[xy], join[xy], mul[jx[y]]
+            for z in range(n):
+                if mxy[z] != mx[my[z]]:
+                    error, law = NotCommutativeMonoid, "not associative"
+                elif mx[jy[z]] != jxy[mx[z]]:
+                    error, law = NotResiduated, "multiplication fails to distribute over join"
+                elif not (up[mjx[jx[z]]] >> jx[my[z]]) & 1:
+                    error, law = NotResiduated, "join inequality fails"
+                else:
+                    continue
+                raise error(f"{law} at {names[x]},{names[y]},{names[z]}")
 
 
 def _operations(lattice: _Lattice, mul, res=None, label: str = "") -> ResiduatedLattice:
@@ -399,6 +422,22 @@ def direct_product(a: ResiduatedLattice, b: ResiduatedLattice) -> ResiduatedLatt
     )
 
 
+def _class_table(table, proj, reps, where):
+    """The operation table on the congruence classes, read at the
+    representatives reps, checked to be well defined on every pair; `where`
+    opens the detail of the violation."""
+    out = [[proj[table[x][y]] for y in reps] for x in reps]
+    for x, row in enumerate(table):
+        classes = out[proj[x]]
+        for y, v in enumerate(row):
+            if proj[v] != classes[proj[y]]:
+                raise EquivalenceViolation(
+                    "operation not well defined on congruence classes",
+                    detail=(*where, x, y),
+                )
+    return tuple(tuple(r) for r in out)
+
+
 def quotient(a: ResiduatedLattice, filter_mask: int):
     """Quotient by a filter; returns (algebra, projection old index -> new).
 
@@ -424,25 +463,10 @@ def quotient(a: ResiduatedLattice, filter_mask: int):
             proj[x] = len(reps)
             reps.append(x)
     m = len(reps)
-
-    def build(table):
-        out = [[0] * m for _ in range(m)]
-        for i, x in enumerate(reps):
-            for j, y in enumerate(reps):
-                out[i][j] = proj[table[x][y]]
-        for x in range(n):
-            for y in range(n):
-                if proj[table[x][y]] != out[proj[x]][proj[y]]:
-                    raise EquivalenceViolation(
-                        "operation not well defined on congruence classes",
-                        detail=(a.label, a.set_repr(filter_mask), x, y),
-                    )
-        return tuple(tuple(r) for r in out)
-
-    join = build(a.join)
-    meet = build(a.meet)
-    mul = build(a.mul)
-    res = build(a.res)
+    where = (a.label, a.set_repr(filter_mask))
+    join, meet, mul, res = (
+        _class_table(table, proj, reps, where) for table in (a.join, a.meet, a.mul, a.res)
+    )
     up = tuple(
         mask_of(j for j in range(m) if join[i][j] == j) for i in range(m)
     )

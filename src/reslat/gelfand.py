@@ -191,6 +191,7 @@ def retractions(a: ResiduatedLattice) -> tuple[int, tuple[int, ...] | None]:
     return int(image is not None), image
 
 
+@memo
 def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
     """Classes of the transitive closure of a comaximality-failure relation.
 

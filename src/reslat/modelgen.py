@@ -24,9 +24,7 @@ from .errors import (
     EquivalenceViolation,
     NotALattice,
 )
-from .fileformat import serialize
 from .gelfand import classification
-from .report import run_laws
 
 
 def element_names(n: int) -> tuple[str, ...]:
@@ -137,21 +135,33 @@ def _structures_on(lattice):
         mul[x][n - 1] = mul[n - 1][x] = x
         mul[x][0] = mul[0][x] = 0
     free = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+    inner = range(1, n - 1)
 
     def holds(i, j):
+        # Both orders (a, b, c) and (b, a, c) of an instance need the cell
+        # ab = ba, so a b with that cell unset is skipped whole.
         for a in {i, j}:
-            for b in range(1, n - 1):
-                for c in range(1, n - 1):
-                    for x, y, z in ((a, b, c), (b, a, c)):
-                        xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
-                        if xy is None:
-                            continue
-                        if yz is not None:
-                            left, right = mul[xy][z], mul[x][yz]
-                            if None not in (left, right) and left != right:
-                                return False
-                        spread = mul[x][join[y][z]]
-                        if None not in (xz, spread) and spread != join[xy][xz]:
+            ma, ja = mul[a], join[a]
+            for b in inner:
+                ab = ma[b]
+                if ab is None:
+                    continue
+                mb, jb, mab, jab = mul[b], join[b], mul[ab], join[ab]
+                for c in inner:
+                    ac, bc, abc = ma[c], mb[c], mab[c]
+                    if bc is not None:
+                        right = ma[bc]
+                        if abc is not None and right is not None and abc != right:
+                            return False
+                        spread = mb[ja[c]]
+                        if spread is not None and spread != jab[bc]:
+                            return False
+                    if ac is not None:
+                        right = mb[ac]
+                        if abc is not None and right is not None and abc != right:
+                            return False
+                        spread = ma[jb[c]]
+                        if spread is not None and spread != jab[ac]:
                             return False
         return True
 
@@ -204,7 +214,10 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
 
     Any EquivalenceViolation aborts the sweep, re-raised with its message
     and detail and the offending model serialized so it can be replayed.
+    The law suites and the serializer are imported only when they run.
     """
+    if deep:
+        from .report import run_laws
     lattice_count = sum(1 for _ in enumerate_lattices(n, chains_only))
     counts = Counter()
     labels = []
@@ -220,6 +233,8 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
             if deep:
                 run_laws(a)
         except EquivalenceViolation as exc:
+            from .fileformat import serialize
+
             raise EquivalenceViolation(
                 f"sweep aborted on {a.label}: {exc}", detail=(serialize(a), exc.detail)
             ) from exc

@@ -79,6 +79,7 @@ def _pure_hull_space(a: ResiduatedLattice, points, label: str) -> top.FiniteSpac
     return top.audit_space(label, points, closed)
 
 
+@memo
 def pure_spectrum_space(a: ResiduatedLattice) -> top.FiniteSpace:
     """The purely prime filters with closed sets the pure hulls."""
     return _pure_hull_space(a, purely_prime(a), f"{a.label}:pure-spectrum")
@@ -89,6 +90,7 @@ def d_topology_space(a: ResiduatedLattice) -> top.FiniteSpace:
     return _pure_hull_space(a, flt.prime_filters(a), f"{a.label}:d-topology")
 
 
+@memo
 def max_subspace(a: ResiduatedLattice) -> top.FiniteSpace:
     """The maximal filters with the relative hull-kernel topology."""
     mask = flt.analysis(a).max_mask

@@ -1,9 +1,11 @@
 """Brute-force references for the tests: the exhaustive enumerations the
 package replaced by checked bases, the pairwise meet fixpoint and the
 between scan it replaced by one pass, the canonical test that compares
-whole relabelled tuples, the naive model enumeration, a Goedel-chain
-constructor, a fresh copy of an algebra, and filter helpers that only the
-tests use. The enumerations are exponential and meant for small inputs."""
+whole relabelled tuples, the naive model enumeration, the kernels of the
+table search, validation and quotients as they were before their rows were
+hoisted, a Goedel-chain constructor, a fresh copy of an algebra, and filter
+helpers that only the tests use. The enumerations are exponential and meant
+for small inputs."""
 
 from itertools import product as iproduct
 
@@ -11,15 +13,15 @@ from reslat import filters as flt, topology as top
 from reslat.core import (
     ResiduatedLattice,
     _lattice_tables,
-    _operation_laws,
-    _residuum_table,
     bits,
     find_isomorphism,
     mask_of,
     validate,
 )
 from reslat.errors import (
+    AdjunctionFails,
     EquivalenceViolation,
+    NoResiduum,
     NotAFilter,
     NotALattice,
     NotCommutativeMonoid,
@@ -344,8 +346,8 @@ def structures_by_complete_check(n, up):
 
     def complete():
         try:
-            _operation_laws(names, up, join, mul)
-            _residuum_table(n, up, join, mul)
+            operation_laws_by_scan(names, up, join, mul)
+            residuum_table_by_scan(n, up, join, mul)
         except (NotCommutativeMonoid, NotResiduated):
             return False
         return True
@@ -417,3 +419,112 @@ def naive_structures(n):
             if not any(find_isomorphism(cand, r) for r in reps):
                 reps.append(cand)
     return tuple(reps)
+
+
+# The kernels of the table search, validation and quotients before their
+# rows were hoisted and the search skipped unset cells whole; the tests
+# compare the package's kernels with them.
+
+
+def bits_by_generator(mask):
+    """Indices of the set bits, ascending, generated for every mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def residuum_table_by_scan(n, up, join, mul):
+    """res[x][y] = max{z : x*z <= y}, checking the full adjunction."""
+    res = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            zs = [z for z in range(n) if (up[mul[x][z]] >> y) & 1]
+            if not zs:
+                raise NoResiduum(x, y)
+            r = zs[0]
+            for z in zs[1:]:
+                r = join[r][z]
+            if not (up[mul[x][r]] >> y) & 1:
+                raise NoResiduum(x, y, f"{{z : {x}*z <= {y}}} has no maximum")
+            res[x][y] = r
+        for y in range(n):
+            for z in range(n):
+                if ((up[mul[x][z]] >> y) & 1) != ((up[z] >> res[x][y]) & 1):
+                    raise AdjunctionFails(x, y, z)
+    return res
+
+
+def operation_laws_by_scan(names, up, join, mul):
+    """Associativity, distributivity of mul over join and the join inequality
+    x v yz >= (x v y)(x v z), on every triple."""
+    for x, y, z in iproduct(range(len(names)), repeat=3):
+        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+            error, law = NotCommutativeMonoid, "not associative"
+        elif mul[x][join[y][z]] != join[mul[x][y]][mul[x][z]]:
+            error, law = NotResiduated, "multiplication fails to distribute over join"
+        elif not (up[mul[join[x][y]][join[x][z]]] >> join[x][mul[y][z]]) & 1:
+            error, law = NotResiduated, "join inequality fails"
+        else:
+            continue
+        raise error(f"{law} at {names[x]},{names[y]},{names[z]}")
+
+
+def class_table_by_scan(table, proj, reps, where):
+    """The operation table on the congruence classes, checked cell by cell."""
+    n, m = len(table), len(reps)
+    out = [[0] * m for _ in range(m)]
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            out[i][j] = proj[table[x][y]]
+    for x in range(n):
+        for y in range(n):
+            if proj[table[x][y]] != out[proj[x]][proj[y]]:
+                raise EquivalenceViolation(
+                    "operation not well defined on congruence classes",
+                    detail=(*where, x, y),
+                )
+    return tuple(tuple(r) for r in out)
+
+
+def structures_by_pairwise_scan(lattice):
+    """The tables of modelgen._structures_on, by the same backtracking with
+    each instance checked in both orders (a, b, c) and (b, a, c), unset
+    cells included."""
+    n, up, join, meet = len(lattice.names), lattice.up, lattice.join, lattice.meet
+    down = [mask_of(y for y in range(n) if (up[y] >> x) & 1) for x in range(n)]
+    mul = [[None] * n for _ in range(n)]
+    for x in range(n):
+        mul[x][n - 1] = mul[n - 1][x] = x
+        mul[x][0] = mul[0][x] = 0
+    free = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+
+    def holds(i, j):
+        for a in {i, j}:
+            for b in range(1, n - 1):
+                for c in range(1, n - 1):
+                    for x, y, z in ((a, b, c), (b, a, c)):
+                        xy, yz, xz = mul[x][y], mul[y][z], mul[x][z]
+                        if xy is None:
+                            continue
+                        if yz is not None:
+                            left, right = mul[xy][z], mul[x][yz]
+                            if None not in (left, right) and left != right:
+                                return False
+                        spread = mul[x][join[y][z]]
+                        if None not in (xz, spread) and spread != join[xy][xz]:
+                            return False
+        return True
+
+    def rec(k):
+        if k == len(free):
+            yield tuple(tuple(row) for row in mul)
+            return
+        i, j = free[k]
+        for v in bits_by_generator(down[meet[i][j]]):
+            mul[i][j] = mul[j][i] = v
+            if holds(i, j):
+                yield from rec(k + 1)
+        mul[i][j] = mul[j][i] = None
+
+    yield from rec(0)

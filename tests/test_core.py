@@ -355,6 +355,29 @@ def test_memo_computes_once_per_instance_and_arguments():
     assert double.__module__ == __name__
 
 
+def test_memo_without_arguments_and_after_a_raise():
+    """A function of the algebra alone is computed once; a call that raises
+    stores nothing, so the next call computes again."""
+    calls = []
+
+    @core.memo
+    def size(alg):
+        calls.append("size")
+        return alg.n
+
+    @core.memo
+    def fails(alg):
+        calls.append("fails")
+        raise ValueError("no value")
+
+    a = fresh(catalog.get("A8"))
+    assert [size(a), size(a)] == [8, 8]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value"):
+            fails(a)
+    assert calls == ["size", "fails", "fails"]
+
+
 def test_equal_algebras_share_no_results():
     a = catalog.get("A8")
     b = fresh(a)

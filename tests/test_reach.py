@@ -116,7 +116,7 @@ def test_patch_count_on_goedel64_builds_no_family(tmp_path, monkeypatch):
         loaded.append(real(p))
         return loaded[-1]
 
-    monkeypatch.setattr(cli.fileformat, "load", load)
+    monkeypatch.setattr(fileformat, "load", load)
     t0 = time.perf_counter()
     code, out, _ = run_cli(["spectrum", "--kind", "patch", str(path)])
     assert code == cli.EX_OK

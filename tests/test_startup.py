@@ -66,6 +66,9 @@ def test_short_commands_load_no_criteria_laws_report_or_search(name, malformed):
     assert got == code
     assert names & HEAVY == set()
     assert "dataclasses" not in names
+    if argv[0] == "check":
+        # a rejected input stops before the filter analysis is imported
+        assert ("reslat.filters" in names) == (code == 0)
 
 
 def test_report_loads_no_model_search():
@@ -84,6 +87,15 @@ def test_no_command_loads_dataclasses(argv):
     assert code in (0, 1)
     assert "dataclasses" not in names
     assert ("reslat.modelgen" in names) == (argv[0] == "search")
+
+
+def test_search_loads_the_law_suites_only_when_deep():
+    code, names = imported_by("search", "3")
+    assert code == 0
+    assert names & {"reslat.report", "reslat.laws", "reslat.catalog", "reslat.fileformat"} == set()
+    code, names = imported_by("search", "3", "--deep")
+    assert code == 0
+    assert {"reslat.report", "reslat.laws"} <= names
 
 
 def test_import_reslat_loads_no_module_until_a_name_is_read():
