@@ -20,7 +20,7 @@ EX_FALSE = 1
 EX_VIOLATION = 2
 EX_USAGE = 64
 EX_IO = 74
-# `search 7` takes about 1.5 s and `search 8` about 12 s on a 2-CPU host;
+# `search 7` takes under a second and `search 8` about 6 s on a 2-CPU host;
 # larger sizes are refused up front.
 SEARCH_MAX = 8
 

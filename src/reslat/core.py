@@ -216,26 +216,54 @@ def _order(names: tuple[str, ...], up) -> _Lattice:
 
 
 def _residuum_table(n: int, up, join, mul):
-    """res[x][y] = max{z : x*z <= y}, checking the full adjunction."""
-    res = [[0] * n for _ in range(n)]
+    """res[x][y] = max{z : x*z <= y}, checking the full adjunction.
+
+    below[y], the mask of {z : x*z <= y}, is read off the up masks of the
+    values in row x. The adjunction says that below[y] is the down set of
+    x -> y, so the residuum is the element with that down set, and a row
+    in which some below[y] is no down set has a fault (`_residuum_fault`).
+    """
+    down = [0] * n
+    for z, u in enumerate(up):
+        for y in bits(u):
+            down[y] |= 1 << z
+    by_down = {d: r for r, d in enumerate(down)}
+    res = []
     for x in range(n):
-        # ups[z] is the up set of x*z, row[y] becomes x -> y
-        ups, row = [up[v] for v in mul[x]], res[x]
-        for y in range(n):
-            zs = [z for z, u in enumerate(ups) if (u >> y) & 1]
-            if not zs:
-                raise NoResiduum(x, y)
-            r = zs[0]
-            for z in zs[1:]:
-                r = join[r][z]
-            if not (ups[r] >> y) & 1:
-                raise NoResiduum(x, y, f"{{z : {x}*z <= {y}}} has no maximum")
-            row[y] = r
-        for y, r in enumerate(row):
-            for z, u in enumerate(ups):
-                if ((u >> y) & 1) != ((up[z] >> r) & 1):
-                    raise AdjunctionFails(x, y, z)
+        level = {}  # each value v of x*z, with the mask of its z
+        for z, v in enumerate(mul[x]):
+            level[v] = level.get(v, 0) | 1 << z
+        below = [0] * n
+        for v, zs in level.items():
+            for y in bits(up[v]):
+                below[y] |= zs
+        row = [by_down.get(zs) for zs in below]
+        if None in row:
+            _residuum_fault(x, below, down, join)
+        res.append(row)
     return res
+
+
+def _residuum_fault(x: int, below, down, join):
+    """Raise the fault that a scan of row x over y, then z, meets first:
+    NoResiduum when some below[y] is empty or the join of its members,
+    folded in ascending order, lies outside it; otherwise AdjunctionFails
+    at the first y, and the lowest z, where below[y] and the down set of
+    that join differ."""
+    adjunction = None
+    for y, zs in enumerate(below):
+        if not zs:
+            raise NoResiduum(x, y)
+        low = zs & -zs
+        r = low.bit_length() - 1
+        for z in bits(zs ^ low):
+            r = join[r][z]
+        if not (zs >> r) & 1:
+            raise NoResiduum(x, y, f"{{z : {x}*z <= {y}}} has no maximum")
+        fault = zs ^ down[r]
+        if fault and adjunction is None:
+            adjunction = AdjunctionFails(x, y, (fault & -fault).bit_length() - 1)
+    raise adjunction
 
 
 def _operation_laws(names, up, join, mul) -> None:

@@ -99,6 +99,14 @@ def filter_join(a: ResiduatedLattice, f: int, g: int) -> int:
     return a.up[a.mul[gen[f]][gen[g]]]
 
 
+@memo
+def join_table(a: ResiduatedLattice) -> dict[int, dict[int, int]]:
+    """join_table(a)[f][g] is filter_join(a, f, g) for every pair of filters,
+    so a loop over filter pairs reads each join with one lookup."""
+    fs = analysis(a).filters
+    return {f: {g: filter_join(a, f, g) for g in fs} for f in fs}
+
+
 def filter_meet(a: ResiduatedLattice, f: int, g: int) -> int:
     return f & g
 
@@ -207,14 +215,20 @@ def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     return agree(a, "coannihilator routes disagree", routes, subset)
 
 
-@memo
 def element_coannihilator(a: ResiduatedLattice, x: int) -> int:
     return coannihilator(a, 1 << x)
 
 
+@memo
+def element_coannihilators(a: ResiduatedLattice) -> tuple[int, ...]:
+    """element_coannihilators(a)[x] is element_coannihilator(a, x), computed
+    once per algebra."""
+    return tuple(element_coannihilator(a, x) for x in range(a.n))
+
+
 def gamma(a: ResiduatedLattice) -> tuple[int, ...]:
     """The coannihilators of single elements, canonically ordered."""
-    return canonical_sort(element_coannihilator(a, x) for x in range(a.n))
+    return canonical_sort(element_coannihilators(a))
 
 
 def big_gamma(a: ResiduatedLattice) -> tuple[int, ...]:
@@ -233,14 +247,13 @@ def is_rickart(a: ResiduatedLattice) -> bool:
     gs = set(g)
     if (1 << a.one) not in gs or a.full not in gs:
         return False
+    joins = join_table(a)
     for u in g:
         for v in g:
-            if u & v not in gs or filter_join(a, u, v) not in gs:
+            if u & v not in gs or joins[u][v] not in gs:
                 return False
     for u in g:
-        if not any(
-            u & v == 1 << a.one and filter_join(a, u, v) == a.full for v in g
-        ):
+        if not any(u & v == 1 << a.one and joins[u][v] == a.full for v in g):
             return False
     return True
 
@@ -249,9 +262,8 @@ def is_baer(a: ResiduatedLattice) -> bool:
     """big_gamma is a sublattice of the filter lattice (joins stay inside)."""
     g = big_gamma(a)
     gs = set(g)
-    return all(
-        u & v in gs and filter_join(a, u, v) in gs for u in g for v in g
-    )
+    joins = join_table(a)
+    return all(u & v in gs and joins[u][v] in gs for u in g for v in g)
 
 
 @memo

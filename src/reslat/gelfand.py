@@ -33,69 +33,61 @@ def contessa_check(a: ResiduatedLattice):
 
     The power exponents range over the full (finite) power sequence of each
     factor, which is exhaustive because powers repeat beyond stabilization.
+    Each element's negated powers are listed once.
     """
+    negated = [[a.neg(p) for p in a.powers(x)] for x in range(a.n)]
     for x in range(a.n):
         for y in range(a.n):
             if a.mul[x][y] != a.zero:
                 continue
             if not any(
-                a.join[a.neg(px)][a.neg(py)] == a.one
-                for px in a.powers(x)
-                for py in a.powers(y)
+                a.join[u][v] == a.one for u in negated[x] for v in negated[y]
             ):
                 return False, (x, y)
     return True, None
 
 
 def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
-    """Ten conditions about maximal filters and their d-parts."""
+    """Ten conditions about maximal filters and their d-parts. Each prime's
+    d-part and the filter joins are read once."""
     ctx = flt.analysis(a)
     primes = ctx.primes
     maxima = ctx.maximals
     fs = ctx.filters
     full = a.full
+    joins = flt.join_table(a)
+    dp = {p: flt.d_part(a, p) for p in primes}
     pairs = [(m, n) for m in maxima for n in maxima if m != n]
 
     separating_join = all(flt.complements_join_to_one(a, m, n) for m, n in pairs)
-    dpart_comaximal = all(
-        flt.filter_join(a, flt.d_part(a, m), flt.d_part(a, n)) == full
-        for m, n in pairs
-    )
+    dpart_comaximal = all(joins[dp[m]][dp[n]] == full for m, n in pairs)
     dpart_negation_witness = all(
-        any(
-            (flt.d_part(a, n) >> a.neg(x)) & 1
-            for x in bits(flt.d_part(a, m))
-        )
-        for m, n in pairs
+        any((dp[n] >> a.neg(x)) & 1 for x in bits(dp[m])) for m, n in pairs
     )
     dpart_prime_inclusion = all(
-        not (flt.d_part(a, p) & m == flt.d_part(a, p)) or p & m == p
-        for p in primes
-        for m in maxima
+        not (dp[p] & m == dp[p]) or p & m == p for p in primes for m in maxima
     )
     dpart_proper_inclusion = all(
-        not (flt.d_part(a, m) & f == flt.d_part(a, m)) or f & m == f
+        not (dp[m] & f == dp[m]) or f & m == f
         for f in fs
         if f != full
         for m in maxima
     )
     comaximal_transfer = all(
-        flt.filter_join(a, f, flt.d_part(a, m)) == full
+        joins[f][dp[m]] == full
         for f in fs
         if f != full
         for m in maxima
-        if flt.filter_join(a, f, m) == full
+        if joins[f][m] == full
     )
-    dpart_unique_maximal = all(
-        flt.maximals_over(a, flt.d_part(a, m)) == (m,) for m in maxima
-    )
+    dpart_unique_maximal = all(flt.maximals_over(a, dp[m]) == (m,) for m in maxima)
     generalization_is_hull = all(
         top.generalization_mask(primes, 1 << primes.index(m))
-        == top.hull_in(primes, flt.d_part(a, m))
+        == top.hull_in(primes, dp[m])
         for m in maxima
     )
     dpart_quotient_local = all(
-        flt.is_local(quotient(a, flt.d_part(a, m))[0]) for m in maxima
+        flt.is_local(quotient(a, dp[m])[0]) for m in maxima
     )
     power_negation_join = all(flt.power_negations_join_outside(a, m) for m in maxima)
     return {
@@ -118,8 +110,9 @@ def _normal_over(a: ResiduatedLattice, family: tuple[int, ...]) -> bool:
     comaximal (f, g) some u comaximal with f and v comaximal with g have
     u & v = {1}. The members comaximal with each f are listed once."""
     one = 1 << a.one
+    joins = flt.join_table(a)
     partners = {
-        f: [u for u in family if flt.filter_join(a, u, f) == a.full]
+        f: [u for u in family if joins[u][f] == a.full]
         for f in family
     }
     return all(
@@ -200,14 +193,12 @@ def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
     """
     if kind not in ("comaximal", "dpart"):
         raise ValueError(f"unknown relation kind {kind!r}")
-    primes = flt.prime_filters(a)
-    k = len(primes)
-
-    def related(p, q):
-        if kind == "comaximal":
-            return flt.filter_join(a, p, q) != a.full
-        return flt.filter_join(a, flt.d_part(a, p), flt.d_part(a, q)) != a.full
-
+    # the filters whose joins relate the primes, in the primes' order
+    sides = flt.prime_filters(a)
+    if kind == "dpart":
+        sides = tuple(flt.d_part(a, p) for p in sides)
+    joins = flt.join_table(a)
+    k = len(sides)
     parent = list(range(k))
 
     def find(i):
@@ -217,8 +208,9 @@ def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
         return i
 
     for i in range(k):
+        row = joins[sides[i]]
         for j in range(i + 1, k):
-            if related(primes[i], primes[j]):
+            if row[sides[j]] != a.full:
                 parent[find(i)] = find(j)
     groups: dict[int, int] = {}
     for i in range(k):

@@ -119,10 +119,19 @@ def _structures_on(lattice):
     Each free cell {i, j} takes a value below i ∧ j, and the value is kept
     only if `holds(i, j)`: every associativity instance (xy)z = x(yz) and
     every distributivity instance x(y ∨ z) = xy ∨ xz whose cells are all set
-    holds. An instance's last cell set names i or j among x, y, z, and by
-    commutativity x or y can be taken to be it, so each instance is checked
-    when it is complete. Instances with 0 or 1 among x, y, z hold by the
-    fixed rows and the bound v ≤ i ∧ j, so the other two are interior.
+    holds. `holds` reads each instance (ab)c = a(bc) and b(a ∨ c) = ba ∨ bc
+    with a in {i, j}, and that meets every instance when its last cell is
+    set. By commutativity (xy)z = x(yz) is also (zy)x = z(yx), with the
+    same four cells; {x, y} and {x, yz} name x, and {z, y} and {z, yx} name
+    z, in the place of a. The cells of x(y ∨ z) = xy ∨ xz are {x, y},
+    {x, z} and {x, y ∨ z}; the first names y and the second, read as
+    x(z ∨ y), names z in the place of a. The third is never last: it is
+    {x, y} or {x, z} when y and z are comparable (chains have no other
+    pairs), the fixed cell {x, 1} when y ∨ z = 1, and otherwise y ∨ z is
+    interior and above y and z, so the canonical labelling gives it a
+    smaller index than both (`_candidate_orders`) and its cell comes first
+    in `free`. Instances with 0 or 1 among x, y, z hold by the fixed rows
+    and the bound v ≤ i ∧ j, so the other two are interior.
     Distributivity on comparable y ≤ z is monotonicity. In a finite
     lattice, distributivity and x0 = 0 make ⋁{z : xz ≤ y} the residuum, and
     integrality gives the join inequality, so every table yielded is
@@ -138,31 +147,24 @@ def _structures_on(lattice):
     inner = range(1, n - 1)
 
     def holds(i, j):
-        # Both orders (a, b, c) and (b, a, c) of an instance need the cell
-        # ab = ba, so a b with that cell unset is skipped whole.
+        # a is i or j: the x of (ab)c = a(bc) and the y of b(a v c) = ba v bc
         for a in {i, j}:
             ma, ja = mul[a], join[a]
             for b in inner:
                 ab = ma[b]
                 if ab is None:
                     continue
-                mb, jb, mab, jab = mul[b], join[b], mul[ab], join[ab]
+                mb, mab, jab = mul[b], mul[ab], join[ab]
                 for c in inner:
-                    ac, bc, abc = ma[c], mb[c], mab[c]
-                    if bc is not None:
-                        right = ma[bc]
-                        if abc is not None and right is not None and abc != right:
-                            return False
-                        spread = mb[ja[c]]
-                        if spread is not None and spread != jab[bc]:
-                            return False
-                    if ac is not None:
-                        right = mb[ac]
-                        if abc is not None and right is not None and abc != right:
-                            return False
-                        spread = ma[jb[c]]
-                        if spread is not None and spread != jab[ac]:
-                            return False
+                    bc = mb[c]
+                    if bc is None:
+                        continue
+                    abc, right = mab[c], ma[bc]
+                    if abc is not None and right is not None and abc != right:
+                        return False
+                    spread = mb[ja[c]]
+                    if spread is not None and spread != jab[bc]:
+                        return False
         return True
 
     def rec(k):
@@ -188,9 +190,12 @@ def _permuted_mul(n: int, mul, p):
 
 
 def residuated_structures(n: int, chains_only: bool = False):
-    """All residuated lattices on n elements, one per isomorphism class."""
-    idx = 0
+    """All residuated lattices on n elements, one per isomorphism class. The
+    generator returns the number of lattices it walked, some of which (M3
+    and N5) carry no residuated structure."""
+    idx = lattices = 0
     for lattice, autos in _lattices(n, chains_only):
+        lattices += 1
         for mul in _structures_on(lattice):
             if len(autos) > 1 and min(
                 _permuted_mul(n, mul, p) for p in autos
@@ -198,6 +203,7 @@ def residuated_structures(n: int, chains_only: bool = False):
                 continue
             idx += 1
             yield _operations(lattice, mul, label=f"n{n}.{idx}")
+    return lattices
 
 
 # The flags a sweep counts, in the order of SweepReport's *_count fields.
@@ -218,10 +224,15 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
     """
     if deep:
         from .report import run_laws
-    lattice_count = sum(1 for _ in enumerate_lattices(n, chains_only))
     counts = Counter()
     labels = []
-    for a in residuated_structures(n, chains_only):
+    structures = residuated_structures(n, chains_only)
+    while True:
+        try:
+            a = next(structures)
+        except StopIteration as walked:
+            lattice_count = walked.value
+            break
         labels.append(a.label)
         try:
             flags = classification(a)

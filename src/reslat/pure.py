@@ -21,9 +21,9 @@ def sigma(a: ResiduatedLattice, f: int) -> int:
     hf = top.hull_in(primes, f)
     gen = top.generalization_mask(primes, hf)
     via_kernel = top.kernel_of(a, primes, gen)
+    joins = flt.join_table(a)[f]
     via_joins = mask_of(
-        x for x in range(a.n)
-        if flt.filter_join(a, f, flt.element_coannihilator(a, x)) == a.full
+        x for x, c in enumerate(flt.element_coannihilators(a)) if joins[c] == a.full
     )
     routes = {"kernel": via_kernel, "joins": via_joins}
     return agree(a, "sigma routes disagree", routes, f)
@@ -127,12 +127,11 @@ def d_topology_coincidence(a: ResiduatedLattice) -> bool:
 def rho_rad_adjunction(a: ResiduatedLattice) -> bool:
     """rho(F) <= G iff F <= Rad(G), over all filter pairs."""
     fs = flt.all_filters(a)
+    radicals = [flt.radical_total(a, g) for g in fs]
     for f in fs:
         rf = rho(a, f)
-        for g in fs:
-            lhs = rf & g == rf
-            rhs = f & flt.radical_total(a, g) == f
-            if lhs != rhs:
+        for g, rad in zip(fs, radicals):
+            if (rf & g == rf) != (f & rad == f):
                 return False
     return True
 
@@ -144,32 +143,31 @@ def _part_battery(a: ResiduatedLattice, part) -> dict[str, bool]:
     The join-homomorphism condition is stated for arbitrary families; the
     filter lattice is finite and join-closed, so the pairwise law plus the
     empty family already forces the general one by induction on family size.
+    Each filter's part, maximals and radical, and the filter joins, are
+    read once.
     """
     fs = flt.all_filters(a)
     maxima = flt.maximal_filters(a)
+    joins = flt.join_table(a)
+    parts = {f: part(a, f) for f in fs}
+    over = {f: flt.maximals_over(a, f) for f in fs}
+    radicals = {f: flt.radical_total(a, f) for f in fs}
     one = 1 << a.one
     max_inclusion = all(
-        not (part(a, f) & m == part(a, f)) or f & m == f
+        not (parts[f] & m == parts[f]) or f & m == f
         for f in fs
         for m in maxima
     )
-    same_maximals = all(
-        flt.maximals_over(a, f) == flt.maximals_over(a, part(a, f)) for f in fs
-    )
-    same_radical = all(
-        flt.radical_total(a, f) == flt.radical_total(a, part(a, f)) for f in fs
-    )
+    same_maximals = all(over[f] == over[parts[f]] for f in fs)
+    same_radical = all(radicals[f] == radicals[parts[f]] for f in fs)
     preserves_comax = all(
-        flt.filter_join(a, part(a, f), part(a, g)) == a.full
+        joins[parts[f]][parts[g]] == a.full
         for f in fs
         for g in fs
-        if flt.filter_join(a, f, g) == a.full
+        if joins[f][g] == a.full
     )
-    join_hom = part(a, one) == one and all(
-        part(a, flt.filter_join(a, f, g))
-        == flt.filter_join(a, part(a, f), part(a, g))
-        for f in fs
-        for g in fs
+    join_hom = parts[one] == one and all(
+        parts[joins[f][g]] == joins[parts[f]][parts[g]] for f in fs for g in fs
     )
     return {
         "max_inclusion_reflects": max_inclusion,
@@ -188,13 +186,14 @@ def sigma_battery(a: ResiduatedLattice) -> dict[str, bool]:
 def rho_battery(a: ResiduatedLattice) -> dict[str, bool]:
     """The same five read through rho, plus comaximality of maximal pure
     parts."""
-    maxima = flt.maximal_filters(a)
     battery = _part_battery(a, rho)
+    joins = flt.join_table(a)
+    parts = [rho(a, m) for m in flt.maximal_filters(a)]
     battery["maximal_parts_comaximal"] = all(
-        flt.filter_join(a, rho(a, m), rho(a, n)) == a.full
-        for m in maxima
-        for n in maxima
-        if m != n
+        joins[p][q] == a.full
+        for i, p in enumerate(parts)
+        for j, q in enumerate(parts)
+        if i != j
     )
     return battery
 

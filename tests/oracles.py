@@ -422,8 +422,9 @@ def naive_structures(n):
 
 
 # The kernels of the table search, validation and quotients before their
-# rows were hoisted and the search skipped unset cells whole; the tests
-# compare the package's kernels with them.
+# rows were hoisted, the residuum was read off masks and the search skipped
+# unset cells whole and read each instance in one order; the tests compare
+# the package's kernels with them.
 
 
 def bits_by_generator(mask):

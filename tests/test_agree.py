@@ -76,6 +76,11 @@ KNOCKOUTS = {
         lambda a: pr.sigma(a, flt.maximal_filters(a)[0]),
         "sigma routes disagree", "joins",
     ),
+    "sigma.join_table": (
+        "A8", flt, "filter_join", lambda real: lambda a, f, g: f & g,
+        lambda a: pr.sigma(a, flt.maximal_filters(a)[0]),
+        "sigma routes disagree", "joins",
+    ),
     "generator.product": (
         "A6", flt, "generated_filter", lambda real: lambda a, subset: a.full,
         flt.Analysis,

@@ -207,6 +207,26 @@ def test_element_coannihilators_a8():
         "0": "{1}", "a": "{1}", "b": "{1}", "c": "{f,1}", "d": "{1}",
         "e": "{f,1}", "f": "{c,e,1}", "1": "{0,a,b,c,d,e,f,1}",
     }
+    assert flt.element_coannihilators(a) == tuple(
+        flt.element_coannihilator(a, x) for x in range(a.n)
+    )
+
+
+def test_the_join_table_holds_every_filter_join():
+    """On the catalog, the census with at most five elements and A6xcube2,
+    the table has a row and a column for each filter, in canonical order,
+    and each cell is filter_join of its row and column."""
+    algebras = [catalog.get(name) for name in catalog.catalog_names()]
+    algebras += [a for n in range(1, 6) for a in modelgen.residuated_structures(n)]
+    algebras.append(core.direct_product(catalog.get("A6"), catalog.get("cube2")))
+    for a in algebras:
+        fs = flt.all_filters(a)
+        table = flt.join_table(a)
+        assert tuple(table) == fs, a.label
+        for f in fs:
+            assert tuple(table[f]) == fs, a.label
+            for g in fs:
+                assert table[f][g] == flt.filter_join(a, f, g), (a.label, f, g)
 
 
 def test_coannihilator_is_a_filter_and_antitone():

@@ -349,3 +349,52 @@ def test_each_criterion_feeds_the_vote(
     assert tuple(dict.fromkeys(key.split(".")[0] for key in leaves)) == CRITERIA
     dissent = [key for key, value in leaves.items() if value is not verdict]
     assert dissent == [criterion if leaf is None else f"{criterion}.{leaf}"]
+
+
+def _relation_classes(a):
+    return {kind: gf.relation_class_condition(a, kind) for kind in ("comaximal", "dpart")}
+
+
+def _meet(a, f, g):
+    return f & g
+
+
+# Inputs that the batteries read once per battery (the filter joins through
+# flt.join_table, the d-parts, sigma), replaced on a fresh algebra: the
+# algebra, the module and name replaced, the replacement, the battery, and
+# the leaves that must then change.
+HOISTED_READS = {
+    "filter_join/maximal_battery": (
+        "cube2", flt, "filter_join", _meet, gf.maximal_battery, ["dpart_comaximal"],
+    ),
+    "filter_join/normal_filter_lattice": (
+        "cube2", flt, "filter_join", _meet, gf.normal_filter_lattice,
+        ["all_filters", "principal_filters"],
+    ),
+    "filter_join/relation_classes": (
+        "cube2", flt, "filter_join", _meet, _relation_classes, ["comaximal", "dpart"],
+    ),
+    "d_part/maximal_battery": (
+        "A8", flt, "d_part", lambda a, prime: a.full, gf.maximal_battery,
+        ["dpart_unique_maximal", "generalization_is_hull", "dpart_quotient_local"],
+    ),
+    "d_part/relation_classes": (
+        "A8", flt, "d_part", lambda a, prime: a.full, _relation_classes, ["dpart"],
+    ),
+    "sigma/sigma_battery": (
+        "A8", gf.pr, "sigma", lambda a, f: a.full, gf.pr.sigma_battery,
+        ["same_maximals", "same_radical", "join_homomorphism"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOISTED_READS))
+def test_a_replaced_input_reaches_the_reads_a_battery_hoists(monkeypatch, case):
+    """A battery looks each input up through its module when it runs, so on
+    a fresh algebra the replacement moves exactly the leaves that read it."""
+    name, module, attr, replacement, battery, moved = HOISTED_READS[case]
+    before = battery(fresh(catalog.get(name)))
+    monkeypatch.setattr(module, attr, replacement)
+    after = battery(fresh(catalog.get(name)))
+    assert list(after) == list(before)
+    assert [leaf for leaf in before if after[leaf] != before[leaf]] == moved

@@ -1,6 +1,7 @@
-"""The kernels whose rows are hoisted, and the table search that skips unset
-cells whole, against their twins in oracles.py that scan cell by cell; and
-the spectral spaces and relation classes that are derived once per algebra."""
+"""The kernels whose rows are hoisted or read off masks, and the table search
+that skips unset cells whole, against their twins in oracles.py that scan
+cell by cell; and the spectral spaces and relation classes that are derived
+once per algebra."""
 
 import random
 
@@ -44,8 +45,9 @@ TABLE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 7, 5: 27, 6: 142, 7: 839}
 
 @pytest.mark.parametrize("n", sorted(TABLE_COUNTS))
 def test_the_table_search_matches_the_pairwise_scan(n):
-    """Skipping a b whose cell ab is unset drops no instance: the search
-    yields the same tables, in the same order, on every lattice."""
+    """Skipping a b whose cell ab is unset, and reading each instance in
+    the order (a, b, c) alone, drop no instance: the search yields the same
+    tables, in the same order, on every lattice."""
     tables = 0
     for lattice, _ in mg._lattices(n):
         got = list(mg._structures_on(lattice))
@@ -132,6 +134,35 @@ def test_each_kernel_matches_its_scan_on_tables_the_operation_half_rejects():
         "multiplication fails to distribute over join",
         "join inequality fails",
     }
+
+
+def test_the_residuum_kernel_matches_its_scan_on_the_census_and_products():
+    """The census with at most six elements, the catalog, and products of
+    16, 36 and 64 elements, whose masks pass 256 bits."""
+    g, prod = catalog.get, core.direct_product
+    algebras = [a for n in range(1, 7) for a in mg.residuated_structures(n)]
+    algebras += [g(name) for name in catalog.catalog_names()]
+    algebras += [prod(g("A8"), g("cube1")), prod(g("A6"), g("A6")), prod(g("A8"), g("A8"))]
+    for a in algebras:
+        got = core._residuum_table(a.n, a.up, a.join, a.mul)
+        assert got == residuum_table_by_scan(a.n, a.up, a.join, a.mul), a.label
+        assert tuple(map(tuple, got)) == a.res, a.label
+
+
+def test_the_residuum_kernel_raises_the_scans_fault_past_eight_elements():
+    """Tables of A8xcube1 with one cell and its mirror image changed, drawn
+    with a fixed seed: the same fault, with the same message, as the scan."""
+    a = core.direct_product(catalog.get("A8"), catalog.get("cube1"))
+    rng = random.Random(20260601)
+    faults = set()
+    for _ in range(200):
+        x, y = rng.randrange(a.n), rng.randrange(a.n)
+        mul = [list(row) for row in a.mul]
+        mul[x][y] = mul[y][x] = rng.choice([v for v in range(a.n) if v != a.mul[x][y]])
+        got = _fault(core._residuum_table, a.n, a.up, a.join, mul)
+        assert got == _fault(residuum_table_by_scan, a.n, a.up, a.join, mul)
+        faults.add(got[0])
+    assert faults == {AdjunctionFails, NoResiduum}
 
 
 def _quotient_outcome(a, f):

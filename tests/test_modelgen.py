@@ -86,6 +86,23 @@ def test_chain_structure_counts(n):
     assert count == CHAIN_STRUCTURE_COUNTS[n]
 
 
+@pytest.mark.parametrize("chains_only", (False, True))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
+def test_the_structure_walk_returns_its_lattice_count(n, chains_only):
+    """The count of the lattices walked, M3 and N5 included though they
+    carry no structure, comes back from the same pass as the structures."""
+    walk = mg.residuated_structures(n, chains_only)
+    labels = []
+    while True:
+        try:
+            labels.append(next(walk).label)
+        except StopIteration as done:
+            walked = done.value
+            break
+    assert walked == sum(1 for _ in mg.enumerate_lattices(n, chains_only))
+    assert labels == [f"n{n}.{i}" for i in range(1, len(labels) + 1)]
+
+
 def test_two_element_chain_has_one_structure():
     (model,) = mg.residuated_structures(2)
     assert core.is_isomorphic(model, catalog.get("chain2"))
