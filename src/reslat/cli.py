@@ -58,7 +58,7 @@ def _cmd_check(args) -> int:
     print(f"{a.label}: valid residuated lattice on {a.n} elements")
     print(
         f"filters={len(ctx.filters)} maximal={len(ctx.maximals)} "
-        f"prime={len(ctx.primes)}"
+        f"prime={len(flt.prime_filters(a))}"
     )
     return EX_OK
 
@@ -70,13 +70,14 @@ def _cmd_filters(args) -> int:
     a = _resolve(args.algebra)
     ctx = flt.analysis(a)
     pure_set = set(pr.pure_filters(a))
+    primes = set(flt.prime_filters(a))
     for f in ctx.filters:
         tags = []
         if f == a.full:
             tags.append("improper")
         if f in ctx.maximals:
             tags.append("maximal")
-        if f in ctx.primes:
+        if f in primes:
             tags.append("prime")
         if f in pure_set:
             tags.append("pure")

@@ -173,11 +173,21 @@ class ResiduatedLattice:
 _Lattice = namedtuple("_Lattice", "names up join meet zero one")
 
 
+def down_masks(up) -> tuple[int, ...]:
+    """down_masks(up)[x] is the mask of {y : y <= x}, read off the up masks
+    (bit j of up[i] is set iff i <= j)."""
+    down = [0] * len(up)
+    for z, u in enumerate(up):
+        for y in bits(u):
+            down[y] |= 1 << z
+    return tuple(down)
+
+
 def _lattice_tables(n: int, up):
     """Join/meet tables from a partial order, or a NotALattice witness:
     x v y is the element whose up set is up[x] & up[y], and x ^ y the one
     whose down set is down[x] & down[y], when there is one."""
-    down = [mask_of(y for y in range(n) if (up[y] >> x) & 1) for x in range(n)]
+    down = down_masks(up)
     by_up = {m: x for x, m in enumerate(up)}
     by_down = {m: x for x, m in enumerate(down)}
     join = tuple(tuple(by_up.get(u & v) for v in up) for u in up)
@@ -223,10 +233,7 @@ def _residuum_table(n: int, up, join, mul):
     x -> y, so the residuum is the element with that down set, and a row
     in which some below[y] is no down set has a fault (`_residuum_fault`).
     """
-    down = [0] * n
-    for z, u in enumerate(up):
-        for y in bits(u):
-            down[y] |= 1 << z
+    down = down_masks(up)
     by_down = {d: r for r, d in enumerate(down)}
     res = []
     for x in range(n):
@@ -268,7 +275,12 @@ def _residuum_fault(x: int, below, down, join):
 
 def _operation_laws(names, up, join, mul) -> None:
     """Associativity, distributivity of mul over join and the join inequality
-    x v yz >= (x v y)(x v z), on every triple."""
+    x v yz >= (x v y)(x v z), on every triple. Once `_residuum_table` has
+    passed, the last two follow (a residuated product distributes over joins,
+    and an integral one satisfies the join inequality). They stay because
+    `validate` checks tables from outside the program: checked on their own,
+    they keep a fault in the residuum kernel from admitting a table that
+    breaks them."""
     n = len(names)
     for x in range(n):
         mx, jx = mul[x], join[x]
@@ -398,6 +410,7 @@ def is_prelinear(a: ResiduatedLattice) -> bool:
     )
 
 
+@memo
 def classify_elements(a: ResiduatedLattice) -> ElementClassification:
     idem = mask_of(x for x in range(a.n) if a.mul[x][x] == x)
     nil = 0
@@ -491,7 +504,8 @@ def quotient(a: ResiduatedLattice, filter_mask: int):
             proj[x] = len(reps)
             reps.append(x)
     m = len(reps)
-    where = (a.label, a.set_repr(filter_mask))
+    shown = a.set_repr(filter_mask)
+    where = (a.label, shown)
     join, meet, mul, res = (
         _class_table(table, proj, reps, where) for table in (a.join, a.meet, a.mul, a.res)
     )
@@ -508,7 +522,7 @@ def quotient(a: ResiduatedLattice, filter_mask: int):
         res=res,
         zero=proj[a.zero],
         one=proj[a.one],
-        label=f"{a.label}/{a.set_repr(filter_mask)}",
+        label=f"{a.label}/{shown}",
     )
     return alg, tuple(proj)
 
@@ -519,18 +533,15 @@ def find_isomorphism(a: ResiduatedLattice, b: ResiduatedLattice):
         return None
     n = a.n
 
-    def profile(alg: ResiduatedLattice, x: int):
-        down = sum(1 for y in range(n) if alg.leq(y, x))
-        return (
-            bin(alg.up[x]).count("1"),
-            down,
-            alg.mul[x][x] == x,
-            x == alg.zero,
-            x == alg.one,
-        )
+    def profiles(alg: ResiduatedLattice):
+        down = down_masks(alg.up)
+        return [
+            (bin(alg.up[x]).count("1"), bin(down[x]).count("1"), alg.mul[x][x] == x,
+             x == alg.zero, x == alg.one)
+            for x in range(n)
+        ]
 
-    prof_a = [profile(a, x) for x in range(n)]
-    prof_b = [profile(b, x) for x in range(n)]
+    prof_a, prof_b = profiles(a), profiles(b)
     if sorted(prof_a) != sorted(prof_b):
         return None
     cand = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]

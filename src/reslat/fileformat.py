@@ -23,17 +23,17 @@ from .core import ResiduatedLattice, bits, validate
 from .errors import FormatError
 
 
+_BLOCKS = ("leq", "mul", "res")
+
+
 def parse_text(text: str) -> ResiduatedLattice:
-    label = ""
-    names: list[str] | None = None
-    covers: list[tuple[int, int]] | None = None
-    leq: list[list[int]] | None = None
-    mul: list[list[int]] | None = None
-    res: list[list[int]] | None = None
+    # each directive read so far: the label of `name`, the names of
+    # `elements`, the pairs of `covers` and the rows of each block
+    found: dict = {}
     index: dict[str, int] = {}
     rows_needed = 0
-    target: list[list[int]] | None = None
-    target_line = 0
+    block = ""
+    block_line = 0
 
     def lookup(tok: str, lineno: int) -> int:
         if tok not in index:
@@ -46,71 +46,57 @@ def parse_text(text: str) -> ResiduatedLattice:
             continue
         if rows_needed:
             toks = line.split()
-            if names is None or len(toks) != len(names):
-                raise FormatError(
-                    f"expected {len(names or ())} entries in table row", lineno
-                )
-            if target is leq:
+            if len(toks) != len(index):
+                raise FormatError(f"expected {len(index)} entries in table row", lineno)
+            if block == "leq":
                 if any(t not in ("0", "1") for t in toks):
                     raise FormatError("leq rows must contain 0 or 1", lineno)
-                target.append([int(t) for t in toks])
+                found[block].append([int(t) for t in toks])
             else:
-                target.append([lookup(t, lineno) for t in toks])
+                found[block].append([lookup(t, lineno) for t in toks])
             rows_needed -= 1
             continue
         word, _, rest = line.partition(" ")
+        if word not in ("name", "elements", "covers") + _BLOCKS:
+            raise FormatError(f"unknown directive {word!r}", lineno)
+        if word not in ("name", "elements") and "elements" not in found:
+            raise FormatError(f"{word} before elements", lineno)
+        if word in _BLOCKS and rest.strip():
+            raise FormatError(f"{word} takes no arguments", lineno)
+        if word in found:
+            kind = "block" if word in _BLOCKS else "line"
+            raise FormatError(f"duplicate {word} {kind}", lineno)
         if word == "name":
-            label = rest.strip()
+            found[word] = rest.strip()
         elif word == "elements":
-            if names is not None:
-                raise FormatError("duplicate elements line", lineno)
-            names = rest.split()
+            names = found[word] = rest.split()
             if not names:
                 raise FormatError("elements line lists no elements", lineno)
             if len(set(names)) != len(names):
                 raise FormatError("duplicate element names", lineno)
             index = {s: i for i, s in enumerate(names)}
         elif word == "covers":
-            if names is None:
-                raise FormatError("covers before elements", lineno)
-            if covers is not None:
-                raise FormatError("duplicate covers line", lineno)
-            covers = []
+            found[word] = []
             for tok in rest.split():
                 lo, sep, hi = tok.partition("<")
                 if not sep:
                     raise FormatError(f"malformed cover {tok!r}", lineno)
-                covers.append((lookup(lo, lineno), lookup(hi, lineno)))
-        elif word in ("leq", "mul", "res"):
-            if names is None:
-                raise FormatError(f"{word} before elements", lineno)
-            if rest.strip():
-                raise FormatError(f"{word} takes no arguments", lineno)
-            if {"leq": leq, "mul": mul, "res": res}[word] is not None:
-                raise FormatError(f"duplicate {word} block", lineno)
-            block: list[list[int]] = []
-            if word == "leq":
-                leq = block
-            elif word == "mul":
-                mul = block
-            else:
-                res = block
-            target = block
-            rows_needed = len(names)
-            target_line = lineno
+                found[word].append((lookup(lo, lineno), lookup(hi, lineno)))
         else:
-            raise FormatError(f"unknown directive {word!r}", lineno)
+            found[word] = []
+            block, block_line, rows_needed = word, lineno, len(index)
     if rows_needed:
-        raise FormatError(
-            f"table starting here is missing {rows_needed} rows", target_line
-        )
-    if names is None:
+        raise FormatError(f"table starting here is missing {rows_needed} rows", block_line)
+    if "elements" not in found:
         raise FormatError("no elements line")
-    if (covers is None) == (leq is None):
+    if ("covers" in found) == ("leq" in found):
         raise FormatError("need exactly one of covers or leq")
-    if mul is None:
+    if "mul" not in found:
         raise FormatError("no mul table")
-    return validate(names, mul, leq=leq, covers=covers, res=res, label=label)
+    return validate(
+        found["elements"], found["mul"], leq=found.get("leq"), covers=found.get("covers"),
+        res=found.get("res"), label=found.get("name", ""),
+    )
 
 
 def _covers(up) -> tuple[tuple[int, int], ...]:

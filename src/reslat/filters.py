@@ -12,7 +12,7 @@ means first in that order.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, classify_elements, mask_of, meet, memo
+from .core import ResiduatedLattice, bits, classify_elements, down_masks, mask_of, meet, memo
 from .errors import EquivalenceViolation, ImproperInput, NotAFilter, NotAnIdeal, agree
 
 
@@ -27,7 +27,7 @@ def maximal_members(family) -> tuple[int, ...]:
 
 
 class Analysis:
-    """Filter analysis of one algebra; analysis(a) builds it once (`memo`)."""
+    """The filter lattice of one algebra; analysis(a) builds it once (`memo`)."""
 
     def __init__(self, a: ResiduatedLattice):
         limits = [a.powers(x)[-1] for x in range(a.n)]
@@ -40,23 +40,6 @@ class Analysis:
             agree(a, "principal generator does not regenerate its filter", routes, f)
         self.proper = tuple(f for f in self.filters if f != a.full)
         self.maximals = maximal_members(self.proper)
-        primes = []
-        for f in self.proper:
-            outside = a.full ^ f
-            if all(
-                not (f >> a.join[x][y]) & 1
-                for x in bits(outside)
-                for y in bits(outside)
-            ):
-                primes.append(f)
-        self.primes = tuple(primes)
-        # the positions of the maximal filters among the primes
-        self.max_mask = mask_of(i for i, p in enumerate(primes) if p in self.maximals)
-        cls = classify_elements(a)
-        self.nilpotents = cls.nilpotents
-        self.interior = cls.interior
-        self.beta = cls.boolean_center
-        self.idempotents = cls.idempotents
 
 
 @memo
@@ -88,8 +71,24 @@ def maximal_filters(a: ResiduatedLattice) -> tuple[int, ...]:
     return analysis(a).maximals
 
 
+@memo
 def prime_filters(a: ResiduatedLattice) -> tuple[int, ...]:
-    return analysis(a).primes
+    """The proper filters whose complement is closed under joins."""
+    primes = []
+    for f in analysis(a).proper:
+        outside = a.full ^ f
+        if all(
+            not (f >> a.join[x][y]) & 1 for x in bits(outside) for y in bits(outside)
+        ):
+            primes.append(f)
+    return tuple(primes)
+
+
+@memo
+def max_mask(a: ResiduatedLattice) -> int:
+    """The positions of the maximal filters among the prime filters."""
+    maxima = analysis(a).maximals
+    return mask_of(i for i, p in enumerate(prime_filters(a)) if p in maxima)
 
 
 def filter_join(a: ResiduatedLattice, f: int, g: int) -> int:
@@ -205,7 +204,7 @@ def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     elementwise route {y : y v x = 1 for all x in the subset}, the meet of
     the join_to_one rows of the subset."""
     via_primes = via_joins = a.full
-    for p in analysis(a).primes:
+    for p in prime_filters(a):
         if p & subset != subset:
             via_primes &= p
     rows = join_to_one(a)
@@ -215,15 +214,11 @@ def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     return agree(a, "coannihilator routes disagree", routes, subset)
 
 
-def element_coannihilator(a: ResiduatedLattice, x: int) -> int:
-    return coannihilator(a, 1 << x)
-
-
 @memo
 def element_coannihilators(a: ResiduatedLattice) -> tuple[int, ...]:
-    """element_coannihilators(a)[x] is element_coannihilator(a, x), computed
+    """element_coannihilators(a)[x] is the coannihilator of {x}, computed
     once per algebra."""
-    return tuple(element_coannihilator(a, x) for x in range(a.n))
+    return tuple(coannihilator(a, 1 << x) for x in range(a.n))
 
 
 def gamma(a: ResiduatedLattice) -> tuple[int, ...]:
@@ -269,7 +264,7 @@ def is_baer(a: ResiduatedLattice) -> bool:
 @memo
 def down_sets(a: ResiduatedLattice) -> tuple[int, ...]:
     """down_sets(a)[x] is the mask of {y : y <= x}, the ideal dual of a.up[x]."""
-    return tuple(mask_of(y for y in range(a.n) if a.leq(y, x)) for x in range(a.n))
+    return down_masks(a.up)
 
 
 def is_ideal(a: ResiduatedLattice, subset: int) -> bool:
@@ -305,12 +300,12 @@ def omega_filter(a: ResiduatedLattice, ideal: int) -> int:
 def d_part(a: ResiduatedLattice, prime: int) -> int:
     """omega of the complement ideal of a prime, cross-checked against the
     kernel of its generalizations."""
-    ctx = analysis(a)
-    if prime not in ctx.primes:
+    primes = prime_filters(a)
+    if prime not in primes:
         raise ImproperInput(f"{a.set_repr(prime)} is not a prime filter")
     routes = {
         "omega": omega_filter(a, a.full ^ prime),
-        "kernel": meet(a, (q for q in ctx.primes if q & prime == q)),
+        "kernel": meet(a, (q for q in primes if q & prime == q)),
     }
     return agree(a, "d_part routes disagree", routes, prime)
 
@@ -322,19 +317,21 @@ def local_battery(a: ResiduatedLattice) -> dict[str, bool]:
     the nilpotence reading holds vacuously while the others fail, so the
     unanimity check exempts that single degenerate case.
     """
-    ctx = analysis(a)
-    interior_is_filter = a.is_filter(ctx.interior)
+    maxima = analysis(a).maximals
+    cls = classify_elements(a)
+    interior, nil = cls.interior, cls.nilpotents
+    interior_is_filter = a.is_filter(interior)
     battery = {
-        "unique_maximal_filter": len(ctx.maximals) == 1,
+        "unique_maximal_filter": len(maxima) == 1,
         "interior_is_filter": interior_is_filter,
-        "interior_is_proper_filter": interior_is_filter and ctx.interior != a.full,
+        "interior_is_proper_filter": interior_is_filter and interior != a.full,
         "interior_is_the_maximal_filter": interior_is_filter
-        and ctx.maximals == (ctx.interior,),
+        and maxima == (interior,),
         "zero_products_have_nilpotent_factor": all(
-            (ctx.nilpotents >> x) & 1 or (ctx.nilpotents >> y) & 1
+            (nil >> x) & 1 or (nil >> y) & 1
             for x in range(a.n)
             for y in range(a.n)
-            if (ctx.nilpotents >> a.mul[x][y]) & 1
+            if (nil >> a.mul[x][y]) & 1
         ),
     }
     if a.n > 1:

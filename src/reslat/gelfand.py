@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import ResiduatedLattice, bits, memo, quotient
+from .core import ResiduatedLattice, bits, classify_elements, memo, quotient
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 from . import pure as pr
@@ -51,7 +51,7 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
     """Ten conditions about maximal filters and their d-parts. Each prime's
     d-part and the filter joins are read once."""
     ctx = flt.analysis(a)
-    primes = ctx.primes
+    primes = flt.prime_filters(a)
     maxima = ctx.maximals
     fs = ctx.filters
     full = a.full
@@ -82,9 +82,8 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
     )
     dpart_unique_maximal = all(flt.maximals_over(a, dp[m]) == (m,) for m in maxima)
     generalization_is_hull = all(
-        top.generalization_mask(primes, 1 << primes.index(m))
-        == top.hull_in(primes, dp[m])
-        for m in maxima
+        top.generalization_mask(primes, 1 << i) == top.hull_in(primes, dp[primes[i]])
+        for i in bits(flt.max_mask(a))
     )
     dpart_quotient_local = all(
         flt.is_local(quotient(a, dp[m])[0]) for m in maxima
@@ -130,12 +129,12 @@ def normal_filter_lattice(a: ResiduatedLattice) -> dict[str, bool]:
     still assembled by their own routes, from the idempotents and from the
     principal filters of all elements, and checked separately.
     """
-    ctx = flt.analysis(a)
+    idempotents = classify_elements(a).idempotents
     return {
         "all_filters": _normal_over(
-            a, flt.canonical_sort(a.up[e] for e in bits(ctx.idempotents))
+            a, flt.canonical_sort(a.up[e] for e in bits(idempotents))
         ),
-        "principal_filters": _normal_over(a, flt.canonical_sort(ctx.principal)),
+        "principal_filters": _normal_over(a, flt.canonical_sort(flt.analysis(a).principal)),
     }
 
 
@@ -144,13 +143,12 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     disjoint minimal neighbourhoods; and each maximal point's set of
     generalizations is closed."""
     primes = flt.prime_filters(a)
-    maxima = flt.maximal_filters(a)
+    at_max = tuple(bits(flt.max_mask(a)))
     hspace = top.spec_space(a, "hull")
-    nb = [hspace.nb[primes.index(m)] for m in maxima]
+    nb = [hspace.nb[i] for i in at_max]
     sep = all(not u & v for i, u in enumerate(nb) for v in nb[i + 1:])
     gens_closed = all(
-        hspace.is_closed(top.generalization_mask(primes, 1 << primes.index(m)))
-        for m in maxima
+        hspace.is_closed(top.generalization_mask(primes, 1 << i)) for i in at_max
     )
     return {
         "maximal_pairs_separated": sep,
@@ -222,8 +220,7 @@ def relation_class_condition(a: ResiduatedLattice, kind: str) -> bool:
     """Every maximal filter's class equals its generalization set."""
     primes = flt.prime_filters(a)
     classes = relation_closure(a, kind)
-    for m in flt.maximal_filters(a):
-        mi = primes.index(m)
+    for mi in bits(flt.max_mask(a)):
         cls = next(c for c in classes if (c >> mi) & 1)
         if cls != top.generalization_mask(primes, 1 << mi):
             return False
@@ -232,19 +229,14 @@ def relation_class_condition(a: ResiduatedLattice, kind: str) -> bool:
 
 def quotient_space_homeo(a: ResiduatedLattice, kind: str) -> bool:
     """Does m -> class(m) give Max_h ~ Spec_h / closure classes?"""
-    primes = flt.prime_filters(a)
-    maxima = flt.maximal_filters(a)
+    at_max = flt.max_mask(a)
     classes = relation_closure(a, kind)
-    max_index = {primes.index(m) for m in maxima}
     for c in classes:
-        if len(max_index & set(bits(c))) != 1:
+        if bin(at_max & c).count("1") != 1:
             return False
     hspace = top.spec_space(a, "hull")
     qspace = top.quotient_space(hspace, classes, f"{a.label}:spec/{kind}")
-    img = []
-    for m in maxima:
-        mi = primes.index(m)
-        img.append(next(ci for ci, c in enumerate(classes) if (c >> mi) & 1))
+    img = [next(ci for ci, c in enumerate(classes) if (c >> mi) & 1) for mi in bits(at_max)]
     return top.is_homeomorphism(lambda i: img[i], pr.max_subspace(a), qspace)
 
 
@@ -376,10 +368,8 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
 
     normaletc = top.is_normal(hrad_space)
     gens_closed = all(
-        hrad_space.is_closed(
-            top.cut(top.generalization_mask(primes, 1 << primes.index(m)), hrad_mask)
-        )
-        for m in maxima
+        hrad_space.is_closed(top.cut(top.generalization_mask(primes, 1 << i), hrad_mask))
+        for i in bits(flt.max_mask(a))
     )
 
     negations_in_radical = all(
@@ -418,7 +408,7 @@ def is_soft(a: ResiduatedLattice):
     )
     hspace = top.spec_space(a, "hull")
     by_topology = top.is_hausdorff(pr.max_subspace(a)) and (
-        hspace.closure(flt.analysis(a).max_mask) == hspace.full
+        hspace.closure(flt.max_mask(a)) == hspace.full
     )
     by_gelfand = gelfand_verdict(a).verdict and rad == one
     routes = {

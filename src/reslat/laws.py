@@ -6,7 +6,7 @@ corresponding facts. Reports run all suites on every algebra they describe.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, mask_of, meet, quotient
+from .core import ResiduatedLattice, bits, classify_elements, mask_of, meet, quotient
 from .errors import hold
 from . import filters as flt
 
@@ -102,19 +102,19 @@ def filter_lattice_laws(a: ResiduatedLattice) -> dict[str, bool]:
 
 
 def nilpotent_ideal_law(a: ResiduatedLattice) -> dict[str, bool]:
-    ni = flt.analysis(a).nilpotents
+    ni = classify_elements(a).nilpotents
     ok = flt.is_ideal(a, ni) if ni else True
     return hold(a, "nilpotent ideal", {"nilpotents_form_ideal": ok})
 
 
 def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
     """The Boolean center against primes, the radical, and d-parts."""
-    ctx = flt.analysis(a)
-    beta = ctx.beta
+    beta = classify_elements(a).boolean_center
+    primes = flt.prime_filters(a)
     one = 1 << a.one
     rad = flt.radical_total(a, one)
     center_in_dpart = all(
-        beta & p & flt.d_part(a, p) == beta & p for p in ctx.primes
+        beta & p & flt.d_part(a, p) == beta & p for p in primes
     )
     center_meets_radical_trivially = beta & rad == one
     # The filter join of two d-parts being improper does not preclude a
@@ -125,14 +125,14 @@ def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
     dpart_comaximal_implies_witness = all(
         flt.filter_join(a, flt.d_part(a, p), flt.d_part(a, q)) != a.full
         or flt.complements_join_to_one(a, p, q)
-        for p in ctx.primes
-        for q in ctx.primes
+        for p in primes
+        for q in primes
     )
     ideal_join_iff_witness = all(
         (_ideal_closure(a, (a.full ^ p) | (a.full ^ q)) == a.full)
         == flt.complements_join_to_one(a, p, q)
-        for p in ctx.primes
-        for q in ctx.primes
+        for p in primes
+        for q in primes
     )
     return hold(a, "boolean center", {
         "center_in_dpart": center_in_dpart,

@@ -18,7 +18,7 @@ import string
 from collections import Counter, namedtuple
 from itertools import permutations, product as iproduct
 
-from .core import _operations, _order, bits, is_prelinear, mask_of, size_bound
+from .core import _operations, _order, bits, down_masks, is_prelinear, mask_of, size_bound
 from .errors import (
     CarrierTooLarge,
     EquivalenceViolation,
@@ -138,7 +138,7 @@ def _structures_on(lattice):
     residuated; core's operation half decides it again.
     """
     n, up, join, meet = len(lattice.names), lattice.up, lattice.join, lattice.meet
-    down = [mask_of(y for y in range(n) if (up[y] >> x) & 1) for x in range(n)]
+    down = down_masks(up)
     mul = [[None] * n for _ in range(n)]
     for x in range(n):
         mul[x][n - 1] = mul[n - 1][x] = x

@@ -93,8 +93,7 @@ def d_topology_space(a: ResiduatedLattice) -> top.FiniteSpace:
 @memo
 def max_subspace(a: ResiduatedLattice) -> top.FiniteSpace:
     """The maximal filters with the relative hull-kernel topology."""
-    mask = flt.analysis(a).max_mask
-    return top.subspace(top.spec_space(a, "hull"), mask, f"{a.label}:max")
+    return top.subspace(top.spec_space(a, "hull"), flt.max_mask(a), f"{a.label}:max")
 
 
 def spp_max_homeo(a: ResiduatedLattice) -> bool:
@@ -120,7 +119,7 @@ def spp_max_homeo(a: ResiduatedLattice) -> bool:
 def d_topology_coincidence(a: ResiduatedLattice) -> bool:
     """Do the hull-kernel and d-topologies agree on the maximals? Both have
     the same points in the same order, so comparing point closures suffices."""
-    via_d = top.subspace(d_topology_space(a), flt.analysis(a).max_mask, "d")
+    via_d = top.subspace(d_topology_space(a), flt.max_mask(a), "d")
     return max_subspace(a).cl == via_d.cl
 
 

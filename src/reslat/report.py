@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .core import ResiduatedLattice, is_prelinear
+from .core import ResiduatedLattice, classify_elements, is_prelinear
 from . import filters as flt
 from . import laws
 from . import pure as pr
@@ -69,6 +69,7 @@ def _family(a: ResiduatedLattice, masks) -> list[list[str]]:
 
 def build_report(a: ResiduatedLattice) -> dict:
     ctx = flt.analysis(a)
+    cls = classify_elements(a)
     verdict = gelfand_verdict(a)
     flags = classification(a)
     _, soft_routes = is_soft(a)
@@ -82,15 +83,15 @@ def build_report(a: ResiduatedLattice) -> dict:
         "size": a.n,
         "elements": list(a.names),
         "prelinear": is_prelinear(a),
-        "boolean_center": _names(a, ctx.beta),
-        "nilpotents": _names(a, ctx.nilpotents),
-        "idempotents": _names(a, ctx.idempotents),
+        "boolean_center": _names(a, cls.boolean_center),
+        "nilpotents": _names(a, cls.nilpotents),
+        "idempotents": _names(a, cls.idempotents),
         "filters": {
             "count": len(ctx.filters),
             "sets": _family(a, ctx.filters),
         },
         "maximal_filters": _family(a, ctx.maximals),
-        "prime_filters": _family(a, ctx.primes),
+        "prime_filters": _family(a, flt.prime_filters(a)),
         "radical": _names(a, rad),
         "classification": flags,
         "gelfand": {

@@ -24,7 +24,7 @@ patch/stability criterion for every point set at once, not set by set.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, mask_of, meet, memo
+from .core import ResiduatedLattice, bits, classify_elements, mask_of, meet, memo
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 
@@ -326,7 +326,8 @@ def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     points = flt.prime_filters(a)
     hspace = spec_space(a, "hull")
     clopens = {c for c in hspace.closed if (hspace.full ^ c) in hspace.closed}
-    beta_hulls = {hull_in(points, 1 << e) for e in bits(flt.analysis(a).beta)}
+    beta = classify_elements(a).boolean_center
+    beta_hulls = {hull_in(points, 1 << e) for e in bits(beta)}
     routes = {"clopen": tuple(sorted(clopens)), "beta_hulls": tuple(sorted(beta_hulls))}
     return agree(a, "clopen sets differ from Boolean-center hulls", routes)
 
@@ -335,7 +336,7 @@ def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
     """Density of the maximals in the spectrum = semisimplicity; asserted."""
     hspace = spec_space(a, "hull")
     return agree(a, "density of maximals disagrees with semisimplicity", {
-        "max_dense": hspace.closure(flt.analysis(a).max_mask) == hspace.full,
+        "max_dense": hspace.closure(flt.max_mask(a)) == hspace.full,
         "semisimple": flt.is_semisimple(a),
     })
 

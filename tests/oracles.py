@@ -148,7 +148,7 @@ def spec_edges_by_scan(a):
 
 def primes_over(a, subset):
     """Primes containing the subset (the hull, as filters)."""
-    return tuple(p for p in flt.analysis(a).primes if p & subset == subset)
+    return tuple(p for p in flt.prime_filters(a) if p & subset == subset)
 
 
 def comaximal_witness(a, f, g):
@@ -182,7 +182,7 @@ def prime_extension(a, f, cone):
         for g in avoiders
         if not any(h != g and h & g == g for h in avoiders)
     ]
-    primes = set(flt.analysis(a).primes)
+    primes = set(flt.prime_filters(a))
     for g in best:
         if g not in primes:
             raise EquivalenceViolation(

@@ -72,7 +72,7 @@ KNOCKOUTS = {
         "sigma routes disagree", "kernel",
     ),
     "sigma.joins": (
-        "A8", flt, "element_coannihilator", lambda real: lambda a, x: a.full,
+        "A8", flt, "element_coannihilators", lambda real: lambda a: (a.full,) * a.n,
         lambda a: pr.sigma(a, flt.maximal_filters(a)[0]),
         "sigma routes disagree", "joins",
     ),
@@ -110,6 +110,16 @@ KNOCKOUTS = {
     "closure_lemmas.specialization": (
         "A8", top, "specialization_mask", lambda real: lambda points, mask: 0,
         top.closure_lemmas, "closure lemmas fail", "specialization",
+    ),
+    "clopen.beta_hulls": (
+        "cube2", top, "classify_elements",
+        lambda real: lambda a: real(a)._replace(boolean_center=1 << a.one),
+        top.clopen_check, "clopen sets differ from Boolean-center hulls", "beta_hulls",
+    ),
+    "local.zero_products_have_nilpotent_factor": (
+        "A6", flt, "classify_elements", lambda real: lambda a: real(a)._replace(nilpotents=0),
+        flt.local_battery, "local characterizations disagree",
+        "zero_products_have_nilpotent_factor",
     ),
     "closed_sets.stable": (
         "A6", top, "specialization_mask", lambda real: lambda points, mask: 0,

@@ -120,6 +120,8 @@ def test_duplicate_blocks_are_rejected():
         ff.parse_text(A6_TEXT + "covers 0<a\n")
     with pytest.raises(FormatError, match="duplicate mul block"):
         ff.parse_text(A6_TEXT + "mul\n" + "0 0 0 0 0 0\n" * 6)
+    with pytest.raises(FormatError, match="^line 2: duplicate name line$"):
+        ff.parse_text("name first\n" + ff.serialize(catalog.get("chain2")))
 
 
 def test_truncated_table_reports_the_block_start():

@@ -94,7 +94,7 @@ def test_filter_tables(name):
     filters, maximals, primes, rad = TABLES[name]
     assert reprs(a, an.filters) == filters
     assert reprs(a, an.maximals) == maximals
-    assert reprs(a, an.primes) == primes
+    assert reprs(a, flt.prime_filters(a)) == primes
     assert a.set_repr(flt.radical_total(a, an.filters[0])) == rad
 
 
@@ -202,13 +202,13 @@ def test_prime_extension_unsatisfiable_when_cone_meets_filter():
 
 def test_element_coannihilators_a8():
     a = catalog.get("A8")
-    got = {a.names[x]: a.set_repr(flt.element_coannihilator(a, x)) for x in range(a.n)}
+    got = {a.names[x]: a.set_repr(c) for x, c in enumerate(flt.element_coannihilators(a))}
     assert got == {
         "0": "{1}", "a": "{1}", "b": "{1}", "c": "{f,1}", "d": "{1}",
         "e": "{f,1}", "f": "{c,e,1}", "1": "{0,a,b,c,d,e,f,1}",
     }
     assert flt.element_coannihilators(a) == tuple(
-        flt.element_coannihilator(a, x) for x in range(a.n)
+        flt.coannihilator(a, 1 << x) for x in range(a.n)
     )
 
 
@@ -309,6 +309,31 @@ def test_local_battery_on_trivial_algebra():
         "zero_products_have_nilpotent_factor": True,
     }
     assert not flt.is_local(a)
+
+
+def test_a_quotient_is_local_without_primes_or_element_classes(monkeypatch):
+    """is_local reads the filter lattice alone: on the quotients by d-parts
+    (the Gelfand leaf dpart_quotient_local) and by every filter (the law
+    suites), it derives no prime filters and no element classes."""
+    quotients = []
+    for name in ("A6", "A8", "cube2"):
+        a = catalog.get(name)
+        quotients += [core.quotient(a, flt.d_part(a, m))[0] for m in flt.maximal_filters(a)]
+        quotients += [core.quotient(a, f)[0] for f in flt.all_filters(a)]
+    calls = []
+
+    def counting(attr):
+        real = getattr(flt, attr)
+
+        def counted(alg):
+            calls.append(attr)
+            return real(alg)
+        return counted
+
+    for attr in ("prime_filters", "classify_elements"):
+        monkeypatch.setattr(flt, attr, counting(attr))
+    assert {flt.is_local(q) for q in quotients} == {True, False}
+    assert calls == []
 
 
 def _coannihilator_by_scan(a, subset):
