@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "gelfand": "GelfandVerdict classification gelfand_verdict hausdorff_battery is_soft",
     "modelgen": "classify_all enumerate_lattices residuated_structures",
-    "pure": "is_pure pure_filters purely_maximal purely_prime rho sigma",
+    "pure": "pure_filters purely_maximal purely_prime rho sigma",
     "report": "build_report render_json run_laws",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

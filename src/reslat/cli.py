@@ -3,7 +3,8 @@
 Exit codes: 0 when the command's answer is yes/valid, 1 when it is no or the
 input algebra is invalid, 2 when an EquivalenceViolation fired (two provably
 equal routes disagreed; always a bug worth reporting), 64 for usage errors,
-74 for unreadable or unwritable files.
+70 for any other exception (an internal error, with its traceback on stderr),
+74 for unreadable or unwritable files and for paths that are not regular files.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ EX_OK = 0
 EX_FALSE = 1
 EX_VIOLATION = 2
 EX_USAGE = 64
+EX_SOFTWARE = 70
 EX_IO = 74
 # `search 7` takes under a second and `search 8` about 6 s on a 2-CPU host;
 # larger sizes are refused up front.
@@ -50,9 +52,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_check(args) -> int:
-    a = _resolve(args.algebra)
-    from . import filters as flt  # after _resolve: a rejected input needs none
+def _tags(f: int, sets: dict) -> str:
+    """' name,name' for each named set that holds f, or '' if none does."""
+    held = [name for name, members in sets.items() if f in members]
+    return " " + ",".join(held) if held else ""
+
+
+def _cmd_check(a, args) -> int:
+    from . import filters as flt
 
     ctx = flt.analysis(a)
     print(f"{a.label}: valid residuated lattice on {a.n} elements")
@@ -63,42 +70,27 @@ def _cmd_check(args) -> int:
     return EX_OK
 
 
-def _cmd_filters(args) -> int:
+def _cmd_filters(a, args) -> int:
     from . import filters as flt
     from . import pure as pr
 
-    a = _resolve(args.algebra)
     ctx = flt.analysis(a)
-    pure_set = set(pr.pure_filters(a))
-    primes = set(flt.prime_filters(a))
+    tags = {"improper": {a.full}, "maximal": set(ctx.maximals),
+            "prime": set(flt.prime_filters(a)), "pure": set(pr.pure_filters(a))}
     for f in ctx.filters:
-        tags = []
-        if f == a.full:
-            tags.append("improper")
-        if f in ctx.maximals:
-            tags.append("maximal")
-        if f in primes:
-            tags.append("prime")
-        if f in pure_set:
-            tags.append("pure")
-        gen = a.names[ctx.generator[f]]
-        line = f"{a.set_repr(f)} generator={gen}"
-        if tags:
-            line += " " + ",".join(tags)
-        print(line)
+        print(f"{a.set_repr(f)} generator={a.names[ctx.generator[f]]}" + _tags(f, tags))
     return EX_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(a, args) -> int:
     from . import filters as flt
     from . import topology as top
 
-    a = _resolve(args.algebra)
     primes = flt.prime_filters(a)
     space = top.spec_space(a, args.kind)
-    maxima = set(flt.maximal_filters(a))
+    maxima = {"maximal": set(flt.maximal_filters(a))}
     for p in primes:
-        print(f"{a.set_repr(p)}" + (" maximal" if p in maxima else ""))
+        print(a.set_repr(p) + _tags(p, maxima))
     count = 1 << space.npoints if top.is_discrete(space) else len(space.closed)
     print(f"{len(primes)} points, {count} closed sets")
     preds = top.space_predicates(space)
@@ -106,10 +98,9 @@ def _cmd_spectrum(args) -> int:
     return EX_OK
 
 
-def _cmd_gelfand(args) -> int:
+def _cmd_gelfand(a, args) -> int:
     from .gelfand import gelfand_verdict
 
-    a = _resolve(args.algebra)
     verdict = gelfand_verdict(a)
     passed = sum(verdict.criteria.values())
     word = "yes" if verdict.verdict else "no"
@@ -119,29 +110,22 @@ def _cmd_gelfand(args) -> int:
     return EX_OK if verdict.verdict else EX_FALSE
 
 
-def _cmd_pure(args) -> int:
+def _cmd_pure(a, args) -> int:
     from . import pure as pr
 
-    a = _resolve(args.algebra)
-    spp = set(pr.purely_prime(a))
-    pmax = set(pr.purely_maximal(a))
+    tags = {"purely-prime": set(pr.purely_prime(a)),
+            "purely-maximal": set(pr.purely_maximal(a))}
     for f in pr.pure_filters(a):
-        tags = []
-        if f in spp:
-            tags.append("purely-prime")
-        if f in pmax:
-            tags.append("purely-maximal")
-        print(f"{a.set_repr(f)}" + (" " + ",".join(tags) if tags else ""))
+        print(a.set_repr(f) + _tags(f, tags))
     homeo = pr.spp_max_homeo(a)
     print(f"pure spectrum homeomorphic to maximal spectrum: "
           f"{'yes' if homeo else 'no'}")
     return EX_OK if homeo else EX_FALSE
 
 
-def _cmd_soft(args) -> int:
+def _cmd_soft(a, args) -> int:
     from .gelfand import is_soft
 
-    a = _resolve(args.algebra)
     soft, routes = is_soft(a)
     for key in sorted(routes):
         print(f"{key}: {'yes' if routes[key] else 'no'}")
@@ -149,7 +133,7 @@ def _cmd_soft(args) -> int:
     return EX_OK if soft else EX_FALSE
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(a, args) -> int:
     from . import modelgen
 
     if args.size < 1:
@@ -167,28 +151,25 @@ def _cmd_search(args) -> int:
     return EX_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(a, args) -> int:
     from .report import build_report, render_json
 
-    a = _resolve(args.algebra)
     _emit(render_json(build_report(a)), args.output)
     return EX_OK
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(a, args) -> int:
     from . import fileformat
 
-    a = _resolve(args.algebra)
     _emit(fileformat.export_dot(a, args.kind), args.output)
     return EX_OK
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(a, args) -> int:
     from . import catalog
 
     for name in catalog.catalog_names():
-        a = catalog.get(name)
-        print(f"{name}: {a.n} elements")
+        print(f"{name}: {catalog.get(name).n} elements")
     return EX_OK
 
 
@@ -210,32 +191,28 @@ def build_parser() -> _Parser:
     add("gelfand", _cmd_gelfand, "evaluate the Gelfand criteria")
     add("pure", _cmd_pure, "list pure filters and the pure spectrum")
     add("soft", _cmd_soft, "evaluate the softness characterizations")
-    p = sub.add_parser("search", help="enumerate all models up to a size")
+    p = add("search", _cmd_search, "enumerate all models up to a size", algebra=False)
     p.add_argument("size", type=int)
     p.add_argument("--chains", action="store_true", help="chains only")
     p.add_argument("--deep", action="store_true", help="also run law suites")
-    p.set_defaults(func=_cmd_search)
     p = add("report", _cmd_report, "full JSON report")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
     p = add("export-dot", _cmd_export_dot, "Hasse diagram or spectrum as DOT")
     p.add_argument("--kind", choices=("hasse", "spec"), default="hasse")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p = sub.add_parser("catalog", help="list built-in algebras")
-    p.set_defaults(func=_cmd_catalog)
+    add("catalog", _cmd_catalog, "list built-in algebras", algebra=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        args = build_parser().parse_args(argv)
+        # resolved before the command imports anything: a rejected input
+        # loads no more modules than `_resolve` needs
+        a = _resolve(args.algebra) if "algebra" in args else None
+        return args.func(a, args)
     except SystemExit as exc:
         return EX_OK if exc.code in (0, None) else EX_USAGE
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -250,6 +227,11 @@ def main(argv=None) -> int:
     except ReslatError as exc:
         print(f"invalid algebra: {exc}", file=sys.stderr)
         return EX_FALSE
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EX_SOFTWARE
 
 
 def entry() -> None:

@@ -19,7 +19,10 @@ the same fields. serialize/parse round-trip byte for byte on canonical output.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, validate
+import os
+import stat
+
+from .core import ResiduatedLattice, bits, size_bound, validate
 from .errors import FormatError
 
 
@@ -147,12 +150,16 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc.msg}", exc.lineno) from exc
+    except RecursionError:
+        raise FormatError("bad JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     if "elements" not in data:
         raise FormatError("missing elements")
     if not isinstance(data["elements"], list):
         raise FormatError("elements must be a list")
+    if ("covers" in data) == ("leq" in data):
+        raise FormatError("need exactly one of covers or leq")
     names = [str(s) for s in data["elements"]]
     index = {s: i for i, s in enumerate(names)}
 
@@ -164,13 +171,11 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         if "covers" in data:
             covers = [(index[str(lo)], index[str(hi)]) for lo, hi in data["covers"]]
             leq = None
-        elif "leq" in data:
+        else:
             covers = None
             leq = [list(row) for row in data["leq"]]
             if any(type(v) is not int or v not in (0, 1) for row in leq for v in row):
                 raise FormatError("leq rows must contain 0 or 1")
-        else:
-            raise FormatError("need covers or leq")
         mul = table("mul")
     except KeyError as exc:
         raise FormatError(f"unknown element or missing field: {exc}") from None
@@ -209,9 +214,17 @@ def parse(text: str) -> ResiduatedLattice:
 
 
 def load(path: str) -> ResiduatedLattice:
-    """Parse a UTF-8 file, with or without a byte order mark."""
+    """Parse a UTF-8 file, with or without a byte order mark. A FIFO, device
+    or directory is refused unopened. At most 256 bytes per table cell of the
+    largest admitted carrier are read (three n x n tables of about 85 bytes a
+    cell, room for long names and JSON indentation), plus one to refuse more."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path!r} is not a regular file")
+    limit = 256 * size_bound() ** 2
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise FormatError(f"file exceeds {limit} bytes, the bound for {size_bound()} elements")
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:

@@ -34,10 +34,6 @@ def pure_filters(a: ResiduatedLattice) -> tuple[int, ...]:
     return tuple(f for f in flt.all_filters(a) if sigma(a, f) == f)
 
 
-def is_pure(a: ResiduatedLattice, f: int) -> bool:
-    return sigma(a, f) == f
-
-
 @memo
 def rho(a: ResiduatedLattice, f: int) -> int:
     """Join of the pure filters below f (the pure part of f)."""

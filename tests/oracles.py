@@ -3,13 +3,15 @@ package replaced by checked bases, the pairwise meet fixpoint and the
 between scan it replaced by one pass, the canonical test that compares
 whole relabelled tuples, the naive model enumeration, the kernels of the
 table search, validation and quotients as they were before their rows were
-hoisted, a Goedel-chain constructor, a fresh copy of an algebra, and filter
-helpers that only the tests use. The enumerations are exponential and meant
-for small inputs."""
+hoisted, a Goedel-chain constructor, a fresh copy of an algebra, filter
+helpers that only the tests use, and the in-process CLI runner. The
+enumerations are exponential and meant for small inputs."""
 
+import contextlib
+import io
 from itertools import product as iproduct
 
-from reslat import filters as flt, topology as top
+from reslat import cli, filters as flt, topology as top
 from reslat.core import (
     ResiduatedLattice,
     _lattice_tables,
@@ -29,6 +31,14 @@ from reslat.errors import (
     Unsatisfiable,
 )
 from reslat.modelgen import _candidate_orders, _middle_perms, element_names
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of `reslat argv...` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def fresh(a):

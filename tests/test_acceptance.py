@@ -1,10 +1,8 @@
 """Acceptance gate: one test per criterion, each printing one pass/fail line
 under pytest -v. Timing bounds are asserted with wall-clock measurements."""
 
-import io
 import time
 import random
-import contextlib
 import itertools
 
 import pytest
@@ -12,7 +10,7 @@ import pytest
 from reslat import catalog, cli, core, filters as flt, gelfand as gf
 from reslat import modelgen as mg, pure as pr, report, topology as top
 
-from oracles import naive_lattices, naive_structures
+from oracles import naive_lattices, naive_structures, run_cli
 
 CATALOG = (
     "A6", "A8", "chain2", "chain3", "chain4", "chain5", "chain6",
@@ -20,31 +18,24 @@ CATALOG = (
 )
 
 
-def run_cli(args):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(args)
-    return code, out.getvalue()
-
-
 def test_c1_filter_and_spectrum_tables():
     """The two reference models list exactly the frozen filter, maximal and
     prime collections, in under a second."""
     t0 = time.perf_counter()
-    code, out = run_cli(["filters", "A6"])
+    code, out, _ = run_cli(["filters", "A6"])
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()] == [
         "{1}", "{d,1}", "{c,d,1}", "{a,b,d,1}", "{0,a,b,c,d,1}",
     ]
-    code, out = run_cli(["filters", "A8"])
+    code, out, _ = run_cli(["filters", "A8"])
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()] == [
         "{1}", "{f,1}", "{c,e,1}", "{a,c,d,e,f,1}", "{0,a,b,c,d,e,f,1}",
     ]
-    code, out = run_cli(["spectrum", "A6"])
+    code, out, _ = run_cli(["spectrum", "A6"])
     assert code == 0
     assert out.splitlines()[:3] == ["{1}", "{c,d,1} maximal", "{a,b,d,1} maximal"]
-    code, out = run_cli(["spectrum", "A8"])
+    code, out, _ = run_cli(["spectrum", "A8"])
     assert code == 0
     assert out.splitlines()[:3] == [
         "{f,1}", "{c,e,1}", "{a,c,d,e,f,1} maximal",

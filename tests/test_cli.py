@@ -1,8 +1,6 @@
 """Command line interface: output text, exit codes, report determinism."""
 
-import io
 import json
-import contextlib
 import os
 import subprocess
 import sys
@@ -15,16 +13,11 @@ import reslat
 from reslat import catalog, cli, fileformat as ff, modelgen, report
 import reslat.filters as flt
 
-
-def run(args):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(args)
-    return code, out.getvalue(), err.getvalue()
+from oracles import run_cli
 
 
 def test_check_valid_algebra():
-    code, out, _ = run(["check", "A6"])
+    code, out, _ = run_cli(["check", "A6"])
     assert code == cli.EX_OK
     assert out == (
         "A6: valid residuated lattice on 6 elements\n"
@@ -35,7 +28,7 @@ def test_check_valid_algebra():
 def test_check_reads_files(tmp_path):
     p = tmp_path / "alg.txt"
     p.write_text(ff.serialize(catalog.get("MV3")))
-    code, out, _ = run(["check", str(p)])
+    code, out, _ = run_cli(["check", str(p)])
     assert code == cli.EX_OK and "3 elements" in out
 
 
@@ -45,7 +38,7 @@ def test_check_invalid_algebra_exits_one(tmp_path):
     text[row] = "0 a a d a a"  # a*c := d while c*a stays 0
     p = tmp_path / "broken.txt"
     p.write_text("\n".join(text) + "\n")
-    code, out, err = run(["check", str(p)])
+    code, out, err = run_cli(["check", str(p)])
     assert code == cli.EX_FALSE
     assert "not commutative at a,c" in out + err
 
@@ -79,7 +72,7 @@ def test_malformed_json_fields_are_reported_not_raised(case, tmp_path):
 def test_a_byte_order_mark_is_skipped(form, tmp_path):
     p = tmp_path / "bom.txt"
     p.write_bytes(b"\xef\xbb\xbf" + form(catalog.get("MV3")).encode())
-    code, out, err = run(["check", str(p)])
+    code, out, err = run_cli(["check", str(p)])
     assert (code, err) == (cli.EX_OK, "")
     assert out.startswith("MV3: valid residuated lattice on 3 elements")
 
@@ -88,13 +81,77 @@ def test_a_file_that_is_not_utf8_is_an_invalid_algebra(tmp_path):
     text = ff.serialize(catalog.get("MV3")).encode()
     p = tmp_path / "latin.txt"
     p.write_bytes(text.replace(b"name MV3", b"name MV\xff3"))
-    code, out, err = run(["check", str(p)])
+    code, out, err = run_cli(["check", str(p)])
     assert (code, out) == (cli.EX_FALSE, "")
     assert err == "invalid algebra: line 1: not UTF-8: invalid start byte 0xff\n"
 
 
+@pytest.mark.parametrize("kind", ["fifo", "device", "directory"])
+def test_a_path_that_is_not_a_regular_file_is_refused_unopened(kind, tmp_path, monkeypatch):
+    """A FIFO with no writer would block `open`, and /dev/zero would be read
+    until the byte bound; neither is opened."""
+    paths = {"fifo": tmp_path / "fifo", "device": "/dev/zero", "directory": tmp_path}
+    path = str(paths[kind])
+    if kind == "fifo":
+        os.mkfifo(path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("opened")
+
+    monkeypatch.setattr(ff, "open", refuse, raising=False)
+    assert run_cli(["check", path]) == (
+        cli.EX_IO, "", f"io error: {path!r} is not a regular file\n"
+    )
+
+
+def test_a_file_past_the_byte_bound_is_refused(tmp_path, monkeypatch):
+    """RESLAT_MAX_SIZE=2 admits files of 256 * 2 * 2 bytes: one of exactly
+    that size parses, one a byte longer is refused, and neither is read
+    past the bound plus one byte."""
+    monkeypatch.setenv("RESLAT_MAX_SIZE", "2")
+    text = ff.serialize(catalog.get("chain2"))
+    fits, over = tmp_path / "fits.txt", tmp_path / "over.txt"
+    fits.write_text(text + "#" * (1024 - len(text)))
+    over.write_text(text + "#" * (1025 - len(text) + 4096))
+    reads = []
+
+    class Reader:
+        def __init__(self, path, mode):
+            self.fh = open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, *size):
+            reads.append(size)
+            return self.fh.read(*size)
+
+    monkeypatch.setattr(ff, "open", Reader, raising=False)
+    code, out, err = run_cli(["check", str(fits)])
+    assert (code, err) == (cli.EX_OK, "")
+    assert out.startswith("chain2: valid residuated lattice on 2 elements")
+    assert run_cli(["check", str(over)]) == (
+        cli.EX_FALSE, "", "invalid algebra: file exceeds 1024 bytes, the bound for 2 elements\n"
+    )
+    assert reads == [(1025,), (1025,)]
+
+
+def test_an_unexpected_exception_exits_70_with_its_traceback(monkeypatch):
+    def analysis(a):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(flt, "analysis", analysis)
+    code, out, err = run_cli(["check", "A6"])
+    assert (code, out) == (cli.EX_SOFTWARE, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: injected\n")
+
+
 def test_filters_listing():
-    code, out, _ = run(["filters", "A6"])
+    code, out, _ = run_cli(["filters", "A6"])
     assert code == cli.EX_OK
     assert out == (
         "{1} generator=1 prime,pure\n"
@@ -106,7 +163,7 @@ def test_filters_listing():
 
 
 def test_spectrum_listing():
-    code, out, _ = run(["spectrum", "A6"])
+    code, out, _ = run_cli(["spectrum", "A6"])
     assert code == cli.EX_OK
     assert out == (
         "{1}\n"
@@ -118,14 +175,14 @@ def test_spectrum_listing():
 
 
 def test_spectrum_patch_kind():
-    code, out, _ = run(["spectrum", "A6", "--kind", "patch"])
+    code, out, _ = run_cli(["spectrum", "A6", "--kind", "patch"])
     assert code == cli.EX_OK
     assert "3 points, 8 closed sets" in out
     assert "discrete=yes" in out
 
 
 def test_gelfand_no_with_witnesses():
-    code, out, _ = run(["gelfand", "A6"])
+    code, out, _ = run_cli(["gelfand", "A6"])
     assert code == cli.EX_FALSE
     assert out == (
         "Gelfand: no (0/14 criteria)\n"
@@ -135,22 +192,22 @@ def test_gelfand_no_with_witnesses():
 
 
 def test_gelfand_yes():
-    code, out, _ = run(["gelfand", "A8"])
+    code, out, _ = run_cli(["gelfand", "A8"])
     assert code == cli.EX_OK
     assert out == "Gelfand: yes (14/14 criteria)\n"
 
 
 def test_pure_exit_tracks_the_homeomorphism():
-    code, out, _ = run(["pure", "A8"])
+    code, out, _ = run_cli(["pure", "A8"])
     assert code == cli.EX_OK
     assert "pure spectrum homeomorphic to maximal spectrum: yes" in out
-    code, out, _ = run(["pure", "A6"])
+    code, out, _ = run_cli(["pure", "A6"])
     assert code == cli.EX_FALSE
     assert "pure spectrum homeomorphic to maximal spectrum: no" in out
 
 
 def test_soft_battery_output():
-    code, out, _ = run(["soft", "cube2"])
+    code, out, _ = run_cli(["soft", "cube2"])
     assert code == cli.EX_OK
     assert out == (
         "gelfand_and_trivial_radical: yes\n"
@@ -158,20 +215,20 @@ def test_soft_battery_output():
         "semisimple_with_unique_maximals_over_radical: yes\n"
         "soft: yes\n"
     )
-    code, out, _ = run(["soft", "A6"])
+    code, out, _ = run_cli(["soft", "A6"])
     assert code == cli.EX_FALSE
     assert out.endswith("soft: no\n")
 
 
 def test_catalog_listing():
-    code, out, _ = run(["catalog"])
+    code, out, _ = run_cli(["catalog"])
     assert code == cli.EX_OK
     assert out.splitlines()[0] == "A6: 6 elements"
     assert len(out.splitlines()) == 11
 
 
 def test_search_summary():
-    code, out, _ = run(["search", "3"])
+    code, out, _ = run_cli(["search", "3"])
     assert code == cli.EX_OK
     assert out == (
         "n=1: lattices=1 structures=1 gelfand=1 soft=1 local=0 semisimple=1"
@@ -184,7 +241,7 @@ def test_search_summary():
 
 
 def test_search_chains_only():
-    code, out, _ = run(["search", "4", "--chains"])
+    code, out, _ = run_cli(["search", "4", "--chains"])
     assert code == cli.EX_OK
     assert "n=4: lattices=1 structures=6" in out
 
@@ -210,13 +267,13 @@ def test_search_refuses_sizes_above_seven_before_enumerating(monkeypatch, size):
     monkeypatch.setattr(modelgen, "classify_all", classify_all)
     if bound is not None:
         monkeypatch.setenv("RESLAT_MAX_SIZE", bound)
-    assert run(["search", size]) == (code, "", err)
+    assert run_cli(["search", size]) == (code, "", err)
 
 
 def test_report_is_deterministic_and_valid_json(tmp_path):
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run(["report", "A8", "-o", str(f1)])[0] == cli.EX_OK
-    assert run(["report", "A8", "-o", str(f2)])[0] == cli.EX_OK
+    assert run_cli(["report", "A8", "-o", str(f1)])[0] == cli.EX_OK
+    assert run_cli(["report", "A8", "-o", str(f2)])[0] == cli.EX_OK
     b1, b2 = f1.read_bytes(), f2.read_bytes()
     assert b1 == b2
     doc = json.loads(b1)
@@ -226,29 +283,29 @@ def test_report_is_deterministic_and_valid_json(tmp_path):
 
 def test_export_dot_to_file(tmp_path):
     p = tmp_path / "a6.dot"
-    code, out, _ = run(["export-dot", "A6", "-o", str(p)])
+    code, out, _ = run_cli(["export-dot", "A6", "-o", str(p)])
     assert code == cli.EX_OK and out == ""
     assert p.read_text() == ff.export_dot(catalog.get("A6"))
-    code, out, _ = run(["export-dot", "A8", "--kind", "spec"])
+    code, out, _ = run_cli(["export-dot", "A8", "--kind", "spec"])
     assert code == cli.EX_OK and out == ff.export_dot(catalog.get("A8"), kind="spec")
 
 
 def test_usage_errors_exit_64():
-    assert run(["nope"])[0] == cli.EX_USAGE
-    assert run(["gelfand"])[0] == cli.EX_USAGE
-    assert run([])[0] == cli.EX_USAGE
+    assert run_cli(["nope"])[0] == cli.EX_USAGE
+    assert run_cli(["gelfand"])[0] == cli.EX_USAGE
+    assert run_cli([])[0] == cli.EX_USAGE
 
 
 def test_a_size_bound_below_one_is_a_usage_error(monkeypatch):
     monkeypatch.setattr(catalog, "_built", {})
     monkeypatch.setenv("RESLAT_MAX_SIZE", "-1")
-    assert run(["check", "A6"]) == (
+    assert run_cli(["check", "A6"]) == (
         cli.EX_USAGE, "", "usage error: RESLAT_MAX_SIZE must be a positive integer, got '-1'\n"
     )
 
 
 def test_missing_input_exits_74():
-    code, _, err = run(["check", "nosuchthing"])
+    code, _, err = run_cli(["check", "nosuchthing"])
     assert code == cli.EX_IO
     assert "nosuchthing" in err
 
@@ -256,7 +313,7 @@ def test_missing_input_exits_74():
 def test_equivalence_violation_exits_2(monkeypatch):
     monkeypatch.setattr(catalog, "_built", {})
     monkeypatch.setattr(flt, "radical_total", lambda a, f: 1 << a.one)
-    code, out, err = run(["gelfand", "A8"])
+    code, out, err = run_cli(["gelfand", "A8"])
     assert code == cli.EX_VIOLATION
     assert "equivalence violation" in err
     assert "detail:" in err
@@ -266,4 +323,4 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit):
         # argparse prints help and exits; main() converts that to a return code
         cli.build_parser().parse_args(["--help"])
-    assert run(["--help"])[0] == cli.EX_OK
+    assert run_cli(["--help"])[0] == cli.EX_OK

@@ -309,6 +309,17 @@ def test_find_isomorphism_distinguishes_same_size_algebras():
     assert not core.is_isomorphic(catalog.get("chain3"), catalog.get("MV3"))
 
 
+def test_find_isomorphism_refuses_different_sizes():
+    assert core.find_isomorphism(catalog.get("chain2"), catalog.get("chain3")) is None
+
+
+def test_is_filter_needs_upward_closure():
+    a = catalog.get("A6")
+    x = a.names.index("a")
+    assert a.is_filter(a.up[x])
+    assert not a.is_filter(1 << x | 1 << a.one)  # {a,1} misses b and d
+
+
 def test_find_isomorphism_inverts_a_relabeling():
     a = catalog.get("A8")
     perm = (0, 3, 1, 5, 2, 6, 4, 7)  # reshuffle the middle elements

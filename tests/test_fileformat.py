@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reslat import catalog, core, fileformat as ff, filters as flt, modelgen as mg
-from reslat.errors import FormatError, ResiduumMismatch
+from reslat.errors import FormatError, ReslatError, ResiduumMismatch
 
 from oracles import goedel
 
@@ -142,6 +142,62 @@ def test_order_block_is_mandatory_and_unique():
     base = "elements 0 1\ncovers 0<1\nmul\n0 0\n0 1\nleq\n1 1\n0 1\n"
     with pytest.raises(FormatError, match="exactly one of covers or leq"):
         ff.parse_text(base)
+    chain2 = {"elements": ["0", "1"], "mul": [["0", "0"], ["0", "1"]]}
+    for order in ({}, {"covers": [["0", "1"]], "leq": [[1, 1], [0, 1]]}):
+        with pytest.raises(FormatError, match="^need exactly one of covers or leq$"):
+            ff.parse_json_text(json.dumps({**chain2, **order}))
+
+
+CHAIN2_JSON = '"elements": ["0", "1"], "covers": [["0", "1"]], "mul": [["0", "0"], ["0", "1"]]'
+
+
+@pytest.mark.parametrize("parse,text,message,line", [
+    pytest.param(ff.parse_text, "mul\n", "mul before elements", 1, id="before-elements"),
+    pytest.param(ff.parse_text, "elements 0 1\n\nres 1\n", "res takes no arguments", 3,
+                 id="block-arguments"),
+    pytest.param(ff.parse_text, "name x\nelements\n", "elements line lists no elements", 2,
+                 id="no-elements-listed"),
+    pytest.param(ff.parse_text, "elements 0 a 0\n", "duplicate element names", 1,
+                 id="duplicate-names"),
+    pytest.param(ff.parse_text, "elements 0 1\ncovers 0<1 1\n", "malformed cover '1'", 2,
+                 id="malformed-cover"),
+    pytest.param(ff.parse_text, "name x\n", "no elements line", None, id="no-elements"),
+    pytest.param(ff.parse_text, "elements 0 1\ncovers 0<1\n", "no mul table", None,
+                 id="no-mul"),
+    pytest.param(ff.parse_json_text, '{\n  "elements": ["0", "1"],\n  covers\n}',
+                 "bad JSON: Expecting property name enclosed in double quotes", 3,
+                 id="json-syntax"),
+    pytest.param(ff.parse_json_text, '{"elements": ' + "[" * 100_000,
+                 "bad JSON: nested too deeply", None, id="json-nesting"),
+    pytest.param(ff.parse_json_text, '["0", "1"]', "top level must be an object", None,
+                 id="json-top-level"),
+    pytest.param(ff.parse_json_text, '{"covers": []}', "missing elements", None,
+                 id="json-no-elements"),
+    pytest.param(ff.parse_json_text, '{"elements": ["0", "1"], "mul": []}',
+                 "need exactly one of covers or leq", None, id="json-no-order"),
+    pytest.param(ff.parse_json_text, '{"elements": ["0"], "covers": [["0", "q"]]}',
+                 "unknown element or missing field: 'q'", None, id="json-unknown-element"),
+    pytest.param(ff.parse_json_text, '{"elements": ["0", "1"], "covers": [["0", "1"]]}',
+                 "unknown element or missing field: 'mul'", None, id="json-missing-field"),
+    pytest.param(ff.parse_json_text, '{"elements": ["0", "1"], "covers": [["0"]]}',
+                 "malformed table: not enough values to unpack (expected 2, got 1)", None,
+                 id="json-malformed-covers"),
+    pytest.param(ff.parse_json_text, '{%s, "res": [["1", "1"], ["0", "q"]]}' % CHAIN2_JSON,
+                 "unknown element in res: 'q'", None, id="json-unknown-in-res"),
+])
+def test_each_parser_refusal_names_its_cause_and_line(parse, text, message, line):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def test_comments_and_blank_lines_are_skipped():
+    lines = A6_TEXT.splitlines()
+    lines[1] += "  # the running example"
+    lines[3:3] = ["", "# the monoid, row by row", "   "]
+    a = ff.parse_text("# A6 of the paper\n\n" + "\n".join(lines) + "\n\n# end\n")
+    assert a == catalog.get("A6") and a.label == "A6"
 
 
 def _chain2_json(leq):
@@ -277,6 +333,24 @@ def test_relabelings_survive_the_round_trip(data):
     c = ff.parse_text(ff.serialize(b))
     assert c.mul == b.mul and c.up == b.up
     assert core.is_isomorphic(c, a)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_edited_files_raise_nothing_but_package_errors(data):
+    """Up to four random splices into the text or JSON form of a catalog
+    algebra either parse or raise a ReslatError, which the CLI reports as
+    an invalid algebra; nothing else escapes the parsers."""
+    form = data.draw(st.sampled_from([ff.serialize, ff.to_json]))
+    text = form(catalog.get(data.draw(st.sampled_from(CATALOG))))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 6)))
+        text = text[:i] + data.draw(st.text('01abcd{}[]",:<# \n', max_size=4)) + text[j:]
+    try:
+        ff.parse(text)
+    except ReslatError:
+        pass
 
 
 @given(data=st.data())

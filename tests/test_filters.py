@@ -1,16 +1,20 @@
 """Filter lattice machinery: generation, maximal/prime collections, radicals,
 comaximality, coannihilators, d-parts, local batteries."""
 
-import contextlib
-import io
 import sys
 
 import pytest
 
 from reslat import catalog, cli, core, filters as flt, modelgen, report
-from reslat.errors import EquivalenceViolation, ImproperInput, NotAnIdeal, Unsatisfiable
+from reslat.errors import (
+    EquivalenceViolation,
+    ImproperInput,
+    NotAFilter,
+    NotAnIdeal,
+    Unsatisfiable,
+)
 
-from oracles import comaximal_witness, fresh, prime_extension, primes_over
+from oracles import comaximal_witness, fresh, prime_extension, primes_over, run_cli
 
 # name -> (filters, maximals, primes, radical), all as set_repr strings
 TABLES = {
@@ -157,6 +161,22 @@ def test_radical_rejects_improper_filter():
     a = catalog.get("A6")
     with pytest.raises(ImproperInput):
         flt.radical(a, a.full)
+
+
+def test_radical_rejects_a_non_filter():
+    a = catalog.get("A6")
+    with pytest.raises(NotAFilter, match=r"^\{a,1\}$"):
+        flt.radical(a, 1 << a.names.index("a") | 1 << a.one)
+
+
+def test_proper_filter_tests_reject_the_improper_filter():
+    a = catalog.get("A6")
+    m = flt.maximal_filters(a)[0]
+    for f, g in ((a.full, m), (m, a.full)):
+        with pytest.raises(ImproperInput, match="comaximality is about proper filters"):
+            flt.is_comaximal(a, f, g)
+    with pytest.raises(ImproperInput, match="maximality test is about proper filters"):
+        flt.is_maximal_by_powers(a, a.full)
 
 
 def test_comaximality_routes_and_witness():
@@ -419,13 +439,11 @@ def test_a_broken_join_mask_is_caught_by_the_prime_route(monkeypatch):
     with pytest.raises(EquivalenceViolation, match="coannihilator routes disagree"):
         flt.coannihilator(a, 1 << c)
     monkeypatch.setattr(catalog, "_built", {})
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["report", "A8"])
+    code, _, err = run_cli(["report", "A8"])
     assert code == cli.EX_VIOLATION
-    assert "coannihilator routes disagree" in err.getvalue()
+    assert "coannihilator routes disagree" in err
     routes = {"primes": rows[c] | 1 << f, "joins": rows[c]}
-    assert f"detail: ('A8', '{{c}}', {routes})" in err.getvalue()
+    assert f"detail: ('A8', '{{c}}', {routes})" in err
 
 
 def test_coannihilator_calls_per_report(monkeypatch):

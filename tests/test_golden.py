@@ -8,13 +8,13 @@ regenerate a fixture only when that change is intended, with
         > tests/golden/NAME.spectrum-KIND.txt
 """
 
-import contextlib
-import io
 from pathlib import Path
 
 import pytest
 
 from reslat import catalog, cli
+
+from oracles import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,8 +30,6 @@ def test_every_fixture_is_compared():
 
 @pytest.mark.parametrize("name,argv,fixture", CASES, ids=[f for _, _, f in CASES])
 def test_output_matches_the_fixture(name, argv, fixture):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
+    code, out, _ = run_cli(argv)
     assert code == cli.EX_OK
-    assert out.getvalue().encode("utf-8") == (GOLDEN / fixture).read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / fixture).read_bytes()

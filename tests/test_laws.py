@@ -2,8 +2,6 @@
 failure, so a clean return already certifies the algebra; the assertions
 below pin the shape of the results."""
 
-import contextlib
-import io
 import re
 import types
 
@@ -12,7 +10,7 @@ import pytest
 from reslat import catalog, cli, core, filters as flt, laws, modelgen, pure as pr, report
 from reslat.errors import EquivalenceViolation
 
-from oracles import fresh
+from oracles import fresh, run_cli
 
 SUITES = (
     "boolean_center",
@@ -158,11 +156,9 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
     with pytest.raises(EquivalenceViolation, match="omega laws fail") as exc:
         report.run_laws(catalog.get("A8"))
     assert exc.value.detail == ("A8", ("monotone_on_ideals",))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["report", "A8"])
+    code, _, err = run_cli(["report", "A8"])
     assert code == cli.EX_VIOLATION
-    assert "detail: ('A8', ('monotone_on_ideals',))" in err.getvalue()
+    assert "detail: ('A8', ('monotone_on_ideals',))" in err
 
 
 # Law leaves knocked out, keyed "suite.leaf": the module holding the suite,

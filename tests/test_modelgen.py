@@ -1,9 +1,6 @@
 """Exhaustive enumeration up to isomorphism, cross-checked against naive
 brute-force routes, plus the classification sweep."""
 
-import contextlib
-import io
-
 import pytest
 
 from reslat import catalog, cli, core, fileformat as ff, gelfand as gf, modelgen as mg
@@ -15,6 +12,7 @@ from oracles import (
     lattices_by_full_walk,
     naive_lattices,
     naive_structures,
+    run_cli,
     structures_by_complete_check,
 )
 
@@ -156,6 +154,11 @@ def test_enumeration_respects_size_bound(monkeypatch):
         list(mg.enumerate_lattices(6))
 
 
+def test_enumeration_needs_a_positive_size():
+    with pytest.raises(ValueError, match="carrier size must be positive"):
+        list(mg.enumerate_lattices(0))
+
+
 @pytest.mark.parametrize("n", sorted(SWEEP))
 def test_classification_sweep(n):
     rep = mg.classify_all(n)
@@ -200,10 +203,9 @@ def test_a_sweep_violation_keeps_its_cause(monkeypatch):
     text, inner = exc.value.detail
     assert ff.parse_text(text) == next(mg.residuated_structures(3))
     assert inner[0] == "n3.1" and inner[-1]["contessa"] is False
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert cli.main(["search", "3"]) == cli.EX_VIOLATION
-    lines = err.getvalue().splitlines()
+    code, _, err = run_cli(["search", "3"])
+    assert code == cli.EX_VIOLATION
+    lines = err.splitlines()
     assert lines[0] == "equivalence violation: sweep aborted on n1.1: Gelfand criteria disagree"
     assert "'contessa': False" in lines[1]
 

@@ -3,8 +3,6 @@ coannihilator laws, closure lemmas, the patch/stability criterion, stable
 sets and retractions; and the one-step derivations against the routes they
 replace: filter joins, all coannihilators and the spectrum's DOT edges."""
 
-import contextlib
-import io
 import time
 import types
 
@@ -21,6 +19,7 @@ from oracles import (
     goedel,
     patch_stability_by_scan,
     retraction_images,
+    run_cli,
     spec_edges_by_scan,
     stable_sets_by_scan,
 )
@@ -104,12 +103,10 @@ def test_a_patch_space_that_is_not_discrete_is_caught(monkeypatch):
     assert patch_stability_by_scan(a) is True
     with pytest.raises(EquivalenceViolation, match="patch topology is not discrete"):
         report.run_laws(a)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["report", "A6"])
+    code, out, err = run_cli(["report", "A6"])
     assert code == cli.EX_VIOLATION
-    assert out.getvalue() == ""
-    assert "patch topology is not discrete" in err.getvalue()
+    assert out == ""
+    assert "patch topology is not discrete" in err
 
 
 def test_stable_sets_match_the_scan():

@@ -1,8 +1,6 @@
 """Pure filters, sigma and rho operators, the pure spectrum, and their law
 suites."""
 
-import contextlib
-import io
 import types
 
 import pytest
@@ -10,6 +8,8 @@ import pytest
 from reslat import catalog, cli, core, fileformat as ff, filters as flt
 from reslat import pure as pr, report, topology as top
 from reslat.errors import EquivalenceViolation
+
+from oracles import run_cli
 
 
 def reprs(a, masks):
@@ -142,11 +142,9 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
     with pytest.raises(EquivalenceViolation, match="stable open laws fail") as exc:
         pr.stable_open_law(catalog.get("A8"))
     assert exc.value.detail == ("A8", ("stable_opens_are_pure_duals",))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["report", "A8"])
+    code, _, err = run_cli(["report", "A8"])
     assert code == cli.EX_VIOLATION
-    assert "detail: ('A8', ('stable_opens_are_pure_duals',))" in err.getvalue()
+    assert "detail: ('A8', ('stable_opens_are_pure_duals',))" in err
 
 
 def _break_join(monkeypatch, f0, g0):
@@ -179,11 +177,9 @@ def test_sigma_join_law_is_checked_past_twelve_filters(monkeypatch, tmp_path):
     assert exc.value.detail == (a.label, ("family_join_inequality",))
     path = tmp_path / "A6xcube2.json"
     path.write_text(ff.to_json(a))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["report", str(path)])
+    code, _, err = run_cli(["report", str(path)])
     assert code == cli.EX_VIOLATION
-    assert "detail: ('A6xcube2', ('family_join_inequality',))" in err.getvalue()
+    assert "detail: ('A6xcube2', ('family_join_inequality',))" in err
 
 
 def test_frame_law_is_checked_past_twelve_pure_filters(monkeypatch):

@@ -3,8 +3,6 @@ the coannihilator laws, the Hausdorff battery, the Gelfand verdict and the
 full report on chains and products whose spectra have 31 to 63 points; all
 with fact oracles and generous wall-clock bounds."""
 
-import contextlib
-import io
 import json
 import time
 
@@ -13,18 +11,11 @@ import pytest
 from reslat import catalog, cli, core, fileformat, filters as flt, gelfand as gf
 from reslat import laws, modelgen as mg, topology as top
 
-from oracles import goedel
+from oracles import goedel, run_cli
 
 
 def _chain2_goedel32():
     return core.direct_product(catalog.get("chain2"), goedel(32))
-
-
-def run_cli(args):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(args)
-    return code, out.getvalue(), err.getvalue()
 
 
 # name -> (builder, primes, maximals, retraction count)

@@ -59,16 +59,32 @@ LIGHT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LIGHT_COMMANDS) + ["malformed file"])
-def test_short_commands_load_no_criteria_laws_report_or_search(name, malformed):
-    argv, code = LIGHT_COMMANDS.get(name, (["check", malformed], 1))
+@pytest.mark.parametrize("name", sorted(LIGHT_COMMANDS))
+def test_short_commands_load_no_criteria_laws_report_or_search(name):
+    argv, code = LIGHT_COMMANDS[name]
     got, names = imported_by(*argv)
     assert got == code
     assert names & HEAVY == set()
     assert "dataclasses" not in names
     if argv[0] == "check":
-        # a rejected input stops before the filter analysis is imported
+        # an absent file stops before the filter analysis is imported
         assert ("reslat.filters" in names) == (code == 0)
+
+
+ALGEBRA_COMMANDS = ("check", "filters", "spectrum", "gelfand", "pure", "soft", "report",
+                    "export-dot")
+
+
+@pytest.mark.parametrize("command", ALGEBRA_COMMANDS)
+def test_a_rejected_input_loads_only_what_resolves_it(command, malformed):
+    """`main` resolves the algebra before the command imports anything, and
+    the handlers of its refusals import nothing (not even `traceback`)."""
+    code, names = imported_by(command, malformed)
+    assert code == 1
+    assert {n for n in names if n.partition(".")[0] == "reslat"} == {
+        "reslat", "reslat.core", "reslat.errors", "reslat.catalog", "reslat.fileformat",
+    }
+    assert "traceback" not in names and "dataclasses" not in names
 
 
 def test_report_loads_no_model_search():

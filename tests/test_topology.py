@@ -113,6 +113,22 @@ def test_quotient_space_collapsing_the_maximals():
     assert sorted(qs.closed) == [0b00, 0b10, 0b11]
 
 
+def test_quotient_space_needs_a_partition():
+    sp = top.spec_space(catalog.get("A6"))
+    with pytest.raises(ValueError, match="classes overlap"):
+        top.quotient_space(sp, (0b011, 0b110), "q")
+    with pytest.raises(ValueError, match="classes do not cover the space"):
+        top.quotient_space(sp, (0b001, 0b010), "q")
+
+
+def test_spaces_are_immutable_and_kinds_are_checked():
+    sp = top.spec_space(catalog.get("A6"))
+    with pytest.raises(AttributeError, match="cannot assign to 'cl' of a FiniteSpace"):
+        sp.cl = ()
+    with pytest.raises(ValueError, match="unknown space kind 'zariski'"):
+        top.spec_space(catalog.get("A6"), "zariski")
+
+
 def test_continuity_and_homeomorphism():
     a = catalog.get("A6")
     sp = top.spec_space(a)
