@@ -23,8 +23,7 @@ _EXPORTS = {
     "errors": (
         "AdjunctionFails CarrierTooLarge EquivalenceViolation FormatError"
         " ImproperInput NoResiduum NotAFilter NotALattice NotAnIdeal"
-        " NotCommutativeMonoid NotResiduated ReslatError ResiduumMismatch"
-        " Unsatisfiable UsageError"
+        " NotCommutativeMonoid NotResiduated ReslatError ResiduumMismatch UsageError"
     ),
     "fileformat": "export_dot load parse serialize to_json",
     "filters": (
@@ -36,7 +35,8 @@ _EXPORTS = {
     "gelfand": "GelfandVerdict classification gelfand_verdict hausdorff_battery is_soft",
     "modelgen": "classify_all enumerate_lattices residuated_structures",
     "pure": "pure_filters purely_maximal purely_prime rho sigma",
-    "report": "build_report render_json run_laws",
+    "laws": "run_laws",
+    "report": "build_report render_json",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

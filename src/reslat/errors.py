@@ -55,10 +55,6 @@ class NotAnIdeal(ReslatError):
     """The given subset is not a lattice ideal."""
 
 
-class Unsatisfiable(ReslatError):
-    """A constraint problem (e.g. prime extension) has no solution."""
-
-
 class FormatError(ReslatError):
     """Malformed algebra file; carries a line number when known."""
 

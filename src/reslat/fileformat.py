@@ -27,6 +27,7 @@ from .errors import FormatError
 
 
 _BLOCKS = ("leq", "mul", "res")
+_DIRECTIVES = ("name", "elements", "covers") + _BLOCKS
 
 
 def parse_text(text: str) -> ResiduatedLattice:
@@ -60,7 +61,7 @@ def parse_text(text: str) -> ResiduatedLattice:
             rows_needed -= 1
             continue
         word, _, rest = line.partition(" ")
-        if word not in ("name", "elements", "covers") + _BLOCKS:
+        if word not in _DIRECTIVES:
             raise FormatError(f"unknown directive {word!r}", lineno)
         if word not in ("name", "elements") and "elements" not in found:
             raise FormatError(f"{word} before elements", lineno)
@@ -154,6 +155,12 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         raise FormatError("bad JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
+    for key in data:
+        if key not in _DIRECTIVES:
+            raise FormatError(f"unknown directive {key!r}")
+    label = data.get("name", "")
+    if not isinstance(label, str):
+        raise FormatError("name must be a string")
     if "elements" not in data:
         raise FormatError("missing elements")
     if not isinstance(data["elements"], list):
@@ -187,9 +194,7 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         raise FormatError(f"unknown element in res: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed table: {exc}") from None
-    return validate(
-        names, mul, leq=leq, covers=covers, res=res, label=str(data.get("name", ""))
-    )
+    return validate(names, mul, leq=leq, covers=covers, res=res, label=label)
 
 
 def to_json(a: ResiduatedLattice) -> str:

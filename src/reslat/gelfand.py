@@ -245,24 +245,6 @@ def quotient_space_homeo(a: ResiduatedLattice, kind: str) -> bool:
 GelfandVerdict = namedtuple("GelfandVerdict", "verdict criteria details witnesses")
 
 
-CRITERIA = (
-    "unique_maximal",
-    "contessa",
-    "maximal_battery",
-    "normal_filter_lattice",
-    "spectral_separation",
-    "max_retract",
-    "spectrum_normal",
-    "comaximal_classes",
-    "dpart_classes",
-    "topologies_match_on_max",
-    "pure_spectrum_homeo",
-    "sigma_battery",
-    "rho_battery",
-    "rho_rad_adjoint",
-)
-
-
 @memo
 def gelfand_verdict(a: ResiduatedLattice) -> GelfandVerdict:
     """Evaluate all fourteen criteria and assert their unanimity, once per

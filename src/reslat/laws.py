@@ -1,14 +1,19 @@
-"""Cross-cutting identities tying elements, filters and quotients together.
+"""Every law suite of the package: cross-cutting identities tying elements,
+filters and quotients together, the sigma and rho laws, the pure-spectrum
+laws, and the hull-kernel facts of the spectrum.
 
 Each suite returns a dict of named booleans and raises EquivalenceViolation
 when any law fails, so a single call both documents and enforces the
-corresponding facts. Reports run all suites on every algebra they describe.
+corresponding facts. `run_laws` is the one table of suites, keyed as in the
+report; reports run it on every algebra they describe.
 """
 from __future__ import annotations
 
 from .core import ResiduatedLattice, bits, classify_elements, mask_of, meet, quotient
-from .errors import hold
+from .errors import EquivalenceViolation, agree, hold
 from . import filters as flt
+from . import pure as pr
+from . import topology as top
 
 
 def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
@@ -234,3 +239,271 @@ def omega_monotone_law(a: ResiduatedLattice) -> dict[str, bool]:
         )
     return hold(a, "omega", {"monotone_on_ideals": ok})
 
+
+# ------------------------------------------------- pure filters, sigma and rho
+
+
+def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
+    """The unconditional sigma laws; every False is raised as a violation.
+
+    The join inequality, v sigma(F_i) <= sigma(v F_i) for every family, is
+    checked on all pairs; induction over join_family's fold gives the rest:
+    the empty join {1} is below every filter, and if the inequality holds for
+    F_1..F_k-1 with join G, the pairwise law at (G, F_k) extends it to k.
+    """
+    fs = flt.all_filters(a)
+    laws = {}
+    laws["routes_agree"] = all(pr.sigma(a, f) is not None for f in fs)
+    laws["contractive_filter"] = all(
+        a.is_filter(pr.sigma(a, f)) and pr.sigma(a, f) & f == pr.sigma(a, f) for f in fs
+    )
+    laws["monotone"] = all(
+        pr.sigma(a, f) & pr.sigma(a, g) == pr.sigma(a, f)
+        for f in fs
+        for g in fs
+        if f & g == f
+    )
+    laws["below_d_part_on_primes"] = all(
+        pr.sigma(a, p) & flt.d_part(a, p) == pr.sigma(a, p)
+        for p in flt.prime_filters(a)
+    )
+    laws["equals_d_part_on_maximals"] = all(
+        pr.sigma(a, m) == flt.d_part(a, m) for m in flt.maximal_filters(a)
+    )
+    laws["meet_homomorphism"] = all(
+        pr.sigma(a, f & g) == pr.sigma(a, f) & pr.sigma(a, g) for f in fs for g in fs
+    )
+    laws["family_join_inequality"] = all(
+        (lambda j: j & pr.sigma(a, flt.filter_join(a, f, g)) == j)(
+            flt.filter_join(a, pr.sigma(a, f), pr.sigma(a, g))
+        )
+        for f in fs
+        for g in fs
+    )
+    return hold(a, "sigma", laws)
+
+
+def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
+    """The pure filters form a frame inside the filter lattice.
+
+    Frame distributivity, f ^ (v g_i) = v (f ^ g_i) for every family of pure
+    g_i, is checked on all pure triples; induction over join_family's fold
+    gives the rest: both sides are {1} on the empty family, and the join G of
+    g_1..g_k-1 is pure (join_closed), so the triple law at (f, G, g_k)
+    extends it to k.
+    """
+    pure = pr.pure_filters(a)
+    pure_set = set(pure)
+    laws = {
+        "meet_closed": all(f & g in pure_set for f in pure for g in pure),
+        "join_closed": all(
+            flt.filter_join(a, f, g) in pure_set for f in pure for g in pure
+        ),
+        "bounds": (1 << a.one) in pure_set and a.full in pure_set,
+        "frame_distributivity": all(
+            f & flt.filter_join(a, g, h) == flt.filter_join(a, f & g, f & h)
+            for f in pure
+            for g in pure
+            for h in pure
+        ),
+    }
+    return hold(a, "sigma frame", laws)
+
+
+def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
+    """Every pure filter is the meet of the d-parts of the maximals over it."""
+    ok = all(
+        meet(a, (flt.d_part(a, m) for m in flt.maximals_over(a, f))) == f
+        for f in pr.pure_filters(a)
+    )
+    laws = {"pure_is_meet_of_d_parts": ok}
+    return hold(a, "pure intersection", laws)
+
+
+def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
+    fs = flt.all_filters(a)
+    pure = set(pr.pure_filters(a))
+    laws = {}
+    laws["below_sigma"] = all(
+        pr.rho(a, f) & pr.sigma(a, f) == pr.rho(a, f) for f in fs
+    )
+    laws["kernel_operator"] = all(
+        pr.rho(a, f) & f == pr.rho(a, f) and pr.rho(a, pr.rho(a, f)) == pr.rho(a, f)
+        for f in fs
+    ) and all(
+        pr.rho(a, f) & pr.rho(a, g) == pr.rho(a, f) for f in fs for g in fs if f & g == f
+    )
+    laws["fixed_points_are_pure"] = {f for f in fs if pr.rho(a, f) == f} == pure
+    laws["meet_homomorphism"] = all(
+        pr.rho(a, f & g) == pr.rho(a, f) & pr.rho(a, g) for f in fs for g in fs
+    )
+    laws["pure_is_meet_of_maximal_parts"] = all(
+        meet(a, (pr.rho(a, m) for m in flt.maximals_over(a, f))) == f for f in pure
+    )
+    laws["pure_recovered_from_radical"] = all(
+        pr.rho(a, flt.radical_total(a, f)) == f for f in pure
+    )
+    laws["same_part_as_d_part_on_primes"] = all(
+        pr.rho(a, p) == pr.rho(a, flt.d_part(a, p)) for p in flt.prime_filters(a)
+    )
+    return hold(a, "rho", laws)
+
+
+def purely_prime_laws(a: ResiduatedLattice) -> dict[str, bool]:
+    spp = set(pr.purely_prime(a))
+    laws = {}
+    laws["pure_part_of_prime_is_purely_prime"] = all(
+        pr.rho(a, p) in spp for p in flt.prime_filters(a)
+    )
+    laws["purely_maximal_are_max_pure_parts"] = set(pr.purely_maximal(a)) <= {
+        pr.rho(a, m) for m in flt.maximal_filters(a)
+    }
+    laws["pure_is_meet_of_purely_primes_above"] = all(
+        meet(a, (cand for cand in spp if cand & f == f)) == f
+        for f in pr.pure_filters(a)
+    )
+    return hold(a, "purely prime", laws)
+
+
+def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
+    """The pure part map reflects the pure-spectrum opens exactly:
+    for pure F and prime p, F <= rho(p) iff F <= p."""
+    ok = all(
+        (f & pr.rho(a, p) == f) == (f & p == f)
+        for f in pr.pure_filters(a)
+        for p in flt.prime_filters(a)
+    )
+    laws = {"pure_part_map_reflects_opens": ok}
+    return hold(a, "continuity", laws)
+
+
+def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
+    """Opens of Spec_h stable under specialization = duals of pure filters."""
+    primes = flt.prime_filters(a)
+    hspace = top.spec_space(a, "hull")
+    stable_opens = {
+        o
+        for o in hspace.opens()
+        if top.specialization_mask(primes, o) == o
+    }
+    pure_duals = {
+        hspace.full ^ top.hull_in(primes, f) for f in pr.pure_filters(a)
+    }
+    laws = {"stable_opens_are_pure_duals": stable_opens == pure_duals}
+    return hold(a, "stable open", laws)
+
+
+# ---------------------------------------------------- the hull-kernel spectrum
+
+
+def closure_lemmas(a: ResiduatedLattice) -> bool:
+    """For every set of primes: hull-kernel closure = hull of kernel =
+    specialization set, and dual closure = generalization set. Each route is
+    a union over the points of the set, the hull of the kernel because
+    hull(F n G) = hull(F) u hull(G) for filters (checked on every pair), so
+    the routes are compared on the empty set and on each single point."""
+    points = flt.prime_filters(a)
+    hspace = top.spec_space(a, "hull")
+    dspace = top.spec_space(a, "dual")
+    hulls = {f: top.hull_in(points, f) for f in flt.all_filters(a)}
+    for f in hulls:
+        for g in hulls:
+            routes = {"hull_of_meet": top.hull_in(points, f & g), "union": hulls[f] | hulls[g]}
+            agree(a, "closure lemmas fail", routes, f, g)
+    for pi in [0] + [1 << i for i in range(len(points))]:
+        where = [points[i] for i in bits(pi)]
+        hull = {
+            "hull_closure": hspace.closure(pi),
+            "hull_of_kernel": top.hull_in(points, top.kernel_of(a, points, pi)),
+            "specialization": top.specialization_mask(points, pi),
+        }
+        dual = {
+            "dual_closure": dspace.closure(pi),
+            "generalization": top.generalization_mask(points, pi),
+        }
+        agree(a, "closure lemmas fail", hull, *where)
+        agree(a, "closure lemmas fail", dual, *where)
+    return True
+
+
+def patch_stability_criterion(a: ResiduatedLattice) -> bool:
+    """A point set is hull-kernel closed iff it is patch closed and stable
+    under specialization. The patch space is discrete (read off its point
+    closures), so every set is patch closed, and the criterion says
+    that the hull-closed sets are the stable ones: the unions of up-sets
+    that `hull_closed_family_facts` builds, since S is stable iff S is the
+    union of its points' up-sets. Asserted; returns True."""
+    if not top.is_discrete(top.spec_space(a, "patch")):
+        raise EquivalenceViolation("patch topology is not discrete", detail=a.label)
+    return hull_closed_family_facts(a)
+
+
+def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
+    """Density of the maximals in the spectrum = semisimplicity. Asserted;
+    returns True."""
+    hspace = top.spec_space(a, "hull")
+    agree(a, "density of maximals disagrees with semisimplicity", {
+        "max_dense": hspace.closure(flt.max_mask(a)) == hspace.full,
+        "semisimple": flt.is_semisimple(a),
+    })
+    return True
+
+
+def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
+    """The hull-kernel closed sets are exactly the filter hulls and exactly
+    the specialization-stable sets, built as unions of the points' up-sets
+    and cut off once they outnumber the filter hulls."""
+    points = flt.prime_filters(a)
+    hspace = top.spec_space(a, "hull")
+    filter_hulls = {top.hull_in(points, f) for f in flt.all_filters(a)}
+    stable = {0}
+    for up in (top.specialization_mask(points, 1 << i) for i in range(len(points))):
+        stable |= {s | up for s in stable}
+        if len(stable) > len(filter_hulls):
+            break
+    routes = {"stable": stable, "filter_hulls": filter_hulls, "closed": hspace.closed}
+    agree(a, "closed-set descriptions of the spectrum disagree", routes)
+    return True
+
+
+def topology_laws(a: ResiduatedLattice) -> dict[str, bool]:
+    """The spectral facts, each asserted by its own check, which raises
+    EquivalenceViolation when its routes disagree. The patch/stability
+    criterion returns the closed-family facts it rests on, and
+    `topology.clopen_check` returns the clopen sets it compared."""
+    lemmas = closure_lemmas(a)
+    closed = patch_stability_criterion(a)
+    top.clopen_check(a)
+    return hold(a, "topology", {
+        "closure_lemmas": lemmas,
+        "closed_families_coincide": closed,
+        "patch_stability_criterion": closed,
+        "clopens_are_center_hulls": True,
+        "max_dense_iff_semisimple": max_dense_iff_semisimple(a),
+    })
+
+
+def run_laws(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:
+    """Every law suite in the package, by its key in the report; raises
+    EquivalenceViolation on any failure, otherwise returns the named results."""
+    return {
+        "generated_filter": generated_filter_laws(a),
+        "comaximality": comaximality_laws(a),
+        "maximality_power": maximality_power_law(a),
+        "filter_lattice": filter_lattice_laws(a),
+        "nilpotent_ideal": nilpotent_ideal_law(a),
+        "boolean_center": beta_radical_laws(a),
+        "dpart_meet": dpart_meet_law(a),
+        "quotient_maximals": quotient_maximals_law(a),
+        "local_quotient": local_quotient_law(a),
+        "coannihilator": coannihilator_laws(a),
+        "omega": omega_monotone_law(a),
+        "sigma": sigma_laws(a),
+        "sigma_frame": sigma_frame_laws(a),
+        "pure_intersection": pure_intersection_law(a),
+        "rho": rho_laws(a),
+        "purely_prime": purely_prime_laws(a),
+        "continuity": continuity_law(a),
+        "stable_open": stable_open_law(a),
+        "topology": topology_laws(a),
+    }

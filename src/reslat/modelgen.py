@@ -223,7 +223,7 @@ def classify_all(n: int, deep: bool = False, chains_only: bool = False) -> Sweep
     The law suites and the serializer are imported only when they run.
     """
     if deep:
-        from .report import run_laws
+        from .laws import run_laws
     counts = Counter()
     labels = []
     structures = residuated_structures(n, chains_only)

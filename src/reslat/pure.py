@@ -206,159 +206,6 @@ def pure_characterization_family(a: ResiduatedLattice) -> tuple[int, ...]:
     )
 
 
-# ---------------------------------------------------------------- law suites
-
-
-def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
-    """The unconditional sigma laws; every False is raised as a violation.
-
-    The join inequality, v sigma(F_i) <= sigma(v F_i) for every family, is
-    checked on all pairs; induction over join_family's fold gives the rest:
-    the empty join {1} is below every filter, and if the inequality holds for
-    F_1..F_k-1 with join G, the pairwise law at (G, F_k) extends it to k.
-    """
-    fs = flt.all_filters(a)
-    laws = {}
-    laws["routes_agree"] = all(sigma(a, f) is not None for f in fs)
-    laws["contractive_filter"] = all(
-        a.is_filter(sigma(a, f)) and sigma(a, f) & f == sigma(a, f) for f in fs
-    )
-    laws["monotone"] = all(
-        sigma(a, f) & sigma(a, g) == sigma(a, f)
-        for f in fs
-        for g in fs
-        if f & g == f
-    )
-    laws["below_d_part_on_primes"] = all(
-        sigma(a, p) & flt.d_part(a, p) == sigma(a, p)
-        for p in flt.prime_filters(a)
-    )
-    laws["equals_d_part_on_maximals"] = all(
-        sigma(a, m) == flt.d_part(a, m) for m in flt.maximal_filters(a)
-    )
-    laws["meet_homomorphism"] = all(
-        sigma(a, f & g) == sigma(a, f) & sigma(a, g) for f in fs for g in fs
-    )
-    laws["family_join_inequality"] = all(
-        (lambda j: j & sigma(a, flt.filter_join(a, f, g)) == j)(
-            flt.filter_join(a, sigma(a, f), sigma(a, g))
-        )
-        for f in fs
-        for g in fs
-    )
-    return hold(a, "sigma", laws)
-
-
-def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
-    """The pure filters form a frame inside the filter lattice.
-
-    Frame distributivity, f ^ (v g_i) = v (f ^ g_i) for every family of pure
-    g_i, is checked on all pure triples; induction over join_family's fold
-    gives the rest: both sides are {1} on the empty family, and the join G of
-    g_1..g_k-1 is pure (join_closed), so the triple law at (f, G, g_k)
-    extends it to k.
-    """
-    pure = pure_filters(a)
-    pure_set = set(pure)
-    laws = {
-        "meet_closed": all(f & g in pure_set for f in pure for g in pure),
-        "join_closed": all(
-            flt.filter_join(a, f, g) in pure_set for f in pure for g in pure
-        ),
-        "bounds": (1 << a.one) in pure_set and a.full in pure_set,
-        "frame_distributivity": all(
-            f & flt.filter_join(a, g, h) == flt.filter_join(a, f & g, f & h)
-            for f in pure
-            for g in pure
-            for h in pure
-        ),
-    }
-    return hold(a, "sigma frame", laws)
-
-
-def pure_intersection_law(a: ResiduatedLattice) -> dict[str, bool]:
-    """Every pure filter is the meet of the d-parts of the maximals over it."""
-    ok = all(
-        meet(a, (flt.d_part(a, m) for m in flt.maximals_over(a, f))) == f
-        for f in pure_filters(a)
-    )
-    laws = {"pure_is_meet_of_d_parts": ok}
-    return hold(a, "pure intersection", laws)
-
-
-def rho_laws(a: ResiduatedLattice) -> dict[str, bool]:
-    fs = flt.all_filters(a)
-    pure = set(pure_filters(a))
-    laws = {}
-    laws["below_sigma"] = all(
-        rho(a, f) & sigma(a, f) == rho(a, f) for f in fs
-    )
-    laws["kernel_operator"] = all(
-        rho(a, f) & f == rho(a, f) and rho(a, rho(a, f)) == rho(a, f)
-        for f in fs
-    ) and all(
-        rho(a, f) & rho(a, g) == rho(a, f) for f in fs for g in fs if f & g == f
-    )
-    laws["fixed_points_are_pure"] = {f for f in fs if rho(a, f) == f} == pure
-    laws["meet_homomorphism"] = all(
-        rho(a, f & g) == rho(a, f) & rho(a, g) for f in fs for g in fs
-    )
-    laws["pure_is_meet_of_maximal_parts"] = all(
-        meet(a, (rho(a, m) for m in flt.maximals_over(a, f))) == f for f in pure
-    )
-    laws["pure_recovered_from_radical"] = all(
-        rho(a, flt.radical_total(a, f)) == f for f in pure
-    )
-    laws["same_part_as_d_part_on_primes"] = all(
-        rho(a, p) == rho(a, flt.d_part(a, p)) for p in flt.prime_filters(a)
-    )
-    return hold(a, "rho", laws)
-
-
-def purely_prime_laws(a: ResiduatedLattice) -> dict[str, bool]:
-    spp = set(purely_prime(a))
-    laws = {}
-    laws["pure_part_of_prime_is_purely_prime"] = all(
-        rho(a, p) in spp for p in flt.prime_filters(a)
-    )
-    laws["purely_maximal_are_max_pure_parts"] = set(purely_maximal(a)) <= {
-        rho(a, m) for m in flt.maximal_filters(a)
-    }
-    laws["pure_is_meet_of_purely_primes_above"] = all(
-        meet(a, (cand for cand in spp if cand & f == f)) == f
-        for f in pure_filters(a)
-    )
-    return hold(a, "purely prime", laws)
-
-
-def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
-    """The pure part map reflects the pure-spectrum opens exactly:
-    for pure F and prime p, F <= rho(p) iff F <= p."""
-    ok = all(
-        (f & rho(a, p) == f) == (f & p == f)
-        for f in pure_filters(a)
-        for p in flt.prime_filters(a)
-    )
-    laws = {"pure_part_map_reflects_opens": ok}
-    return hold(a, "continuity", laws)
-
-
-def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
-    """Opens of Spec_h stable under specialization = duals of pure filters."""
-    primes = flt.prime_filters(a)
-    hspace = top.spec_space(a, "hull")
-    stable_opens = {
-        o
-        for o in hspace.opens()
-        if top.specialization_mask(primes, o) == o
-    }
-    pure_duals = {
-        hspace.full ^ top.hull_in(primes, f) for f in pure_filters(a)
-    }
-    laws = {"stable_opens_are_pure_duals": stable_opens == pure_duals}
-    return hold(a, "stable open", laws)
-
-
 def gelfand_pure_laws(a: ResiduatedLattice) -> dict[str, bool]:
     """Laws that hold under the Gelfand hypothesis; caller gates on it."""
     fs = flt.all_filters(a)

@@ -1,8 +1,9 @@
 """Full structured description of one algebra, rendered as stable JSON.
 
 build_report computes everything the package knows how to check: filters,
-spectra, the Gelfand criteria, softness, the law suites. Rendering sorts keys
-and ends with a newline, so two runs over the same algebra are byte-identical.
+spectra, the Gelfand criteria, softness, the law suites of `laws`. Rendering
+sorts keys and ends with a newline, so two runs over the same algebra are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -20,43 +21,6 @@ from .gelfand import (
     is_soft,
     retractions,
 )
-
-
-def run_laws(a: ResiduatedLattice) -> dict[str, dict[str, bool]]:
-    """Every law suite in the package; raises EquivalenceViolation on any
-    failure, otherwise returns the named results."""
-    out = {
-        "generated_filter": laws.generated_filter_laws(a),
-        "comaximality": laws.comaximality_laws(a),
-        "maximality_power": laws.maximality_power_law(a),
-        "filter_lattice": laws.filter_lattice_laws(a),
-        "nilpotent_ideal": laws.nilpotent_ideal_law(a),
-        "boolean_center": laws.beta_radical_laws(a),
-        "dpart_meet": laws.dpart_meet_law(a),
-        "quotient_maximals": laws.quotient_maximals_law(a),
-        "local_quotient": laws.local_quotient_law(a),
-        "coannihilator": laws.coannihilator_laws(a),
-        "omega": laws.omega_monotone_law(a),
-        "sigma": pr.sigma_laws(a),
-        "sigma_frame": pr.sigma_frame_laws(a),
-        "pure_intersection": pr.pure_intersection_law(a),
-        "rho": pr.rho_laws(a),
-        "purely_prime": pr.purely_prime_laws(a),
-        "continuity": pr.continuity_law(a),
-        "stable_open": pr.stable_open_law(a),
-    }
-    top.closure_lemmas(a)
-    top.patch_stability_criterion(a)
-    top.clopen_check(a)
-    top.max_dense_iff_semisimple(a)
-    out["topology"] = {
-        "closure_lemmas": True,
-        "closed_families_coincide": True,
-        "patch_stability_criterion": True,
-        "clopens_are_center_hulls": True,
-        "max_dense_iff_semisimple": True,
-    }
-    return out
 
 
 def _names(a: ResiduatedLattice, mask: int) -> list[str]:
@@ -114,7 +78,7 @@ def build_report(a: ResiduatedLattice) -> dict:
             "patch_predicates": top.space_predicates(pspace),
             "clopen_count": len(top.clopen_check(a)),
         },
-        "laws": run_laws(a),
+        "laws": laws.run_laws(a),
     }
 
 

@@ -18,9 +18,9 @@ The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
 the hull-kernel closed sets are exactly the hulls of filters, equivalently
 the up-sets of the inclusion (specialization) order, and the patch topology
-is discrete. The closure lemmas and closed-family facts check the first, the
-patch space's own point closures the second; together they decide the
-patch/stability criterion for every point set at once, not set by set.
+is discrete. The closure lemmas and closed-family facts of `laws` check the
+first, the patch space's own point closures the second; together they decide
+the patch/stability criterion for every point set at once, not set by set.
 """
 from __future__ import annotations
 
@@ -279,48 +279,6 @@ def is_homeomorphism(func, source: FiniteSpace, target: FiniteSpace) -> bool:
     )
 
 
-def closure_lemmas(a: ResiduatedLattice) -> bool:
-    """For every set of primes: hull-kernel closure = hull of kernel =
-    specialization set, and dual closure = generalization set. Each route is
-    a union over the points of the set, the hull of the kernel because
-    hull(F n G) = hull(F) u hull(G) for filters (checked on every pair), so
-    the routes are compared on the empty set and on each single point."""
-    points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull")
-    dspace = spec_space(a, "dual")
-    hulls = {f: hull_in(points, f) for f in flt.all_filters(a)}
-    for f in hulls:
-        for g in hulls:
-            routes = {"hull_of_meet": hull_in(points, f & g), "union": hulls[f] | hulls[g]}
-            agree(a, "closure lemmas fail", routes, f, g)
-    for pi in [0] + [1 << i for i in range(len(points))]:
-        where = [points[i] for i in bits(pi)]
-        hull = {
-            "hull_closure": hspace.closure(pi),
-            "hull_of_kernel": hull_in(points, kernel_of(a, points, pi)),
-            "specialization": specialization_mask(points, pi),
-        }
-        dual = {
-            "dual_closure": dspace.closure(pi),
-            "generalization": generalization_mask(points, pi),
-        }
-        agree(a, "closure lemmas fail", hull, *where)
-        agree(a, "closure lemmas fail", dual, *where)
-    return True
-
-
-def patch_stability_criterion(a: ResiduatedLattice) -> bool:
-    """A point set is hull-kernel closed iff it is patch closed and stable
-    under specialization. The patch space is discrete (read off its point
-    closures), so every set is patch closed, and the criterion says
-    that the hull-closed sets are the stable ones: the unions of up-sets
-    that `hull_closed_family_facts` builds, since S is stable iff S is the
-    union of its points' up-sets. Asserted; returns True."""
-    if not is_discrete(spec_space(a, "patch")):
-        raise EquivalenceViolation("patch topology is not discrete", detail=a.label)
-    return hull_closed_family_facts(a)
-
-
 def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     """Clopen sets of the spectrum = hulls of Boolean-center elements."""
     points = flt.prime_filters(a)
@@ -330,29 +288,3 @@ def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     beta_hulls = {hull_in(points, 1 << e) for e in bits(beta)}
     routes = {"clopen": tuple(sorted(clopens)), "beta_hulls": tuple(sorted(beta_hulls))}
     return agree(a, "clopen sets differ from Boolean-center hulls", routes)
-
-
-def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
-    """Density of the maximals in the spectrum = semisimplicity; asserted."""
-    hspace = spec_space(a, "hull")
-    return agree(a, "density of maximals disagrees with semisimplicity", {
-        "max_dense": hspace.closure(flt.max_mask(a)) == hspace.full,
-        "semisimple": flt.is_semisimple(a),
-    })
-
-
-def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
-    """The hull-kernel closed sets are exactly the filter hulls and exactly
-    the specialization-stable sets, built as unions of the points' up-sets
-    and cut off once they outnumber the filter hulls."""
-    points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull")
-    filter_hulls = {hull_in(points, f) for f in flt.all_filters(a)}
-    stable = {0}
-    for up in (specialization_mask(points, 1 << i) for i in range(len(points))):
-        stable |= {s | up for s in stable}
-        if len(stable) > len(filter_hulls):
-            break
-    routes = {"stable": stable, "filter_hulls": filter_hulls, "closed": hspace.closed}
-    agree(a, "closed-set descriptions of the spectrum disagree", routes)
-    return True

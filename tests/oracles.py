@@ -4,7 +4,8 @@ between scan it replaced by one pass, the canonical test that compares
 whole relabelled tuples, the naive model enumeration, the kernels of the
 table search, validation and quotients as they were before their rows were
 hoisted, a Goedel-chain constructor, a fresh copy of an algebra, filter
-helpers that only the tests use, and the in-process CLI runner. The
+helpers that only the tests use (and the error of the prime extension), and
+the in-process CLI runner. The
 enumerations are exponential and meant for small inputs."""
 
 import contextlib
@@ -28,7 +29,7 @@ from reslat.errors import (
     NotALattice,
     NotCommutativeMonoid,
     NotResiduated,
-    Unsatisfiable,
+    ReslatError,
 )
 from reslat.modelgen import _candidate_orders, _middle_perms, element_names
 
@@ -168,6 +169,10 @@ def comaximal_witness(a, f, g):
             if a.mul[x][y] == a.zero:
                 return x, y
     return None
+
+
+class Unsatisfiable(ReslatError):
+    """A constraint problem (e.g. prime extension) has no solution."""
 
 
 def prime_extension(a, f, cone):

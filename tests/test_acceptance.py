@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from reslat import catalog, cli, core, filters as flt, gelfand as gf
-from reslat import modelgen as mg, pure as pr, report, topology as top
+from reslat import laws, modelgen as mg, report
 
 from oracles import naive_lattices, naive_structures, run_cli
 
@@ -91,12 +91,12 @@ def test_c4_property_suites_zero_violations():
     """Every law suite passes on the catalog and on all models with at most
     five elements; suites raise EquivalenceViolation on any failure."""
     for name in CATALOG:
-        results = report.run_laws(catalog.get(name))
+        results = laws.run_laws(catalog.get(name))
         for suite, checks in results.items():
             assert all(checks.values()), (name, suite)
     for n in range(1, 6):
         for a in mg.residuated_structures(n):
-            results = report.run_laws(a)
+            results = laws.run_laws(a)
             for suite, checks in results.items():
                 assert all(checks.values()), (a.label, suite)
 

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from reslat import catalog, filters as flt, gelfand as gf, pure as pr, topology as top
+from reslat import catalog, filters as flt, gelfand as gf, laws, pure as pr, topology as top
 from reslat.errors import EquivalenceViolation, agree, hold
 
 from oracles import fresh
@@ -104,12 +104,29 @@ KNOCKOUTS = {
         "Hausdorff battery disagrees", "max_hausdorff",
     ),
     "density.semisimple": (
-        "A6", flt, "is_semisimple", _negated, top.max_dense_iff_semisimple,
+        "A6", flt, "is_semisimple", _negated, laws.max_dense_iff_semisimple,
         "density of maximals disagrees with semisimplicity", "semisimple",
+    ),
+    "density.max_dense": (
+        "cube2", flt, "max_mask", lambda real: lambda a: 0,
+        laws.max_dense_iff_semisimple,
+        "density of maximals disagrees with semisimplicity", "max_dense",
+    ),
+    "closure_lemmas.hull_of_kernel": (
+        "A8", top, "kernel_of", lambda real: lambda a, points, mask: a.full,
+        laws.closure_lemmas, "closure lemmas fail", "hull_of_kernel",
     ),
     "closure_lemmas.specialization": (
         "A8", top, "specialization_mask", lambda real: lambda points, mask: 0,
-        top.closure_lemmas, "closure lemmas fail", "specialization",
+        laws.closure_lemmas, "closure lemmas fail", "specialization",
+    ),
+    "closure_lemmas.generalization": (
+        "A8", top, "generalization_mask", lambda real: lambda points, mask: 0,
+        laws.closure_lemmas, "closure lemmas fail", "generalization",
+    ),
+    "clopen.clopen": (
+        "A8", top, "spec_space", lambda real: lambda a, kind="hull": real(a, "patch"),
+        top.clopen_check, "clopen sets differ from Boolean-center hulls", "clopen",
     ),
     "clopen.beta_hulls": (
         "cube2", top, "classify_elements",
@@ -123,8 +140,22 @@ KNOCKOUTS = {
     ),
     "closed_sets.stable": (
         "A6", top, "specialization_mask", lambda real: lambda points, mask: 0,
-        top.hull_closed_family_facts,
+        laws.hull_closed_family_facts,
         "closed-set descriptions of the spectrum disagree", "stable",
+    ),
+    # Without the improper filter the filter hulls miss the empty set, and
+    # the bound of the stable walk drops by one; the walk reaches that bound
+    # only once it holds every closed set, so its route still agrees.
+    "closed_sets.filter_hulls": (
+        "A6", flt, "all_filters",
+        lambda real: lambda a: tuple(f for f in real(a) if f != a.full),
+        laws.hull_closed_family_facts,
+        "closed-set descriptions of the spectrum disagree", "filter_hulls",
+    ),
+    "retraction.retraction": (
+        "cube2", gf, "retractions",
+        lambda real: lambda a: (lambda count, image: (count, (0,) * len(image)))(*real(a)),
+        gf.gelfand_verdict, "unique retraction is not the unique-maximal map", "retraction",
     ),
 }
 

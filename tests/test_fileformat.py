@@ -184,6 +184,10 @@ CHAIN2_JSON = '"elements": ["0", "1"], "covers": [["0", "1"]], "mul": [["0", "0"
                  id="json-malformed-covers"),
     pytest.param(ff.parse_json_text, '{%s, "res": [["1", "1"], ["0", "q"]]}' % CHAIN2_JSON,
                  "unknown element in res: 'q'", None, id="json-unknown-in-res"),
+    pytest.param(ff.parse_json_text, '{%s, "ress": [["0", "0"], ["0", "0"]]}' % CHAIN2_JSON,
+                 "unknown directive 'ress'", None, id="json-unknown-key"),
+    pytest.param(ff.parse_json_text, '{"name": ["x"], %s}' % CHAIN2_JSON,
+                 "name must be a string", None, id="json-name-not-a-string"),
 ])
 def test_each_parser_refusal_names_its_cause_and_line(parse, text, message, line):
     with pytest.raises(FormatError) as exc:

@@ -11,10 +11,9 @@ from reslat.errors import (
     ImproperInput,
     NotAFilter,
     NotAnIdeal,
-    Unsatisfiable,
 )
 
-from oracles import comaximal_witness, fresh, prime_extension, primes_over, run_cli
+from oracles import Unsatisfiable, comaximal_witness, fresh, prime_extension, primes_over, run_cli
 
 # name -> (filters, maximals, primes, radical), all as set_repr strings
 TABLES = {

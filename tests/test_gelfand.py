@@ -55,10 +55,6 @@ CLASSIFICATION = {
 }
 
 
-def test_criteria_tuple_is_frozen():
-    assert gf.CRITERIA == CRITERIA
-
-
 def test_a6_fails_every_criterion():
     v = gf.gelfand_verdict(catalog.get("A6"))
     assert v.verdict is False

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from reslat import catalog, cli, core, filters as flt, laws, modelgen, pure as pr, report
+from reslat import catalog, cli, core, filters as flt, laws, modelgen, pure as pr
 from reslat.errors import EquivalenceViolation
 
 from oracles import fresh, run_cli
@@ -42,7 +42,7 @@ CATALOG = (
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_run_all_passes_and_covers_every_suite(name):
-    results = report.run_laws(catalog.get(name))
+    results = laws.run_laws(catalog.get(name))
     assert tuple(sorted(results)) == SUITES
     for suite, checks in results.items():
         assert checks, suite
@@ -154,15 +154,15 @@ def test_omega_law_is_checked_above_ten_elements(monkeypatch):
 def test_a_failing_law_is_named_and_exits_2(monkeypatch):
     _break_omega(monkeypatch)
     with pytest.raises(EquivalenceViolation, match="omega laws fail") as exc:
-        report.run_laws(catalog.get("A8"))
+        laws.run_laws(catalog.get("A8"))
     assert exc.value.detail == ("A8", ("monotone_on_ideals",))
     code, _, err = run_cli(["report", "A8"])
     assert code == cli.EX_VIOLATION
     assert "detail: ('A8', ('monotone_on_ideals',))" in err
 
 
-# Law leaves knocked out, keyed "suite.leaf": the module holding the suite,
-# the input replaced ("flt.<name>" in the module's own filters namespace,
+# Law leaves knocked out, keyed "suite.leaf": the module whose input is
+# replaced, the input ("flt.<name>" in the module's own filters namespace,
 # otherwise the module's attribute), its replacement, the suite and its tag.
 LEAF_KNOCKOUTS = {
     "generated_filter.join_is_power_cone": (
@@ -196,16 +196,16 @@ LEAF_KNOCKOUTS = {
         laws.coannihilator_laws, "coannihilator",
     ),
     "pure_intersection.pure_is_meet_of_d_parts": (
-        pr, "flt.d_part", lambda a, prime: a.full,
-        pr.pure_intersection_law, "pure intersection",
+        laws, "flt.d_part", lambda a, prime: a.full,
+        laws.pure_intersection_law, "pure intersection",
     ),
     "purely_prime.pure_is_meet_of_purely_primes_above": (
         pr, "purely_prime", lambda a: (),
-        pr.purely_prime_laws, "purely prime",
+        laws.purely_prime_laws, "purely prime",
     ),
     "rho.pure_is_meet_of_maximal_parts": (
-        pr, "flt.maximals_over", lambda a, subset: (),
-        pr.rho_laws, "rho",
+        laws, "flt.maximals_over", lambda a, subset: (),
+        laws.rho_laws, "rho",
     ),
 }
 

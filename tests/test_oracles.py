@@ -9,7 +9,7 @@ import types
 import pytest
 
 from reslat import catalog, cli, core, fileformat as ff, filters as flt, gelfand as gf
-from reslat import laws, modelgen, pure as pr, report, topology as top
+from reslat import laws, modelgen, pure as pr, topology as top
 from reslat.errors import EquivalenceViolation
 
 from oracles import (
@@ -68,7 +68,7 @@ def test_an_asymmetric_join_row_fails_the_double_law(monkeypatch):
 
 def test_closure_lemmas_match_the_scan():
     for a in CORPUS:
-        assert top.closure_lemmas(a) is closure_lemmas_by_scan(a) is True, a.label
+        assert laws.closure_lemmas(a) is closure_lemmas_by_scan(a) is True, a.label
 
 
 def test_the_hull_meet_base_is_checked(monkeypatch):
@@ -79,14 +79,14 @@ def test_the_hull_meet_base_is_checked(monkeypatch):
     c1, a1 = (core.mask_of((a.names.index(x), a.one)) for x in "ca")
     family = flt.all_filters(a) + (c1, a1)
     broken = types.SimpleNamespace(**{**vars(flt), "all_filters": lambda alg: family})
-    monkeypatch.setattr(top, "flt", broken)
+    monkeypatch.setattr(laws, "flt", broken)
     with pytest.raises(EquivalenceViolation, match="closure lemmas fail"):
-        top.closure_lemmas(a)
+        laws.closure_lemmas(a)
 
 
 def test_patch_stability_criterion_matches_the_scan():
     for a in CORPUS:
-        assert top.patch_stability_criterion(a) is patch_stability_by_scan(a) is True, a.label
+        assert laws.patch_stability_criterion(a) is patch_stability_by_scan(a) is True, a.label
 
 
 def test_a_patch_space_that_is_not_discrete_is_caught(monkeypatch):
@@ -102,7 +102,7 @@ def test_a_patch_space_that_is_not_discrete_is_caught(monkeypatch):
     monkeypatch.setattr(top, "spec_space", hull_for_patch)
     assert patch_stability_by_scan(a) is True
     with pytest.raises(EquivalenceViolation, match="patch topology is not discrete"):
-        report.run_laws(a)
+        laws.run_laws(a)
     code, out, err = run_cli(["report", "A6"])
     assert code == cli.EX_VIOLATION
     assert out == ""
@@ -112,7 +112,7 @@ def test_a_patch_space_that_is_not_discrete_is_caught(monkeypatch):
 def test_stable_sets_match_the_scan():
     for a in CORPUS:
         points = flt.prime_filters(a)
-        assert top.hull_closed_family_facts(a)
+        assert laws.hull_closed_family_facts(a)
         assert top.spec_space(a, "hull").closed == stable_sets_by_scan(points), a.label
 
 
@@ -124,7 +124,7 @@ def test_a_broken_stable_family_raises_quickly(monkeypatch):
     monkeypatch.setattr(top, "specialization_mask", lambda points, mask: mask)
     t0 = time.perf_counter()
     with pytest.raises(EquivalenceViolation, match="closed-set descriptions"):
-        top.hull_closed_family_facts(a)
+        laws.hull_closed_family_facts(a)
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from reslat import catalog, cli, core, fileformat as ff, filters as flt
+from reslat import catalog, cli, core, fileformat as ff, filters as flt, laws
 from reslat import pure as pr, report, topology as top
 from reslat.errors import EquivalenceViolation
 
@@ -121,9 +121,9 @@ def test_pure_characterization_family_on_gelfand_algebras():
 @pytest.mark.parametrize("name", ("A6", "A8", "chain5", "cube3", "MV3"))
 def test_pure_law_suites_hold(name):
     a = catalog.get(name)
-    for suite in (pr.sigma_laws, pr.sigma_frame_laws, pr.pure_intersection_law,
-                  pr.rho_laws, pr.purely_prime_laws, pr.continuity_law,
-                  pr.stable_open_law):
+    for suite in (laws.sigma_laws, laws.sigma_frame_laws, laws.pure_intersection_law,
+                  laws.rho_laws, laws.purely_prime_laws, laws.continuity_law,
+                  laws.stable_open_law):
         result = suite(a)
         assert result and all(result.values()), (suite.__name__, result)
 
@@ -138,9 +138,9 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
     """With no open stable under specialization but the empty one, the
     stable-open law fails, and the failure names the law."""
     stable_nowhere = {**vars(top), "specialization_mask": lambda points, mask: 0}
-    monkeypatch.setattr(pr, "top", types.SimpleNamespace(**stable_nowhere))
+    monkeypatch.setattr(laws, "top", types.SimpleNamespace(**stable_nowhere))
     with pytest.raises(EquivalenceViolation, match="stable open laws fail") as exc:
-        pr.stable_open_law(catalog.get("A8"))
+        laws.stable_open_law(catalog.get("A8"))
     assert exc.value.detail == ("A8", ("stable_opens_are_pure_duals",))
     code, _, err = run_cli(["report", "A8"])
     assert code == cli.EX_VIOLATION
@@ -148,7 +148,7 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
 
 
 def _break_join(monkeypatch, f0, g0):
-    """Give the pure module a filter join that returns its first argument on
+    """Give the law suites a filter join that returns its first argument on
     the one ordered pair (f0, g0), and a family join that folds with it."""
     real_join = flt.filter_join
 
@@ -162,18 +162,27 @@ def _break_join(monkeypatch, f0, g0):
         return out
 
     broken = {**vars(flt), "filter_join": filter_join, "join_family": join_family}
-    monkeypatch.setattr(pr, "flt", types.SimpleNamespace(**broken))
+    monkeypatch.setattr(laws, "flt", types.SimpleNamespace(**broken))
 
 
 def test_sigma_join_law_is_checked_past_twelve_filters(monkeypatch, tmp_path):
     """A join that is wrong only on a pair of filters outside the first 12
-    breaks the sigma join inequality, and the report says so."""
+    breaks the sigma join inequality, and the report says so. The join is
+    broken while the sigma suite runs, since the suites before it read the
+    same filters namespace and would name the broken join first."""
     a = core.direct_product(catalog.get("A6"), catalog.get("cube2"))
     fs = flt.all_filters(a)
     assert len(fs) == 20
-    _break_join(monkeypatch, fs[12], fs[13])
+    sigma_laws = laws.sigma_laws
+
+    def sigma_laws_with_broken_join(alg):
+        with monkeypatch.context() as inner:
+            _break_join(inner, fs[12], fs[13])
+            return sigma_laws(alg)
+
+    monkeypatch.setattr(laws, "sigma_laws", sigma_laws_with_broken_join)
     with pytest.raises(EquivalenceViolation, match="sigma laws fail") as exc:
-        pr.sigma_laws(a)
+        laws.sigma_laws(a)
     assert exc.value.detail == (a.label, ("family_join_inequality",))
     path = tmp_path / "A6xcube2.json"
     path.write_text(ff.to_json(a))
@@ -188,7 +197,7 @@ def test_frame_law_is_checked_past_twelve_pure_filters(monkeypatch):
     assert len(pure) == 16
     _break_join(monkeypatch, pure[12], pure[13])
     with pytest.raises(EquivalenceViolation, match="sigma frame laws fail") as exc:
-        pr.sigma_frame_laws(a)
+        laws.sigma_frame_laws(a)
     assert exc.value.detail == (a.label, ("frame_distributivity",))
 
 

@@ -37,8 +37,8 @@ def test_reach_of_the_polynomial_routes(name):
     a = build()
     assert len(flt.prime_filters(a)) == primes
     assert len(flt.maximal_filters(a)) == maximals
-    assert top.closure_lemmas(a)
-    assert top.hull_closed_family_facts(a)
+    assert laws.closure_lemmas(a)
+    assert laws.hull_closed_family_facts(a)
     assert set(laws.coannihilator_laws(a).values()) == {True}
     assert set(gf.hausdorff_battery(a).values()) == {True}
     verdict = gf.gelfand_verdict(a)

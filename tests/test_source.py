@@ -1,5 +1,6 @@
-"""Source checks: the package holds no public function or method that only
-the tests use. Test-only helpers belong in tests/oracles.py."""
+"""Source checks: the package holds no public function, class, module-level
+name or method that only the tests use. Test-only helpers belong in
+tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -9,29 +10,52 @@ import reslat
 SRC = Path(reslat.__file__).parent
 
 
+def _bound(node):
+    """The names a top-level statement binds: a function's or a class's
+    name, or the plain names an assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _names_read(tree, own):
+    """The names a subtree refers to, other than those in own."""
+    names = set()
+    for sub in ast.walk(tree):
+        name = (sub.id if isinstance(sub, ast.Name)
+                else sub.attr if isinstance(sub, ast.Attribute) else None)
+        if name is not None and name not in own:
+            names.add(name)
+    return names
+
+
 def _public_definitions_and_references():
-    """(module, class or None, name) of each public top-level function and
-    each public method of a top-level class, and the names the package
-    refers to outside the body of the function or method they name."""
+    """(module, class or None, name) of each public top-level function,
+    class and assigned name and of each public method of a top-level class,
+    and the names the package refers to outside the definition of the thing
+    they name."""
     public, refs = [], set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            in_class = isinstance(node, ast.ClassDef)
-            for member in node.body if in_class else [node]:
-                owner = None
-                if isinstance(member, ast.FunctionDef):
-                    owner = member.name
-                    if not owner.startswith("_"):
-                        public.append((path.stem, node.name if in_class else None, owner))
-                for sub in ast.walk(member):
-                    name = (sub.id if isinstance(sub, ast.Name)
-                            else sub.attr if isinstance(sub, ast.Attribute) else None)
-                    if name is not None and name != owner:
-                        refs.add(name)
+            own = _bound(node)
+            public += [(path.stem, None, name) for name in own if not name.startswith("_")]
+            if not isinstance(node, ast.ClassDef):
+                refs |= _names_read(node, own)
+                continue
+            for head in node.bases + node.keywords + node.decorator_list:
+                refs |= _names_read(head, own)
+            for member in node.body:
+                method = member.name if isinstance(member, ast.FunctionDef) else None
+                if method is not None and not method.startswith("_"):
+                    public.append((path.stem, node.name, method))
+                refs |= _names_read(member, own | {method})
     return public, refs
 
 
 def test_every_public_function_is_exported_or_used_by_the_package():
+    """Also every public class and module-level name."""
     public, refs = _public_definitions_and_references()
     assert any(cls is None for _, cls, _ in public)
     unused = [f"{module}.{name}" for module, cls, name in public

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
-from reslat import pure as pr, report
+from reslat import laws, pure as pr, report
 from reslat import topology as top
 from reslat.errors import EquivalenceViolation
 
@@ -159,12 +159,12 @@ def test_generate_space_closes_the_basis():
 @pytest.mark.parametrize("name", ("A6", "A8", "chain4", "cube2", "cube3", "MV3"))
 def test_structural_space_facts(name):
     """These checkers raise EquivalenceViolation if their internal routes
-    split; the return value is the fact itself."""
+    split, and return True otherwise."""
     a = catalog.get(name)
-    assert top.closure_lemmas(a)
-    assert top.hull_closed_family_facts(a)
-    assert top.max_dense_iff_semisimple(a) is flt.is_semisimple(a)
-    assert top.patch_stability_criterion(a) is patch_stability_by_scan(a) is True
+    assert laws.closure_lemmas(a)
+    assert laws.hull_closed_family_facts(a)
+    assert laws.max_dense_iff_semisimple(a) is True
+    assert laws.patch_stability_criterion(a) is patch_stability_by_scan(a) is True
 
 
 def test_spectrum_is_connected_for_the_flagship_algebras():
@@ -281,7 +281,7 @@ def test_spaces_are_built_once_per_algebra(monkeypatch):
         return generate(label, keys, basis)
 
     def counting(name):
-        check = getattr(top, name)
+        check = getattr(laws, name)
 
         def counted(alg):
             checks[name] += 1
@@ -290,7 +290,7 @@ def test_spaces_are_built_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(top, "generate_space", counting_generate)
     for name in ("patch_stability_criterion", "hull_closed_family_facts"):
-        monkeypatch.setattr(top, name, counting(name))
+        monkeypatch.setattr(laws, name, counting(name))
     report.build_report(b)
     assert set(built.values()) == {1}
     assert sorted(label for label, _ in built) == [
