@@ -305,9 +305,9 @@ def _operations(lattice: _Lattice, mul, res=None, label: str = "") -> Residuated
     residuum equals a supplied `res`."""
     names, up, join = lattice.names, lattice.up, lattice.join
     n = len(names)
-    mul = [list(map(int, row)) for row in mul]
+    mul = [list(row) for row in mul]
     if len(mul) != n or any(len(r) != n for r in mul) or any(
-        not 0 <= v < n for r in mul for v in r
+        type(v) is not int or not 0 <= v < n for r in mul for v in r
     ):
         raise NotCommutativeMonoid("multiplication table must be n x n over the carrier")
     for x in range(n):
@@ -322,8 +322,10 @@ def _operations(lattice: _Lattice, mul, res=None, label: str = "") -> Residuated
     derived = _residuum_table(n, up, join, mul)
     _operation_laws(names, up, join, mul)
     if res is not None:
-        res = [list(map(int, row)) for row in res]
-        if len(res) != n or any(len(r) != n for r in res):
+        res = [list(row) for row in res]
+        if len(res) != n or any(len(r) != n for r in res) or any(
+            type(v) is not int for r in res for v in r
+        ):
             raise NotResiduated("residuum table must be n x n")
         for x, y in iproduct(range(n), repeat=2):
             r, d = res[x][y], derived[x][y]
@@ -355,6 +357,7 @@ def validate(
     Order data comes either as a full <= matrix (`leq`, rows of truthy values)
     or as covering pairs of indices (`covers`). The residuum is always
     derived; a supplied `res` must equal it (ResiduumMismatch otherwise).
+    Indices and table entries must be of type int: no value is converted.
     """
     names = tuple(str(s) for s in names)
     n = len(names)
@@ -370,7 +373,7 @@ def validate(
     if covers is not None:
         up = [1 << i for i in range(n)]
         for lo, hi in covers:
-            if not (0 <= lo < n and 0 <= hi < n):
+            if not (type(lo) is type(hi) is int and 0 <= lo < n and 0 <= hi < n):
                 raise NotALattice(f"cover ({lo},{hi}) out of range")
             up[lo] |= 1 << hi
         for k in range(n):  # transitive closure (Warshall)

@@ -15,7 +15,9 @@ The text format is line based:
 The order section is either a single `covers` line or a `leq` marker followed
 by n rows of 0/1. The `res` block is optional; when present it must match the
 residuum derived from the order and multiplication. The JSON format carries
-the same fields. serialize/parse round-trip byte for byte on canonical output.
+the same fields. Each reader turns its syntax into one directive table, and
+`_assemble` holds every rule of the format for both. serialize/parse
+round-trip byte for byte on canonical output.
 """
 from __future__ import annotations
 
@@ -30,77 +32,96 @@ _BLOCKS = ("leq", "mul", "res")
 _DIRECTIVES = ("name", "elements", "covers") + _BLOCKS
 
 
-def parse_text(text: str) -> ResiduatedLattice:
-    # each directive read so far: the label of `name`, the names of
-    # `elements`, the pairs of `covers` and the rows of each block
-    found: dict = {}
-    index: dict[str, int] = {}
-    rows_needed = 0
-    block = ""
-    block_line = 0
+def _assemble(raw: dict) -> ResiduatedLattice:
+    """The algebra of a directive table, read by either format: each
+    directive maps to (its line, its value), the line None in JSON. The
+    value is the label, the element names, the covers as name pairs (a cover
+    that is no pair as written), or for a block its rows, each with its own
+    line. Every rule of the format is checked here, in the table's order."""
+    label = raw.get("name", (None, ""))[1]
+    if not isinstance(label, str):
+        raise FormatError("name must be a string")
+    if "elements" not in raw:
+        raise FormatError("no elements line")
+    line, names = raw["elements"]
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise FormatError("elements must be a list of strings", line)
+    if not names:
+        raise FormatError("elements line lists no elements", line)
+    if len(set(names)) != len(names):
+        raise FormatError("duplicate element names", line)
+    index = {s: i for i, s in enumerate(names)}
 
-    def lookup(tok: str, lineno: int) -> int:
-        if tok not in index:
-            raise FormatError(f"unknown element {tok!r}", lineno)
+    def lookup(tok, line) -> int:
+        if not isinstance(tok, str) or tok not in index:
+            raise FormatError(f"unknown element {tok!r}", line)
         return index[tok]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    tables: dict = {}
+    for word, (line, value) in raw.items():
+        if word == "covers":
+            tables[word] = []
+            for pair in value:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise FormatError(f"malformed cover {pair!r}", line)
+                tables[word].append((lookup(pair[0], line), lookup(pair[1], line)))
+        elif word in _BLOCKS:
+            tables[word] = []
+            for line, row in value:
+                if not isinstance(row, list) or len(row) != len(names):
+                    raise FormatError(f"expected {len(names)} entries in table row", line)
+                if word != "leq":
+                    row = [lookup(tok, line) for tok in row]
+                elif any(type(v) is not int or v not in (0, 1) for v in row):
+                    raise FormatError("leq rows must contain 0 or 1", line)
+                tables[word].append(row)
+    if ("covers" in raw) == ("leq" in raw):
+        raise FormatError("need exactly one of covers or leq")
+    if "mul" not in raw:
+        raise FormatError("no mul table")
+    return validate(
+        names, tables["mul"], leq=tables.get("leq"), covers=tables.get("covers"),
+        res=tables.get("res"), label=label,
+    )
+
+
+def parse_text(text: str) -> ResiduatedLattice:
+    raw: dict = {}
+    rows_needed = 0
+    block = ""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if rows_needed:
             toks = line.split()
-            if len(toks) != len(index):
-                raise FormatError(f"expected {len(index)} entries in table row", lineno)
-            if block == "leq":
-                if any(t not in ("0", "1") for t in toks):
-                    raise FormatError("leq rows must contain 0 or 1", lineno)
-                found[block].append([int(t) for t in toks])
-            else:
-                found[block].append([lookup(t, lineno) for t in toks])
+            if block == "leq":  # 0 and 1 stand for the numbers, as in JSON
+                toks = [int(t) if t in ("0", "1") else t for t in toks]
+            raw[block][1].append((lineno, toks))
             rows_needed -= 1
             continue
         word, _, rest = line.partition(" ")
         if word not in _DIRECTIVES:
             raise FormatError(f"unknown directive {word!r}", lineno)
-        if word not in ("name", "elements") and "elements" not in found:
+        if word not in ("name", "elements") and "elements" not in raw:
             raise FormatError(f"{word} before elements", lineno)
         if word in _BLOCKS and rest.strip():
             raise FormatError(f"{word} takes no arguments", lineno)
-        if word in found:
+        if word in raw:
             kind = "block" if word in _BLOCKS else "line"
             raise FormatError(f"duplicate {word} {kind}", lineno)
         if word == "name":
-            found[word] = rest.strip()
+            value = rest.strip()
         elif word == "elements":
-            names = found[word] = rest.split()
-            if not names:
-                raise FormatError("elements line lists no elements", lineno)
-            if len(set(names)) != len(names):
-                raise FormatError("duplicate element names", lineno)
-            index = {s: i for i, s in enumerate(names)}
-        elif word == "covers":
-            found[word] = []
-            for tok in rest.split():
-                lo, sep, hi = tok.partition("<")
-                if not sep:
-                    raise FormatError(f"malformed cover {tok!r}", lineno)
-                found[word].append((lookup(lo, lineno), lookup(hi, lineno)))
+            value = rest.split()
+        elif word == "covers":  # a token without '<' stays whole, and is no pair
+            value = [tok.split("<", 1) if "<" in tok else tok for tok in rest.split()]
         else:
-            found[word] = []
-            block, block_line, rows_needed = word, lineno, len(index)
+            value, block, rows_needed = [], word, len(raw["elements"][1])
+        raw[word] = (lineno, value)
     if rows_needed:
-        raise FormatError(f"table starting here is missing {rows_needed} rows", block_line)
-    if "elements" not in found:
-        raise FormatError("no elements line")
-    if ("covers" in found) == ("leq" in found):
-        raise FormatError("need exactly one of covers or leq")
-    if "mul" not in found:
-        raise FormatError("no mul table")
-    return validate(
-        found["elements"], found["mul"], leq=found.get("leq"), covers=found.get("covers"),
-        res=found.get("res"), label=found.get("name", ""),
-    )
+        raise FormatError(f"table starting here is missing {rows_needed} rows", raw[block][0])
+    return _assemble(raw)
 
 
 def _covers(up) -> tuple[tuple[int, int], ...]:
@@ -120,6 +141,19 @@ def cover_pairs(a: ResiduatedLattice) -> tuple[tuple[int, int], ...]:
     return _covers(a.up)
 
 
+def _fields(a: ResiduatedLattice) -> dict:
+    """The fields both writers render, in their order: the label, the
+    element names, the covers as name pairs and the rows of mul and res."""
+    names = a.names
+    return {
+        "name": a.label,
+        "elements": list(names),
+        "covers": [[names[x], names[y]] for x, y in cover_pairs(a)],
+        "mul": [[names[v] for v in row] for row in a.mul],
+        "res": [[names[v] for v in row] for row in a.res],
+    }
+
+
 def serialize(a: ResiduatedLattice) -> str:
     """The text form; refuses element names that parse_text cannot read back
     (empty, holding whitespace or a line break as str.split sees them, '#'
@@ -130,17 +164,14 @@ def serialize(a: ResiduatedLattice) -> str:
             raise FormatError(f"element name {name!r} cannot be written as text")
     if "#" in a.label or a.label != a.label.strip() or len(a.label.splitlines()) > 1:
         raise FormatError(f"label {a.label!r} cannot be written as text")
-    lines = [f"name {a.label}", "elements " + " ".join(a.names)]
-    lines.append(
-        "covers "
-        + " ".join(f"{a.names[x]}<{a.names[y]}" for x, y in cover_pairs(a))
-    )
-    lines.append("mul")
-    for row in a.mul:
-        lines.append(" ".join(a.names[v] for v in row))
-    lines.append("res")
-    for row in a.res:
-        lines.append(" ".join(a.names[v] for v in row))
+    lines = []
+    for word, value in _fields(a).items():
+        if word in _BLOCKS:
+            lines += [word] + [" ".join(row) for row in value]
+        elif word == "covers":
+            lines.append("covers " + " ".join(f"{lo}<{hi}" for lo, hi in value))
+        else:
+            lines.append(f"{word} " + (value if word == "name" else " ".join(value)))
     return "\n".join(lines) + "\n"
 
 
@@ -155,59 +186,22 @@ def parse_json_text(text: str) -> ResiduatedLattice:
         raise FormatError("bad JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
-    for key in data:
-        if key not in _DIRECTIVES:
-            raise FormatError(f"unknown directive {key!r}")
-    label = data.get("name", "")
-    if not isinstance(label, str):
-        raise FormatError("name must be a string")
-    if "elements" not in data:
-        raise FormatError("missing elements")
-    if not isinstance(data["elements"], list):
-        raise FormatError("elements must be a list")
-    if ("covers" in data) == ("leq" in data):
-        raise FormatError("need exactly one of covers or leq")
-    names = [str(s) for s in data["elements"]]
-    index = {s: i for i, s in enumerate(names)}
-
-    def table(key):
-        rows = data[key]
-        return [[index[str(v)] for v in row] for row in rows]
-
-    try:
-        if "covers" in data:
-            covers = [(index[str(lo)], index[str(hi)]) for lo, hi in data["covers"]]
-            leq = None
-        else:
-            covers = None
-            leq = [list(row) for row in data["leq"]]
-            if any(type(v) is not int or v not in (0, 1) for row in leq for v in row):
-                raise FormatError("leq rows must contain 0 or 1")
-        mul = table("mul")
-    except KeyError as exc:
-        raise FormatError(f"unknown element or missing field: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed table: {exc}") from None
-    try:
-        res = table("res") if "res" in data else None
-    except KeyError as exc:
-        raise FormatError(f"unknown element in res: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"malformed table: {exc}") from None
-    return validate(names, mul, leq=leq, covers=covers, res=res, label=label)
+    raw: dict = {}
+    for word, value in data.items():
+        if word not in _DIRECTIVES:
+            raise FormatError(f"unknown directive {word!r}")
+        if (word == "covers" or word in _BLOCKS) and not isinstance(value, list):
+            raise FormatError(f"{word} must be a list")
+        if word in _BLOCKS:
+            value = [(None, row) for row in value]
+        raw[word] = (None, value)
+    return _assemble(raw)
 
 
 def to_json(a: ResiduatedLattice) -> str:
     import json
 
-    data = {
-        "name": a.label,
-        "elements": list(a.names),
-        "covers": [[a.names[x], a.names[y]] for x, y in cover_pairs(a)],
-        "mul": [[a.names[v] for v in row] for row in a.mul],
-        "res": [[a.names[v] for v in row] for row in a.res],
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_fields(a), sort_keys=True, indent=2) + "\n"
 
 
 def parse(text: str) -> ResiduatedLattice:

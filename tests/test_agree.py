@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from reslat import catalog, filters as flt, gelfand as gf, laws, pure as pr, topology as top
+from reslat import catalog, core, filters as flt, gelfand as gf, laws, pure as pr
+from reslat import topology as top
 from reslat.errors import EquivalenceViolation, agree, hold
 
 from oracles import fresh
@@ -48,18 +49,30 @@ def _negated(real):
 
 
 # Routes of the agree sites knocked out, keyed "site.route": the algebra, the
-# module and name of a function only that route calls, its replacement given
-# the real one, the call of the site, the site's message and the route.
+# module (or class) and name of a function only that route calls, its
+# replacement given the real one, the call of the site, the site's message
+# and the route. The zero_product route of comaximality has no such function:
+# it reads a.mul, which the join route reads too, and a.zero, which neg reads.
 KNOCKOUTS = {
     "comaximality.join": (
         "A6", flt, "filter_join", lambda real: lambda a, f, g: 1 << a.one,
         lambda a: flt.is_comaximal(a, *flt.maximal_filters(a)),
         "comaximality routes disagree", "join",
     ),
+    "comaximality.negation": (
+        "A6", core.ResiduatedLattice, "neg", lambda real: lambda a, x: a.zero,
+        lambda a: flt.is_comaximal(a, *flt.maximal_filters(a)),
+        "comaximality routes disagree", "negation",
+    ),
     "coannihilator.joins": (
         "A8", flt, "join_to_one", lambda real: lambda a: (0,) * a.n,
         lambda a: flt.coannihilator(a, 1 << a.names.index("c")),
         "coannihilator routes disagree", "joins",
+    ),
+    "coannihilator.primes": (
+        "A8", flt, "prime_filters", lambda real: lambda a: (),
+        lambda a: flt.coannihilator(a, 1 << a.names.index("c")),
+        "coannihilator routes disagree", "primes",
     ),
     "d_part.omega": (
         "A8", flt, "omega_filter", lambda real: lambda a, ideal: a.full,

@@ -125,6 +125,8 @@ REJECTIONS = [
      NotALattice, "supply exactly one of leq matrix or covering pairs"),
     ("cover-range", _with(CHAIN3, covers=[(0, 1), (1, 3)]),
      NotALattice, "cover (1,3) out of range"),
+    ("cover-fraction", _with(CHAIN3, covers=[(0.5, 1), (1, 2)]),
+     NotALattice, "cover (0.5,1) out of range"),
     ("leq-rows", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 1, 1]]),
      NotALattice, "order matrix must be n x n"),
     ("leq-columns", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 1], [0, 0, 1]]),
@@ -150,6 +152,13 @@ REJECTIONS = [
      NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
     ("mul-value", _with(CHAIN3, mul=[[0, 0, 0], [0, 3, 1], [0, 1, 2]]),
      NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    # entries are not converted: int() would read each of these as a chain
+    ("mul-fractions", dict(names="01", mul=[[0, 0.5], [0.9, 1]], covers=[(0, 1)]),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    ("mul-digit-strings", _with(CHAIN3, mul=[["0", "0", "0"], ["0", "1", "1"], ["0", "1", "2"]]),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    ("mul-bool", _with(CHAIN3, mul=[[0, 0, 0], [0, True, True], [0, True, 2]]),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
     ("unit", _with(CHAIN3, mul=[[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
      NotCommutativeMonoid, "1 is not a unit at a"),
     ("commutative", _with(CHAIN3, mul=[[0, 0, 0], [1, 1, 1], [0, 1, 2]]),
@@ -166,6 +175,8 @@ REJECTIONS = [
     ("adjunction", _chain4(1, 0, 0), AdjunctionFails, "adjunction fails at (x=1, y=0, z=1)"),
     ("associative", _chain4(0, 1, 1), NotCommutativeMonoid, "not associative at a,b,b"),
     ("res-rows", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2]]),
+     NotResiduated, "residuum table must be n x n"),
+    ("res-fraction", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1.2, 2]]),
      NotResiduated, "residuum table must be n x n"),
     ("res-value", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1, 1]]),
      ResiduumMismatch, "residuum at (1,1) is a, derived 1"),

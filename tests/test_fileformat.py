@@ -7,10 +7,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reslat import catalog, core, fileformat as ff, filters as flt, modelgen as mg
+from reslat import catalog, cli, core, fileformat as ff, filters as flt, modelgen as mg
 from reslat.errors import FormatError, ReslatError, ResiduumMismatch
 
-from oracles import goedel
+from oracles import goedel, run_cli
 
 A6_TEXT = """\
 name A6
@@ -171,19 +171,18 @@ CHAIN2_JSON = '"elements": ["0", "1"], "covers": [["0", "1"]], "mul": [["0", "0"
                  "bad JSON: nested too deeply", None, id="json-nesting"),
     pytest.param(ff.parse_json_text, '["0", "1"]', "top level must be an object", None,
                  id="json-top-level"),
-    pytest.param(ff.parse_json_text, '{"covers": []}', "missing elements", None,
+    pytest.param(ff.parse_json_text, '{"covers": []}', "no elements line", None,
                  id="json-no-elements"),
     pytest.param(ff.parse_json_text, '{"elements": ["0", "1"], "mul": []}',
                  "need exactly one of covers or leq", None, id="json-no-order"),
     pytest.param(ff.parse_json_text, '{"elements": ["0"], "covers": [["0", "q"]]}',
-                 "unknown element or missing field: 'q'", None, id="json-unknown-element"),
+                 "unknown element 'q'", None, id="json-unknown-element"),
     pytest.param(ff.parse_json_text, '{"elements": ["0", "1"], "covers": [["0", "1"]]}',
-                 "unknown element or missing field: 'mul'", None, id="json-missing-field"),
+                 "no mul table", None, id="json-missing-field"),
     pytest.param(ff.parse_json_text, '{"elements": ["0", "1"], "covers": [["0"]]}',
-                 "malformed table: not enough values to unpack (expected 2, got 1)", None,
-                 id="json-malformed-covers"),
+                 "malformed cover ['0']", None, id="json-malformed-covers"),
     pytest.param(ff.parse_json_text, '{%s, "res": [["1", "1"], ["0", "q"]]}' % CHAIN2_JSON,
-                 "unknown element in res: 'q'", None, id="json-unknown-in-res"),
+                 "unknown element 'q'", None, id="json-unknown-in-res"),
     pytest.param(ff.parse_json_text, '{%s, "ress": [["0", "0"], ["0", "0"]]}' % CHAIN2_JSON,
                  "unknown directive 'ress'", None, id="json-unknown-key"),
     pytest.param(ff.parse_json_text, '{"name": ["x"], %s}' % CHAIN2_JSON,
@@ -194,6 +193,91 @@ def test_each_parser_refusal_names_its_cause_and_line(parse, text, message, line
         parse(text)
     assert exc.value.line == line
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+CHAIN2_TEXT = "elements 0 1\ncovers 0<1\nmul\n0 0\n0 1\n"
+CHAIN2 = {"elements": ["0", "1"], "covers": [["0", "1"]], "mul": [["0", "0"], ["0", "1"]]}
+CHAIN2_LEQ = {"elements": ["0", "1"], "leq": [[1, 1], [0, 1]], "mul": CHAIN2["mul"]}
+
+
+@pytest.mark.parametrize("text,line,data,message", [
+    pytest.param("name x\n", None, {"name": "x"}, "no elements line", id="no-elements"),
+    pytest.param("name x\nelements\n", 2, {"name": "x", "elements": []},
+                 "elements line lists no elements", id="no-elements-listed"),
+    pytest.param("elements 0 a 0\n", 1, {"elements": ["0", "a", "0"]},
+                 "duplicate element names", id="duplicate-names"),
+    pytest.param("elements 0 1\nbogus x\n", 2, {"elements": ["0", "1"], "bogus": "x"},
+                 "unknown directive 'bogus'", id="unknown-directive"),
+    pytest.param("elements 0 1\ncovers 0<1 1\n", 2,
+                 {"elements": ["0", "1"], "covers": [["0", "1"], "1"]},
+                 "malformed cover '1'", id="malformed-cover"),
+    pytest.param("elements 0 1\ncovers 0<q\n", 2,
+                 {"elements": ["0", "1"], "covers": [["0", "q"]]},
+                 "unknown element 'q'", id="unknown-in-covers"),
+    pytest.param(CHAIN2_TEXT.replace("0 0\n0 1", "0 0\n0"), 5, {**CHAIN2, "mul": [["0", "0"], ["0"]]},
+                 "expected 2 entries in table row", id="row-length"),
+    pytest.param(CHAIN2_TEXT.replace("0 0\n0 1", "0 0\n0 q"), 5,
+                 {**CHAIN2, "mul": [["0", "0"], ["0", "q"]]},
+                 "unknown element 'q'", id="unknown-in-mul"),
+    pytest.param(CHAIN2_TEXT + "res\n1 1\n0 q\n", 8,
+                 {**CHAIN2, "res": [["1", "1"], ["0", "q"]]},
+                 "unknown element 'q'", id="unknown-in-res"),
+    pytest.param("elements 0 1\nleq\n1 2\n0 1\nmul\n0 0\n0 1\n", 3,
+                 {**CHAIN2_LEQ, "leq": [[1, 2], [0, 1]]},
+                 "leq rows must contain 0 or 1", id="leq-entry"),
+    pytest.param("elements 0 1\nmul\n0 0\n0 1\n", None,
+                 {"elements": ["0", "1"], "mul": CHAIN2["mul"]},
+                 "need exactly one of covers or leq", id="no-order"),
+    pytest.param(CHAIN2_TEXT + "leq\n1 1\n0 1\n", None, {**CHAIN2_LEQ, **CHAIN2},
+                 "need exactly one of covers or leq", id="both-orders"),
+    pytest.param("elements 0 1\ncovers 0<1\n", None,
+                 {"elements": ["0", "1"], "covers": [["0", "1"]]}, "no mul table", id="no-mul"),
+])
+def test_both_readers_refuse_a_fault_alike(text, line, data, message):
+    """A fault the text and JSON forms can both carry is refused with one
+    message; the text names its line, JSON none."""
+    with pytest.raises(FormatError) as in_text:
+        ff.parse_text(text)
+    with pytest.raises(FormatError) as in_json:
+        ff.parse_json_text(json.dumps(data))
+    assert (in_text.value.line, in_json.value.line) == (line, None)
+    assert str(in_text.value) == (message if line is None else f"line {line}: {message}")
+    assert str(in_json.value) == message
+
+
+def _names_as(values):
+    """CHAIN2 with its names 0 and 1 written as the given JSON values."""
+    zero, one = values
+    return {"elements": [zero, one], "covers": [[zero, one]],
+            "mul": [[zero, zero], [zero, one]]}
+
+
+@pytest.mark.parametrize("data,message", [
+    pytest.param(_names_as([0, 1]), "elements must be a list of strings", id="integer-names"),
+    pytest.param(_names_as([False, True]), "elements must be a list of strings",
+                 id="boolean-names"),
+    pytest.param(_names_as([["z"], "1"]), "elements must be a list of strings", id="list-names"),
+    pytest.param({**CHAIN2, "mul": [[0, 0], [0, 1]]}, "unknown element 0",
+                 id="integer-entries"),
+    pytest.param({**CHAIN2, "mul": [["0", "0"], ["0", True]]}, "unknown element True",
+                 id="boolean-entries"),
+    pytest.param({**CHAIN2, "mul": [["0", "0"], ["0", ["1"]]]}, "unknown element ['1']",
+                 id="list-entries"),
+    pytest.param({**CHAIN2, "covers": [[0, "1"]]}, "unknown element 0", id="integer-cover"),
+    pytest.param({**CHAIN2, "mul": None}, "mul must be a list", id="null-mul"),
+    pytest.param({**CHAIN2, "res": None}, "res must be a list", id="null-res"),
+    pytest.param({**CHAIN2, "covers": None}, "covers must be a list", id="null-covers"),
+    pytest.param({**CHAIN2_LEQ, "leq": None}, "leq must be a list", id="null-leq"),
+    pytest.param({**CHAIN2, "mul": [["0", "0"], None]}, "expected 2 entries in table row",
+                 id="null-row"),
+])
+def test_each_json_probe_exits_1_as_an_invalid_algebra(tmp_path, data, message):
+    """Names and table entries must be strings that name an element, as in
+    the text form, and each table a list: no value is converted to a name,
+    and no message names a Python type."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["check", str(path)]) == (cli.EX_FALSE, "", f"invalid algebra: {message}\n")
 
 
 def test_comments_and_blank_lines_are_skipped():

@@ -1,6 +1,6 @@
 """Source checks: the package holds no public function, class, module-level
-name or method that only the tests use. Test-only helpers belong in
-tests/oracles.py."""
+name or method that only the tests use (test-only helpers belong in
+tests/oracles.py), and one place in fileformat builds an algebra."""
 
 import ast
 from pathlib import Path
@@ -69,3 +69,12 @@ def test_every_public_method_is_used_by_the_package():
     unused = [f"{module}.{cls}.{name}" for module, cls, name in public
               if cls is not None and name not in refs]
     assert unused == []
+
+
+def test_fileformat_calls_validate_at_one_site():
+    """The text and JSON readers share one assembly step, which holds every
+    rule of the file format and the module's only call of validate."""
+    tree = ast.parse((SRC / "fileformat.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(calls) == 1
