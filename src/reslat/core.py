@@ -357,14 +357,16 @@ def validate(
     Order data comes either as a full <= matrix (`leq`, rows of truthy values)
     or as covering pairs of indices (`covers`). The residuum is always
     derived; a supplied `res` must equal it (ResiduumMismatch otherwise).
-    Indices and table entries must be of type int: no value is converted.
+    Names must be str, and indices and table entries int: nothing is converted.
     """
-    names = tuple(str(s) for s in names)
+    names = tuple(names)
     n = len(names)
     if n == 0:
         raise NotALattice("empty carrier")
     if n > size_bound():
         raise CarrierTooLarge(f"carrier size {n} exceeds bound {size_bound()}")
+    if not all(type(s) is str for s in names):
+        raise NotALattice("element names must be strings")
     if len(set(names)) != n:
         raise NotALattice("duplicate element names")
 

@@ -47,6 +47,12 @@ def analysis(a: ResiduatedLattice) -> Analysis:
     return Analysis(a)
 
 
+def check_filter(a: ResiduatedLattice, f: int) -> None:
+    """Refuse a mask that is not a filter, by one lookup in the filter family."""
+    if f not in analysis(a).generator:
+        raise NotAFilter(f"{a.set_repr(f)} is not a filter of {a.label}")
+
+
 def principal_filter(a: ResiduatedLattice, x: int) -> int:
     return analysis(a).principal[x]
 
@@ -91,29 +97,22 @@ def max_mask(a: ResiduatedLattice) -> int:
     return mask_of(i for i, p in enumerate(prime_filters(a)) if p in maxima)
 
 
-def filter_join(a: ResiduatedLattice, f: int, g: int) -> int:
-    """up(e * e') for the generators e, e' of f and g: a product of
-    idempotents is idempotent, so it generates the join."""
-    gen = analysis(a).generator
-    return a.up[a.mul[gen[f]][gen[g]]]
-
-
 @memo
 def join_table(a: ResiduatedLattice) -> dict[int, dict[int, int]]:
-    """join_table(a)[f][g] is filter_join(a, f, g) for every pair of filters,
-    so a loop over filter pairs reads each join with one lookup."""
-    fs = analysis(a).filters
-    return {f: {g: filter_join(a, f, g) for g in fs} for f in fs}
-
-
-def filter_meet(a: ResiduatedLattice, f: int, g: int) -> int:
-    return f & g
+    """join_table(a)[f][g] is the join of the filters f and g, for every pair
+    of filters: up(e * e') for their generators e, e', since a product of
+    idempotents is idempotent and so generates the join. This is the one
+    derivation of a filter join; readers look joins up here, and a meet is &."""
+    ctx = analysis(a)
+    gen, fs = ctx.generator, ctx.filters
+    return {f: {g: a.up[a.mul[gen[f]][gen[g]]] for g in fs} for f in fs}
 
 
 def join_family(a: ResiduatedLattice, family) -> int:
+    joins = join_table(a)
     out = 1 << a.one
     for f in family:
-        out = filter_join(a, out, f)
+        out = joins[out][f]
     return out
 
 
@@ -148,7 +147,7 @@ def is_semisimple(a: ResiduatedLattice) -> bool:
 def comaximal_routes(a: ResiduatedLattice, f: int, g: int) -> dict[str, bool]:
     """The join is improper; some product is 0; some negation of f is in g."""
     return {
-        "join": filter_join(a, f, g) == a.full,
+        "join": join_table(a)[f][g] == a.full,
         "zero_product": any(a.mul[x][y] == a.zero for x in bits(f) for y in bits(g)),
         "negation": any((g >> a.neg(x)) & 1 for x in bits(f)),
     }
@@ -156,6 +155,8 @@ def comaximal_routes(a: ResiduatedLattice, f: int, g: int) -> dict[str, bool]:
 
 def is_comaximal(a: ResiduatedLattice, f: int, g: int) -> bool:
     """Three independent routes, which must agree on proper filters."""
+    check_filter(a, f)
+    check_filter(a, g)
     if f == a.full or g == a.full:
         raise ImproperInput("comaximality is about proper filters")
     return agree(a, "comaximality routes disagree", comaximal_routes(a, f, g), f, g)

@@ -31,6 +31,7 @@ def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
 def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
     """How principal filters combine with joins, meets and products."""
     ctx = flt.analysis(a)
+    joins = flt.join_table(a)
     join_is_power_cone = True
     for f in ctx.filters:
         for x in range(a.n):
@@ -38,7 +39,7 @@ def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
             for g in bits(f):
                 for px in a.powers(x):
                     cone |= a.up[a.mul[g][px]]
-            if cone != flt.filter_join(a, f, ctx.principal[x]):
+            if cone != joins[f][ctx.principal[x]]:
                 join_is_power_cone = False
     antitone = all(
         ctx.principal[y] & ctx.principal[x] == ctx.principal[y]
@@ -52,15 +53,12 @@ def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
         for y in range(a.n)
     )
     join_rule = all(
-        flt.filter_join(a, ctx.principal[x], ctx.principal[y])
-        == ctx.principal[a.mul[x][y]]
+        joins[ctx.principal[x]][ctx.principal[y]] == ctx.principal[a.mul[x][y]]
         for x in range(a.n)
         for y in range(a.n)
     )
     fam = set(ctx.principal)
-    sublattice = all(
-        u & v in fam and flt.filter_join(a, u, v) in fam for u in fam for v in fam
-    )
+    sublattice = all(u & v in fam and joins[u][v] in fam for u in fam for v in fam)
     return hold(a, "generated filter", {
         "join_is_power_cone": join_is_power_cone,
         "antitone": antitone,
@@ -90,9 +88,9 @@ def maximality_power_law(a: ResiduatedLattice) -> dict[str, bool]:
 
 def filter_lattice_laws(a: ResiduatedLattice) -> dict[str, bool]:
     fs = flt.all_filters(a)
+    joins = flt.join_table(a)
     distributive = all(
-        flt.filter_meet(a, f, flt.filter_join(a, g, h))
-        == flt.filter_join(a, flt.filter_meet(a, f, g), flt.filter_meet(a, f, h))
+        f & joins[g][h] == joins[f & g][f & h]
         for f in fs
         for g in fs
         for h in fs
@@ -116,6 +114,7 @@ def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
     """The Boolean center against primes, the radical, and d-parts."""
     beta = classify_elements(a).boolean_center
     primes = flt.prime_filters(a)
+    joins = flt.join_table(a)
     one = 1 << a.one
     rad = flt.radical_total(a, one)
     center_in_dpart = all(
@@ -128,7 +127,7 @@ def beta_radical_laws(a: ResiduatedLattice) -> dict[str, bool]:
     # equivalence belongs to the omega join, i.e. the ideal join of the
     # complements.
     dpart_comaximal_implies_witness = all(
-        flt.filter_join(a, flt.d_part(a, p), flt.d_part(a, q)) != a.full
+        joins[flt.d_part(a, p)][flt.d_part(a, q)] != a.full
         or flt.complements_join_to_one(a, p, q)
         for p in primes
         for q in primes
@@ -252,6 +251,7 @@ def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
     F_1..F_k-1 with join G, the pairwise law at (G, F_k) extends it to k.
     """
     fs = flt.all_filters(a)
+    joins = flt.join_table(a)
     laws = {}
     laws["routes_agree"] = all(pr.sigma(a, f) is not None for f in fs)
     laws["contractive_filter"] = all(
@@ -274,8 +274,8 @@ def sigma_laws(a: ResiduatedLattice) -> dict[str, bool]:
         pr.sigma(a, f & g) == pr.sigma(a, f) & pr.sigma(a, g) for f in fs for g in fs
     )
     laws["family_join_inequality"] = all(
-        (lambda j: j & pr.sigma(a, flt.filter_join(a, f, g)) == j)(
-            flt.filter_join(a, pr.sigma(a, f), pr.sigma(a, g))
+        (lambda j: j & pr.sigma(a, joins[f][g]) == j)(
+            joins[pr.sigma(a, f)][pr.sigma(a, g)]
         )
         for f in fs
         for g in fs
@@ -294,14 +294,13 @@ def sigma_frame_laws(a: ResiduatedLattice) -> dict[str, bool]:
     """
     pure = pr.pure_filters(a)
     pure_set = set(pure)
+    joins = flt.join_table(a)
     laws = {
         "meet_closed": all(f & g in pure_set for f in pure for g in pure),
-        "join_closed": all(
-            flt.filter_join(a, f, g) in pure_set for f in pure for g in pure
-        ),
+        "join_closed": all(joins[f][g] in pure_set for f in pure for g in pure),
         "bounds": (1 << a.one) in pure_set and a.full in pure_set,
         "frame_distributivity": all(
-            f & flt.filter_join(a, g, h) == flt.filter_join(a, f & g, f & h)
+            f & joins[g][h] == joins[f & g][f & h]
             for f in pure
             for g in pure
             for h in pure

@@ -17,6 +17,7 @@ from . import topology as top
 @memo
 def sigma(a: ResiduatedLattice, f: int) -> int:
     """Pure closure data of a filter, by two routes that must agree."""
+    flt.check_filter(a, f)
     primes = flt.prime_filters(a)
     hf = top.hull_in(primes, f)
     gen = top.generalization_mask(primes, hf)
@@ -37,6 +38,7 @@ def pure_filters(a: ResiduatedLattice) -> tuple[int, ...]:
 @memo
 def rho(a: ResiduatedLattice, f: int) -> int:
     """Join of the pure filters below f (the pure part of f)."""
+    flt.check_filter(a, f)
     return flt.join_family(a, (p for p in pure_filters(a) if p & f == p))
 
 

@@ -3,10 +3,10 @@ package replaced by checked bases, the pairwise meet fixpoint and the
 between scan it replaced by one pass, the canonical test that compares
 whole relabelled tuples, the naive model enumeration, the kernels of the
 table search, validation and quotients as they were before their rows were
-hoisted, a Goedel-chain constructor, a fresh copy of an algebra, filter
-helpers that only the tests use (and the error of the prime extension), and
-the in-process CLI runner. The
-enumerations are exponential and meant for small inputs."""
+hoisted, a Goedel-chain constructor, a fresh copy of an algebra, a
+stand-in join table, filter helpers that only the tests use (and the error
+of the prime extension), and the in-process CLI runner. The enumerations
+are exponential and meant for small inputs."""
 
 import contextlib
 import io
@@ -45,6 +45,17 @@ def run_cli(argv):
 def fresh(a):
     """An algebra equal to a, with its label and an empty cache of its own."""
     return ResiduatedLattice(*a._tables(), label=a.label)
+
+
+def join_table_of(cell):
+    """A stand-in for filters.join_table whose cell (f, g) on the algebra a is
+    cell(a, f, g): a new table each call, since the real one is memoized."""
+
+    def join_table(a):
+        fs = flt.all_filters(a)
+        return {f: {g: cell(a, f, g) for g in fs} for f in fs}
+
+    return join_table
 
 
 def goedel(k):

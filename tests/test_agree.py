@@ -9,7 +9,7 @@ from reslat import catalog, core, filters as flt, gelfand as gf, laws, pure as p
 from reslat import topology as top
 from reslat.errors import EquivalenceViolation, agree, hold
 
-from oracles import fresh
+from oracles import fresh, join_table_of
 
 
 class Unprintable:
@@ -52,10 +52,10 @@ def _negated(real):
 # module (or class) and name of a function only that route calls, its
 # replacement given the real one, the call of the site, the site's message
 # and the route. The zero_product route of comaximality has no such function:
-# it reads a.mul, which the join route reads too, and a.zero, which neg reads.
+# it reads a.mul, which the join table reads too, and a.zero, which neg reads.
 KNOCKOUTS = {
     "comaximality.join": (
-        "A6", flt, "filter_join", lambda real: lambda a, f, g: 1 << a.one,
+        "A6", flt, "join_table", lambda real: join_table_of(lambda a, f, g: 1 << a.one),
         lambda a: flt.is_comaximal(a, *flt.maximal_filters(a)),
         "comaximality routes disagree", "join",
     ),
@@ -90,7 +90,7 @@ KNOCKOUTS = {
         "sigma routes disagree", "joins",
     ),
     "sigma.join_table": (
-        "A8", flt, "filter_join", lambda real: lambda a, f, g: f & g,
+        "A8", flt, "join_table", lambda real: join_table_of(lambda a, f, g: f & g),
         lambda a: pr.sigma(a, flt.maximal_filters(a)[0]),
         "sigma routes disagree", "joins",
     ),

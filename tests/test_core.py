@@ -119,6 +119,9 @@ REJECTIONS = [
     ("too-large", dict(names=range(65), mul=[], covers=[]),
      CarrierTooLarge, "carrier size 65 exceeds bound 64"),
     ("duplicate", _with(CHAIN3, names="0a0"), NotALattice, "duplicate element names"),
+    # names are not converted: str() would name these '0' and "['z']"
+    ("names-not-strings", dict(names=[0, ["z"]], mul=[[0, 0], [0, 1]], covers=[(0, 1)]),
+     NotALattice, "element names must be strings"),
     ("both-orders", _with(CHAIN3, leq=[[1, 1, 1], [0, 1, 1], [0, 0, 1]]),
      NotALattice, "supply exactly one of leq matrix or covering pairs"),
     ("no-order", _with(CHAIN3, covers=None),

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from reslat import catalog, cli, core, filters as flt, modelgen, report
+from reslat import catalog, cli, core, filters as flt, modelgen, pure as pr, report
 from reslat.errors import (
     EquivalenceViolation,
     ImproperInput,
@@ -126,7 +126,7 @@ def test_principal_generation_identities():
         for y in range(a.n):
             fx, fy = flt.principal_filter(a, x), flt.principal_filter(a, y)
             assert flt.principal_filter(a, a.join[x][y]) == fx & fy
-            assert flt.principal_filter(a, a.mul[x][y]) == flt.filter_join(a, fx, fy)
+            assert flt.principal_filter(a, a.mul[x][y]) == flt.join_table(a)[fx][fy]
 
 
 def test_a_generator_the_product_route_does_not_regenerate_is_caught(monkeypatch):
@@ -166,6 +166,21 @@ def test_radical_rejects_a_non_filter():
     a = catalog.get("A6")
     with pytest.raises(NotAFilter, match=r"^\{a,1\}$"):
         flt.radical(a, 1 << a.names.index("a") | 1 << a.one)
+
+
+def test_comaximality_sigma_and_rho_reject_a_non_filter():
+    """{a,1} is not a filter of A6; sigma and rho store nothing when they
+    refuse, so a second call is refused again."""
+    a = catalog.get("A6")
+    s, m = 1 << a.names.index("a") | 1 << a.one, flt.maximal_filters(a)[0]
+    calls = [
+        lambda: flt.is_comaximal(a, s, m), lambda: flt.is_comaximal(a, m, s),
+        lambda: pr.sigma(a, s), lambda: pr.sigma(a, s),
+        lambda: pr.rho(a, s), lambda: pr.rho(a, s),
+    ]
+    for call in calls:
+        with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
+            call()
 
 
 def test_proper_filter_tests_reject_the_improper_filter():
@@ -232,12 +247,15 @@ def test_element_coannihilators_a8():
 
 
 def test_the_join_table_holds_every_filter_join():
-    """On the catalog, the census with at most five elements and A6xcube2,
-    the table has a row and a column for each filter, in canonical order,
-    and each cell is filter_join of its row and column."""
+    """On the catalog, every structure with at most six elements, A6xA6 and
+    A6xcube2, the table has a row and a column for each filter, in canonical
+    order, and each cell is the filter the product route generates from the
+    union of its row and column."""
     algebras = [catalog.get(name) for name in catalog.catalog_names()]
-    algebras += [a for n in range(1, 6) for a in modelgen.residuated_structures(n)]
-    algebras.append(core.direct_product(catalog.get("A6"), catalog.get("cube2")))
+    algebras += [a for n in range(1, 7) for a in modelgen.residuated_structures(n)]
+    a6 = catalog.get("A6")
+    algebras += [core.direct_product(a6, a6), core.direct_product(a6, catalog.get("cube2"))]
+    pairs = 0
     for a in algebras:
         fs = flt.all_filters(a)
         table = flt.join_table(a)
@@ -245,7 +263,9 @@ def test_the_join_table_holds_every_filter_join():
         for f in fs:
             assert tuple(table[f]) == fs, a.label
             for g in fs:
-                assert table[f][g] == flt.filter_join(a, f, g), (a.label, f, g)
+                assert table[f][g] == flt.generated_filter(a, f | g), (a.label, f, g)
+        pairs += len(fs) ** 2
+    assert pairs == 3222
 
 
 def test_coannihilator_is_a_filter_and_antitone():

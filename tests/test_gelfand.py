@@ -7,7 +7,7 @@ import pytest
 from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
 from reslat.errors import EquivalenceViolation
 
-from oracles import fresh
+from oracles import fresh, join_table_of
 
 CRITERIA = (
     "unique_maximal",
@@ -128,15 +128,17 @@ def test_normality_and_separation_leaves():
 
 def _normal_by_search(a, family):
     """Reference for gf._normal_over: search every (u, v) for each comaximal
-    pair (f, g), up to F^4 filter joins."""
+    pair (f, g), up to F^4 filter joins. Each join is the filter generated by
+    the union, so nothing is read from the join table."""
     one = 1 << a.one
+    join = {(f, g): flt.generated_filter(a, f | g) for f in family for g in family}
     for f in family:
         for g in family:
-            if flt.filter_join(a, f, g) != a.full:
+            if join[f, g] != a.full:
                 continue
             if not any(
-                flt.filter_join(a, u, f) == a.full
-                and flt.filter_join(a, v, g) == a.full
+                join[u, f] == a.full
+                and join[v, g] == a.full
                 and u & v == one
                 for u in family
                 for v in family
@@ -352,8 +354,7 @@ def _relation_classes(a):
     return {kind: gf.relation_class_condition(a, kind) for kind in ("comaximal", "dpart")}
 
 
-def _meet(a, f, g):
-    return f & g
+_meets = join_table_of(lambda a, f, g: f & g)
 
 
 # Inputs that the batteries read once per battery (the filter joins through
@@ -361,15 +362,15 @@ def _meet(a, f, g):
 # algebra, the module and name replaced, the replacement, the battery, and
 # the leaves that must then change.
 HOISTED_READS = {
-    "filter_join/maximal_battery": (
-        "cube2", flt, "filter_join", _meet, gf.maximal_battery, ["dpart_comaximal"],
+    "join_table/maximal_battery": (
+        "cube2", flt, "join_table", _meets, gf.maximal_battery, ["dpart_comaximal"],
     ),
-    "filter_join/normal_filter_lattice": (
-        "cube2", flt, "filter_join", _meet, gf.normal_filter_lattice,
+    "join_table/normal_filter_lattice": (
+        "cube2", flt, "join_table", _meets, gf.normal_filter_lattice,
         ["all_filters", "principal_filters"],
     ),
-    "filter_join/relation_classes": (
-        "cube2", flt, "filter_join", _meet, _relation_classes, ["comaximal", "dpart"],
+    "join_table/relation_classes": (
+        "cube2", flt, "join_table", _meets, _relation_classes, ["comaximal", "dpart"],
     ),
     "d_part/maximal_battery": (
         "A8", flt, "d_part", lambda a, prime: a.full, gf.maximal_battery,

@@ -10,7 +10,7 @@ import pytest
 from reslat import catalog, cli, core, filters as flt, laws, modelgen, pure as pr
 from reslat.errors import EquivalenceViolation
 
-from oracles import fresh, run_cli
+from oracles import fresh, join_table_of, run_cli
 
 SUITES = (
     "boolean_center",
@@ -60,7 +60,7 @@ def test_dpart_comaximality_is_one_directional():
     dp, dq = flt.d_part(a, p), flt.d_part(a, q)
     c, f = a.names.index("c"), a.names.index("f")
     assert a.join[c][f] == a.one  # witness exists
-    assert flt.filter_join(a, dp, dq) != a.full  # yet the join stays proper
+    assert flt.join_table(a)[dp][dq] != a.full  # yet the join stays proper
     checks = laws.beta_radical_laws(a)
     assert checks["dpart_comaximal_implies_witness"]
     assert checks["complement_ideal_join_iff_witness"]
@@ -166,8 +166,16 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
 # otherwise the module's attribute), its replacement, the suite and its tag.
 LEAF_KNOCKOUTS = {
     "generated_filter.join_is_power_cone": (
-        laws, "flt.filter_join", lambda a, f, g: f & g,
+        laws, "flt.join_table", join_table_of(lambda a, f, g: f & g),
         laws.generated_filter_laws, "generated filter",
+    ),
+    "filter_lattice.distributive": (
+        laws, "flt.join_table", join_table_of(lambda a, f, g: a.full),
+        laws.filter_lattice_laws, "filter lattice",
+    ),
+    "boolean_center.dpart_comaximal_implies_witness": (
+        laws, "flt.join_table", join_table_of(lambda a, f, g: a.full),
+        laws.beta_radical_laws, "boolean center",
     ),
     "quotient_maximals.maximals_project": (
         laws, "flt.maximals_over", lambda a, subset: (),

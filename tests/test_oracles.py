@@ -1,7 +1,8 @@
 """The checked-base routes against the exhaustive enumerations they replace:
 coannihilator laws, closure lemmas, the patch/stability criterion, stable
 sets and retractions; and the one-step derivations against the routes they
-replace: filter joins, all coannihilators and the spectrum's DOT edges."""
+replace: filter joins folded from the join table, all coannihilators and the
+spectrum's DOT edges."""
 
 import time
 import types
@@ -165,14 +166,14 @@ SMALL = (
 
 
 def test_filter_joins_match_the_generated_filter():
-    """up(e * e') of the two generators is the filter the product route
-    generates from the union."""
+    """join_family of two filters, a fold over the join table, is the filter
+    the product route generates from their union."""
     pairs = 0
     for a in SMALL:
         fs = flt.all_filters(a)
         for f in fs:
             for g in fs:
-                assert flt.filter_join(a, f, g) == flt.generated_filter(a, f | g), a.label
+                assert flt.join_family(a, (f, g)) == flt.generated_filter(a, f | g), a.label
         pairs += len(fs) ** 2
     assert pairs == 2822
 

@@ -9,7 +9,7 @@ from reslat import catalog, cli, core, fileformat as ff, filters as flt, laws
 from reslat import pure as pr, report, topology as top
 from reslat.errors import EquivalenceViolation
 
-from oracles import run_cli
+from oracles import join_table_of, run_cli
 
 
 def reprs(a, masks):
@@ -148,20 +148,14 @@ def test_a_failing_law_is_named_and_exits_2(monkeypatch):
 
 
 def _break_join(monkeypatch, f0, g0):
-    """Give the law suites a filter join that returns its first argument on
-    the one ordered pair (f0, g0), and a family join that folds with it."""
-    real_join = flt.filter_join
+    """Give the law suites a join table whose cell at the one ordered pair
+    (f0, g0) holds f0."""
+    real = flt.join_table
 
-    def filter_join(a, f, g):
-        return f if (f, g) == (f0, g0) else real_join(a, f, g)
+    def cell(a, f, g):
+        return f if (f, g) == (f0, g0) else real(a)[f][g]
 
-    def join_family(a, family):
-        out = 1 << a.one
-        for f in family:
-            out = filter_join(a, out, f)
-        return out
-
-    broken = {**vars(flt), "filter_join": filter_join, "join_family": join_family}
+    broken = {**vars(flt), "join_table": join_table_of(cell)}
     monkeypatch.setattr(laws, "flt", types.SimpleNamespace(**broken))
 
 
