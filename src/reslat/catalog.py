@@ -9,7 +9,7 @@ from mul can be checked bit-exactly against them.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, validate
+from .core import ResiduatedLattice, element_names, validate
 from .fileformat import parse_text
 
 _A6 = """\
@@ -59,11 +59,10 @@ b d b e f 1 f 1
 
 def _chain(k: int) -> ResiduatedLattice:
     """Goedel chain of k elements: mul = min, res[x][y] = 1 if x<=y else y."""
-    names = ("0",) + tuple(chr(ord("a") + i) for i in range(k - 2)) + ("1",)
     covers = [(i, i + 1) for i in range(k - 1)]
     mul = [[min(i, j) for j in range(k)] for i in range(k)]
     res = [[k - 1 if i <= j else j for j in range(k)] for i in range(k)]
-    return validate(names[:k], mul, covers=covers, res=res, label=f"chain{k}")
+    return validate(element_names(k), mul, covers=covers, res=res, label=f"chain{k}")
 
 
 def _cube(k: int) -> ResiduatedLattice:

@@ -8,7 +8,6 @@ equal routes disagreed; always a bug worth reporting), 64 for usage errors,
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -25,11 +24,6 @@ EX_IO = 74
 # `search 7` takes under a second and `search 8` about 6 s on a 2-CPU host;
 # larger sizes are refused up front.
 SEARCH_MAX = 8
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _resolve(spec: str) -> ResiduatedLattice:
@@ -58,7 +52,7 @@ def _tags(f: int, sets: dict) -> str:
     return " " + ",".join(held) if held else ""
 
 
-def _cmd_check(a, args) -> int:
+def _cmd_check(a) -> int:
     from . import filters as flt
 
     ctx = flt.analysis(a)
@@ -70,7 +64,7 @@ def _cmd_check(a, args) -> int:
     return EX_OK
 
 
-def _cmd_filters(a, args) -> int:
+def _cmd_filters(a) -> int:
     from . import filters as flt
     from . import pure as pr
 
@@ -82,12 +76,12 @@ def _cmd_filters(a, args) -> int:
     return EX_OK
 
 
-def _cmd_spectrum(a, args) -> int:
+def _cmd_spectrum(a, kind) -> int:
     from . import filters as flt
     from . import topology as top
 
     primes = flt.prime_filters(a)
-    space = top.spec_space(a, args.kind)
+    space = top.spec_space(a, kind)
     maxima = {"maximal": set(flt.maximal_filters(a))}
     for p in primes:
         print(a.set_repr(p) + _tags(p, maxima))
@@ -98,7 +92,7 @@ def _cmd_spectrum(a, args) -> int:
     return EX_OK
 
 
-def _cmd_gelfand(a, args) -> int:
+def _cmd_gelfand(a) -> int:
     from .gelfand import gelfand_verdict
 
     verdict = gelfand_verdict(a)
@@ -110,7 +104,7 @@ def _cmd_gelfand(a, args) -> int:
     return EX_OK if verdict.verdict else EX_FALSE
 
 
-def _cmd_pure(a, args) -> int:
+def _cmd_pure(a) -> int:
     from . import pure as pr
 
     tags = {"purely-prime": set(pr.purely_prime(a)),
@@ -123,7 +117,7 @@ def _cmd_pure(a, args) -> int:
     return EX_OK if homeo else EX_FALSE
 
 
-def _cmd_soft(a, args) -> int:
+def _cmd_soft(a) -> int:
     from .gelfand import is_soft
 
     soft, routes = is_soft(a)
@@ -133,17 +127,17 @@ def _cmd_soft(a, args) -> int:
     return EX_OK if soft else EX_FALSE
 
 
-def _cmd_search(a, args) -> int:
+def _cmd_search(size, chains, deep) -> int:
     from . import modelgen
 
-    if args.size < 1:
-        raise UsageError(f"search needs a positive size, got {args.size}")
-    if args.size > SEARCH_MAX:
-        raise UsageError(f"search is limited to {SEARCH_MAX} elements, got {args.size}")
-    if args.size > size_bound():
-        raise CarrierTooLarge(f"carrier size {args.size} exceeds bound {size_bound()}")
-    for n in range(1, args.size + 1):
-        rep = modelgen.classify_all(n, deep=args.deep, chains_only=args.chains)
+    if size < 1:
+        raise UsageError(f"search needs a positive size, got {size}")
+    if size > SEARCH_MAX:
+        raise UsageError(f"search is limited to {SEARCH_MAX} elements, got {size}")
+    if size > size_bound():
+        raise CarrierTooLarge(f"carrier size {size} exceeds bound {size_bound()}")
+    for n in range(1, size + 1):
+        rep = modelgen.classify_all(n, deep=deep, chains_only=chains)
         print(
             f"n={n}: lattices={rep.lattice_count} structures={rep.structure_count}",
             *(f"{k}={getattr(rep, k + '_count')}" for k in modelgen.SWEEP_FLAGS),
@@ -151,21 +145,21 @@ def _cmd_search(a, args) -> int:
     return EX_OK
 
 
-def _cmd_report(a, args) -> int:
+def _cmd_report(a, output) -> int:
     from .report import build_report, render_json
 
-    _emit(render_json(build_report(a)), args.output)
+    _emit(render_json(build_report(a)), output)
     return EX_OK
 
 
-def _cmd_export_dot(a, args) -> int:
+def _cmd_export_dot(a, kind, output) -> int:
     from . import fileformat
 
-    _emit(fileformat.export_dot(a, args.kind), args.output)
+    _emit(fileformat.export_dot(a, kind), output)
     return EX_OK
 
 
-def _cmd_catalog(a, args) -> int:
+def _cmd_catalog() -> int:
     from . import catalog
 
     for name in catalog.catalog_names():
@@ -173,46 +167,140 @@ def _cmd_catalog(a, args) -> int:
     return EX_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="reslat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (function, help, operand, options): the whole command line. The
+# operand is ALG, a catalog name or algebra file that main resolves once the
+# command line has parsed; N, an integer; or None. An option maps its long
+# name to (short name, value, help), where the value is bool for a switch
+# (default False), str for a text (default None) or the tuple of its choices
+# (default the first). A function takes each option by its long name.
+_OUTPUT = ("-o", str, "write to a file instead of stdout")
+COMMANDS = {
+    "check": (_cmd_check, "validate an algebra and summarize it", "ALG", {}),
+    "filters": (_cmd_filters, "list the filters with their roles", "ALG", {}),
+    "spectrum": (_cmd_spectrum, "describe the prime spectrum", "ALG",
+                 {"--kind": (None, ("hull", "dual", "patch"), "the topology")}),
+    "gelfand": (_cmd_gelfand, "evaluate the Gelfand criteria", "ALG", {}),
+    "pure": (_cmd_pure, "list pure filters and the pure spectrum", "ALG", {}),
+    "soft": (_cmd_soft, "evaluate the softness characterizations", "ALG", {}),
+    "search": (_cmd_search, "enumerate all models up to a size", "N",
+               {"--chains": (None, bool, "chains only"),
+                "--deep": (None, bool, "also run law suites")}),
+    "report": (_cmd_report, "full JSON report", "ALG", {"--output": _OUTPUT}),
+    "export-dot": (_cmd_export_dot, "Hasse diagram or spectrum as DOT", "ALG",
+                   {"--kind": (None, ("hasse", "spec"), "what to draw"),
+                    "--output": _OUTPUT}),
+    "catalog": (_cmd_catalog, "list built-in algebras", None, {}),
+}
+_HELP = {"--help": ("-h", bool, "show this help")}
 
-    def add(name, func, help_text, algebra=True):
-        p = sub.add_parser(name, help=help_text)
-        if algebra:
-            p.add_argument("algebra", help="catalog name or algebra file")
-        p.set_defaults(func=func)
-        return p
 
-    add("check", _cmd_check, "validate an algebra and summarize it")
-    add("filters", _cmd_filters, "list the filters with their roles")
-    p = add("spectrum", _cmd_spectrum, "describe the prime spectrum")
-    p.add_argument("--kind", choices=("hull", "dual", "patch"), default="hull")
-    add("gelfand", _cmd_gelfand, "evaluate the Gelfand criteria")
-    add("pure", _cmd_pure, "list pure filters and the pure spectrum")
-    add("soft", _cmd_soft, "evaluate the softness characterizations")
-    p = add("search", _cmd_search, "enumerate all models up to a size", algebra=False)
-    p.add_argument("size", type=int)
-    p.add_argument("--chains", action="store_true", help="chains only")
-    p.add_argument("--deep", action="store_true", help="also run law suites")
-    p = add("report", _cmd_report, "full JSON report")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p = add("export-dot", _cmd_export_dot, "Hasse diagram or spectrum as DOT")
-    p.add_argument("--kind", choices=("hasse", "spec"), default="hasse")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    add("catalog", _cmd_catalog, "list built-in algebras", algebra=False)
-    return parser
+def _help() -> str:
+    """What -h/--help prints, at the top or after a command."""
+    lines = ["usage: reslat [-h] COMMAND [OPERAND] [OPTIONS]", "", __doc__.strip(), "",
+             "commands:"]
+    for name, (_, text, operand, options) in COMMANDS.items():
+        lines.append(f"  {name + ' ' + (operand or ''):<16}{text}")
+        for flag, (short, value, about) in options.items():
+            shown = f"{short}/{flag}" if short else flag
+            if value is str:
+                shown += " " + flag[2:].upper()
+            elif value is not bool:
+                shown, about = f"{shown} {'|'.join(value)}", f"{about} (default {value[0]})"
+            lines.append(f"      {shown}: {about}")
+    return "\n".join(lines) + "\n"
+
+
+def _is_operand(token: str, ended: bool) -> bool:
+    """Whether token is an operand rather than an option: so is every token
+    after "--", "-" alone and a negative number such as -2 or -.5, which
+    `search` refuses with its own message."""
+    if ended or not token.startswith("-") or token == "-":
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    return (whole + fraction).isdecimal() and (fraction.isdecimal() or not dot)
+
+
+def _option(token: str, options: dict):
+    """(long name, value given with it or None) of the option that token
+    names, or None if it names none. A long option matches exactly or by a
+    unique prefix, with its value after "="; a short one may be followed by
+    its value, with or without "="."""
+    for flag, (short, _, _) in options.items():
+        if short and token[:2] == short:
+            token = flag + ("=" + token[2:].removeprefix("=") if token[2:] else "")
+    flag, eq, value = token.partition("=")
+    found = [flag] if flag in options else [f for f in options if f.startswith(flag)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {flag} could match {', '.join(found)}")
+    return (found[0], value if eq else None) if found else None
+
+
+def parse_args(argv):
+    """(command name, operands, options by keyword) read from argv through
+    COMMANDS, or None once the help that -h/--help asks for is printed.
+    Options go before or after the operand, and "--" ends them."""
+    name = operand = None
+    operands, values, unknown, ended, options = [], {}, [], False, _HELP
+    choices = f"(choose from {', '.join(COMMANDS)})"
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+        elif _is_operand(token, ended):
+            if name is None:
+                if token not in COMMANDS:
+                    raise UsageError(f"unknown command {token!r} {choices}")
+                name, (_, _, operand, own) = token, COMMANDS[token]
+                options = {**own, **_HELP}
+                values = {f[2:]: False if v is bool else v[0] if isinstance(v, tuple) else None
+                          for f, (_, v, _) in own.items()}
+            elif operands or operand is None:
+                unknown.append(token)
+            elif operand == "N":
+                try:
+                    operands.append(int(token))
+                except ValueError:
+                    raise UsageError(f"N must be an integer, got {token!r}") from None
+            else:
+                operands.append(token)
+        elif (found := _option(token, options)) is None:
+            unknown.append(token)
+        else:
+            flag, value = found
+            kind = options[flag][1]
+            if kind is bool and value is not None:
+                raise UsageError(f"{flag} takes no value, got {value!r}")
+            if flag == "--help":
+                sys.stdout.write(_help())
+                return None
+            if kind is not bool and value is None:
+                value = next(tokens, None)
+                if value is None or not _is_operand(value, False):
+                    raise UsageError(f"{flag} needs a value")
+            if isinstance(kind, tuple) and value not in kind:
+                raise UsageError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+            values[flag[2:]] = True if kind is bool else value
+    if name is None:
+        raise UsageError(f"no command given {choices}")
+    if operand and not operands:
+        raise UsageError(f"missing operand: reslat {name} {operand}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return name, operands, values
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        # resolved before the command imports anything: a rejected input
-        # loads no more modules than `_resolve` needs
-        a = _resolve(args.algebra) if "algebra" in args else None
-        return args.func(a, args)
-    except SystemExit as exc:
-        return EX_OK if exc.code in (0, None) else EX_USAGE
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            return EX_OK
+        name, operands, options = parsed
+        func, _, operand, _ = COMMANDS[name]
+        if operand == "ALG":
+            # resolved before the command imports anything: a rejected input
+            # loads no more modules than `_resolve` needs
+            operands = [_resolve(operands[0])]
+        return func(*operands, **options)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -61,6 +61,14 @@ def _bits_above(mask: int):
         mask ^= low
 
 
+def element_names(n: int) -> tuple[str, ...]:
+    """0, a, b, ..., 1: the names of a chain's or a searched model's elements,
+    bottom first and top last."""
+    if n == 1:
+        return ("1",)
+    return ("0",) + tuple(chr(ord("a") + i) for i in range(n - 2)) + ("1",)
+
+
 def mask_of(indices) -> int:
     out = 0
     for i in indices:

@@ -125,8 +125,7 @@ def radical(a: ResiduatedLattice, f: int) -> int:
     """Intersection of the maximal filters containing f; proper input only."""
     if f == a.full:
         raise ImproperInput("radical of the improper filter is not defined")
-    if not a.is_filter(f):
-        raise NotAFilter(a.set_repr(f))
+    check_filter(a, f)
     over = maximals_over(a, f)
     if not over:
         raise EquivalenceViolation(
@@ -146,6 +145,8 @@ def is_semisimple(a: ResiduatedLattice) -> bool:
 
 def comaximal_routes(a: ResiduatedLattice, f: int, g: int) -> dict[str, bool]:
     """The join is improper; some product is 0; some negation of f is in g."""
+    check_filter(a, f)
+    check_filter(a, g)
     return {
         "join": join_table(a)[f][g] == a.full,
         "zero_product": any(a.mul[x][y] == a.zero for x in bits(f) for y in bits(g)),
@@ -155,8 +156,6 @@ def comaximal_routes(a: ResiduatedLattice, f: int, g: int) -> dict[str, bool]:
 
 def is_comaximal(a: ResiduatedLattice, f: int, g: int) -> bool:
     """Three independent routes, which must agree on proper filters."""
-    check_filter(a, f)
-    check_filter(a, g)
     if f == a.full or g == a.full:
         raise ImproperInput("comaximality is about proper filters")
     return agree(a, "comaximality routes disagree", comaximal_routes(a, f, g), f, g)
@@ -166,6 +165,7 @@ def is_maximal_by_powers(a: ResiduatedLattice, f: int) -> bool:
     """Power test: proper f is maximal iff every x outside has neg(x^k) in f."""
     if f == a.full:
         raise ImproperInput("maximality test is about proper filters")
+    check_filter(a, f)
     return all(
         any((f >> a.neg(p)) & 1 for p in a.powers(x)) for x in bits(a.full ^ f)
     )

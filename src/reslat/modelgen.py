@@ -14,24 +14,18 @@ Element 0 is always the bottom and element n-1 the top.
 """
 from __future__ import annotations
 
-import string
 from collections import Counter, namedtuple
 from itertools import permutations, product as iproduct
 
-from .core import _operations, _order, bits, down_masks, is_prelinear, mask_of, size_bound
+from .core import (
+    _operations, _order, bits, down_masks, element_names, is_prelinear, mask_of, size_bound,
+)
 from .errors import (
     CarrierTooLarge,
     EquivalenceViolation,
     NotALattice,
 )
 from .gelfand import classification
-
-
-def element_names(n: int) -> tuple[str, ...]:
-    if n == 1:
-        return ("1",)
-    middle = tuple(string.ascii_lowercase[i] for i in range(n - 2))
-    return ("0",) + middle + ("1",)
 
 
 def _candidate_orders(n: int):

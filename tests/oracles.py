@@ -17,6 +17,7 @@ from reslat.core import (
     ResiduatedLattice,
     _lattice_tables,
     bits,
+    element_names,
     find_isomorphism,
     mask_of,
     validate,
@@ -31,7 +32,7 @@ from reslat.errors import (
     NotResiduated,
     ReslatError,
 )
-from reslat.modelgen import _candidate_orders, _middle_perms, element_names
+from reslat.modelgen import _candidate_orders, _middle_perms
 
 
 def run_cli(argv):

@@ -319,8 +319,98 @@ def test_equivalence_violation_exits_2(monkeypatch):
     assert "detail:" in err
 
 
+# Command lines that are refused before any command runs.
+REFUSED_COMMAND_LINES = {
+    "no command": [],
+    "an unknown command": ["nope", "A8"],
+    "a missing algebra": ["gelfand"],
+    "a missing size": ["search", "--deep"],
+    "an extra operand": ["check", "A8", "A6"],
+    "an operand for catalog": ["catalog", "A8"],
+    "an unknown option": ["check", "A8", "--kind", "hull"],
+    "an unknown short option": ["report", "A8", "-x"],
+    "--kind without a value": ["spectrum", "A8", "--kind"],
+    "--kind followed by an option": ["export-dot", "--kind", "--output", "F", "A8"],
+    "--kind with another command's choice": ["spectrum", "A8", "--kind", "spec"],
+    "--kind with no command's choice": ["export-dot", "A8", "--kind=png"],
+    "a switch with a value": ["search", "3", "--deep=yes"],
+    "an option of another command": ["search", "3", "-o", "F"],
+    "a size that is not an integer": ["search", "x"],
+    "an option before the command": ["--kind", "patch", "spectrum", "A8"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_COMMAND_LINES))
+def test_a_refused_command_line_is_a_usage_error(case):
+    code, out, err = run_cli(REFUSED_COMMAND_LINES[case])
+    assert (code, out) == (cli.EX_USAGE, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_the_refusals_name_what_is_wrong():
+    assert run_cli(["spectrum", "A8", "--kind", "spec"])[2] == (
+        "usage error: --kind must be one of hull, dual, patch, got 'spec'\n"
+    )
+    assert run_cli(["search", "x"])[2] == "usage error: N must be an integer, got 'x'\n"
+    assert run_cli(["gelfand"])[2] == "usage error: missing operand: reslat gelfand ALG\n"
+    assert run_cli(["check", "A8", "A6", "-q"])[2] == (
+        "usage error: unrecognized arguments: A6 -q\n"
+    )
+    assert "choose from " + ", ".join(cli.COMMANDS) in run_cli(["nope"])[2]
+
+
+def test_a_negative_number_is_an_operand_not_an_option():
+    """So `search -2` reaches the search's own refusal (SEARCH_REFUSALS), and
+    `check -2` looks for an algebra named -2."""
+    assert run_cli(["check", "-2"]) == (
+        cli.EX_IO, "", "io error: no catalog entry or file named '-2'\n"
+    )
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["spectrum", "A8", "--kind=patch"], ["spectrum", "A8", "--kind", "patch"]),
+    (["spectrum", "--kind", "patch", "A8"], ["spectrum", "A8", "--kind", "patch"]),
+    (["export-dot", "--kind", "spec", "A8"], ["export-dot", "A8", "--kind", "spec"]),
+    (["export-dot", "A8", "--k", "spec"], ["export-dot", "A8", "--kind", "spec"]),
+    (["spectrum", "A8", "--ki=dual"], ["spectrum", "A8", "--kind", "dual"]),
+    (["search", "--ch", "4", "--d"], ["search", "4", "--chains", "--deep"]),
+    (["check", "--", "A8"], ["check", "A8"]),
+])
+def test_options_match_by_form_position_and_unique_prefix(argv, same):
+    got = run_cli(argv)
+    assert got == run_cli(same) and got[0] == cli.EX_OK
+
+
+@pytest.mark.parametrize("given", [
+    ["-o", "{}"], ["-o{}"], ["-o={}"], ["--output", "{}"], ["--output={}"], ["--out", "{}"],
+])
+def test_report_writes_where_the_output_option_says(given, tmp_path):
+    p = tmp_path / "r.json"
+    assert run_cli(["report", "A8", *(g.format(p) for g in given)]) == (cli.EX_OK, "", "")
+    assert p.read_text() == report.render_json(report.build_report(catalog.get("A8")))
+
+
+HELP_COMMAND_LINES = [
+    ["--help"], ["-h"], ["--he"], ["-h", "nope"], ["check", "-h"], ["search", "--help"],
+    ["export-dot", "A8", "--bogus", "-h"],
+]
+
+
 def test_help_exits_zero():
-    with pytest.raises(SystemExit):
-        # argparse prints help and exits; main() converts that to a return code
-        cli.build_parser().parse_args(["--help"])
-    assert run_cli(["--help"])[0] == cli.EX_OK
+    """-h/--help is read in order, at the top or after a command, and lists
+    every command with its options."""
+    for argv in HELP_COMMAND_LINES:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (cli.EX_OK, ""), argv
+        assert out.startswith("usage: reslat ")
+        # a command's line is indented two spaces, its options' lines six
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line[:2] == "  " and line[2] != " "]
+        assert listed == list(cli.COMMANDS)
+        for options in (spec[3] for spec in cli.COMMANDS.values()):
+            assert all(flag in out for flag in options)
+
+
+def test_help_after_a_refusal_is_not_reached():
+    assert run_cli(["nope", "-h"])[0] == cli.EX_USAGE
+    assert run_cli(["spectrum", "--kind", "png", "-h"])[0] == cli.EX_USAGE

@@ -164,8 +164,25 @@ def test_radical_rejects_improper_filter():
 
 def test_radical_rejects_a_non_filter():
     a = catalog.get("A6")
-    with pytest.raises(NotAFilter, match=r"^\{a,1\}$"):
+    with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
         flt.radical(a, 1 << a.names.index("a") | 1 << a.one)
+
+
+def test_maximality_by_powers_rejects_a_non_filter():
+    """Unchecked, the power test would answer False for {a,1}."""
+    a = catalog.get("A6")
+    with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
+        flt.is_maximal_by_powers(a, 1 << a.names.index("a") | 1 << a.one)
+
+
+def test_comaximal_routes_reject_a_non_filter():
+    """Unchecked, the join route would look {a,1} up in the join table,
+    which holds only filters, and fail with a KeyError."""
+    a = catalog.get("A6")
+    s, m = 1 << a.names.index("a") | 1 << a.one, flt.maximal_filters(a)[0]
+    for f, g in ((s, s), (m, s), (s, m)):
+        with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
+            flt.comaximal_routes(a, f, g)
 
 
 def test_comaximality_sigma_and_rho_reject_a_non_filter():

@@ -32,9 +32,12 @@ SWEEP = {
 
 
 def test_element_names():
-    assert mg.element_names(1) == ("1",)
-    assert mg.element_names(2) == ("0", "1")
-    assert mg.element_names(4) == ("0", "a", "b", "1")
+    """One derivation names the search's models and the catalog's chains."""
+    assert core.element_names(1) == ("1",)
+    assert core.element_names(2) == ("0", "1")
+    assert core.element_names(4) == ("0", "a", "b", "1")
+    assert mg.element_names is core.element_names
+    assert catalog.get("chain5").names == core.element_names(5)
 
 
 @pytest.mark.parametrize("n", sorted(LATTICE_COUNTS))

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import reslat
-from reslat import catalog
+from reslat import catalog, cli
 
 SRC = str(Path(reslat.__file__).parent.parent)
 # The modules of the Gelfand criteria, the law suites, the JSON report and
@@ -30,14 +30,18 @@ def run_python(*args):
     )
 
 
-def imported_by(*argv):
-    """(exit code, the modules a fresh process imported) for one command."""
-    proc = run_python("-X", "importtime", "-m", "reslat.cli", *argv)
-    names = {
+def imports_of(proc):
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def imported_by(*argv):
+    """(exit code, the modules a fresh process imported) for one command."""
+    proc = run_python("-X", "importtime", "-m", "reslat.cli", *argv)
+    names = imports_of(proc)
     assert "reslat.core" in names, proc.stderr
     return proc.returncode, names
 
@@ -112,6 +116,32 @@ def test_search_loads_the_law_suites_only_when_deep():
     code, names = imported_by("search", "3", "--deep")
     assert code == 0
     assert "reslat.laws" in names and "reslat.report" not in names
+
+
+# One command line per command that runs it to the end.
+EVERY_COMMAND = {
+    "check": ["A8"], "filters": ["A8"], "spectrum": ["A8", "--kind", "patch"],
+    "gelfand": ["A8"], "pure": ["A8"], "soft": ["A8"], "search": ["3", "--deep"],
+    "report": ["A8"], "export-dot": ["--kind", "spec", "A8"], "catalog": [],
+}
+
+
+@pytest.fixture(scope="module")
+def interpreter_imports():
+    """What a bare interpreter imports, `site` and its hooks included."""
+    return imports_of(run_python("-X", "importtime", "-c", "pass"))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_parsing_the_command_line_imports_no_stdlib_module(command, interpreter_imports):
+    """COMMANDS is read by hand, so no command loads argparse or what it
+    pulls in (gettext, locale), and the search names its elements without
+    `string`. Only what the bare interpreter did not import counts."""
+    assert set(EVERY_COMMAND) == set(cli.COMMANDS)
+    code, names = imported_by(command, *EVERY_COMMAND[command])
+    assert code in (0, 1)
+    added = names - interpreter_imports
+    assert added & {"argparse", "gettext", "locale", "string"} == set()
 
 
 def test_import_reslat_loads_no_module_until_a_name_is_read():
