@@ -143,13 +143,23 @@ def is_semisimple(a: ResiduatedLattice) -> bool:
     return radical_total(a, 1 << a.one) == 1 << a.one
 
 
+@memo
+def zero_divisors(a: ResiduatedLattice) -> tuple[int, ...]:
+    """zero_divisors(a)[x] is the mask of {y : x * y = 0}. Only the
+    zero-product route of comaximal_routes reads it."""
+    return tuple(
+        mask_of(y for y in range(a.n) if a.mul[x][y] == a.zero) for x in range(a.n)
+    )
+
+
 def comaximal_routes(a: ResiduatedLattice, f: int, g: int) -> dict[str, bool]:
     """The join is improper; some product is 0; some negation of f is in g."""
     check_filter(a, f)
     check_filter(a, g)
+    zero = zero_divisors(a)
     return {
         "join": join_table(a)[f][g] == a.full,
-        "zero_product": any(a.mul[x][y] == a.zero for x in bits(f) for y in bits(g)),
+        "zero_product": any(zero[x] & g for x in bits(f)),
         "negation": any((g >> a.neg(x)) & 1 for x in bits(f)),
     }
 
@@ -180,11 +190,26 @@ def join_to_one(a: ResiduatedLattice) -> tuple[int, ...]:
     )
 
 
+@memo
+def co_join_rows(a: ResiduatedLattice) -> tuple[int, ...]:
+    """co_join_rows(a)[x] is the mask of {y : x v y = 1}, the rows of
+    join_to_one derived from the order instead of the join table: y joins x
+    to 1 iff no z < 1 lies above both. Only complements_join_to_one reads it,
+    so it shares no table with the coannihilator's joins route."""
+    down = down_masks(a.up)
+    rows = []
+    for x in range(a.n):
+        below_common = 0
+        for z in bits(a.up[x] ^ (1 << a.one)):
+            below_common |= down[z]
+        rows.append(a.full ^ below_common)
+    return tuple(rows)
+
+
 def complements_join_to_one(a: ResiduatedLattice, p: int, q: int) -> bool:
     """Some x outside p and y outside q have x v y = 1."""
-    return any(
-        a.join[x][y] == a.one for x in bits(a.full ^ p) for y in bits(a.full ^ q)
-    )
+    rows, outside_q = co_join_rows(a), a.full ^ q
+    return any(rows[x] & outside_q for x in bits(a.full ^ p))
 
 
 def power_negations_join_outside(a: ResiduatedLattice, m: int) -> bool:

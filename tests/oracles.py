@@ -3,7 +3,8 @@ package replaced by checked bases, the pairwise meet fixpoint and the
 between scan it replaced by one pass, the canonical test that compares
 whole relabelled tuples, the naive model enumeration, the kernels of the
 table search, validation and quotients as they were before their rows were
-hoisted, a Goedel-chain constructor, a fresh copy of an algebra, a
+hoisted, the comaximality and complement scans and the memoized antitone
+walk of the coannihilator laws as they were before their tables, a Goedel-chain constructor, a fresh copy of an algebra, a
 stand-in join table, filter helpers that only the tests use (and the error
 of the prime extension), and the in-process CLI runner. The enumerations
 are exponential and meant for small inputs."""
@@ -31,6 +32,7 @@ from reslat.errors import (
     NotCommutativeMonoid,
     NotResiduated,
     ReslatError,
+    hold,
 )
 from reslat.modelgen import _candidate_orders, _middle_perms
 
@@ -85,6 +87,48 @@ def coannihilator_laws_by_powerset(a):
         "triple_equals_single": triple,
         "antitone": antitone,
     }
+
+
+def coannihilator_laws_by_memo(a):
+    """The coannihilator laws on the empty set, A, the singletons and the
+    pairs, keeping the perp of every set met, the sets S u {x} for each S of
+    that base and every x among them (O(n^3) perps)."""
+    subsets = [0, a.full] + [1 << x for x in range(a.n)] + [
+        (1 << x) | (1 << y) for x in range(a.n) for y in range(x)
+    ]
+    rows = flt.join_to_one(a)
+    filterhood = True
+    extensive = all(
+        rows[x] >> y & 1 == rows[y] >> x & 1 for x in range(a.n) for y in range(x)
+    )
+    triple = True
+    antitone = True
+    perps = {}
+
+    def perp(s):
+        if s not in perps:
+            perps[s] = flt.coannihilator(a, s)
+        return perps[s]
+
+    for s in subsets:
+        cs = perp(s)
+        if not a.is_filter(cs):
+            filterhood = False
+        ccs = perp(cs)
+        if s & ccs != s:
+            extensive = False
+        if perp(ccs) != cs:
+            triple = False
+        for x in range(a.n):
+            wider = perp(s | (1 << x))
+            if wider & cs != wider:
+                antitone = False
+    return hold(a, "coannihilator", {
+        "always_a_filter": filterhood,
+        "subset_of_double": extensive,
+        "triple_equals_single": triple,
+        "antitone": antitone,
+    })
 
 
 def closure_lemmas_by_scan(a):
@@ -175,12 +219,20 @@ def primes_over(a, subset):
 
 
 def comaximal_witness(a, f, g):
-    """First (x, y) with x in f, y in g, x*y = 0, or None."""
+    """First (x, y) with x in f, y in g, x*y = 0, or None: the scan of the
+    zero-product route of comaximality before its zero-divisor table."""
     for x in bits(f):
         for y in bits(g):
             if a.mul[x][y] == a.zero:
                 return x, y
     return None
+
+
+def complements_join_by_scan(a, p, q):
+    """Some x outside p and y outside q have x v y = 1, by the join table."""
+    return any(
+        a.join[x][y] == a.one for x in bits(a.full ^ p) for y in bits(a.full ^ q)
+    )
 
 
 class Unsatisfiable(ReslatError):

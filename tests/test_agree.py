@@ -51,13 +51,23 @@ def _negated(real):
 # Routes of the agree sites knocked out, keyed "site.route": the algebra, the
 # module (or class) and name of a function only that route calls, its
 # replacement given the real one, the call of the site, the site's message
-# and the route. The zero_product route of comaximality has no such function:
-# it reads a.mul, which the join table reads too, and a.zero, which neg reads.
+# and the route.
 KNOCKOUTS = {
     "comaximality.join": (
         "A6", flt, "join_table", lambda real: join_table_of(lambda a, f, g: 1 << a.one),
         lambda a: flt.is_comaximal(a, *flt.maximal_filters(a)),
         "comaximality routes disagree", "join",
+    ),
+    "comaximality.zero_product": (
+        "A6", flt, "zero_divisors", lambda real: lambda a: (0,) * a.n,
+        lambda a: flt.is_comaximal(a, *flt.maximal_filters(a)),
+        "comaximality routes disagree", "zero_product",
+    ),
+    # the co-join rows are read by complements_join_to_one alone, which the
+    # separating-join leaf of the maximal battery reads
+    "gelfand.maximal_battery.separating_join": (
+        "cube2", flt, "co_join_rows", lambda real: lambda a: (0,) * a.n,
+        gf.gelfand_verdict, "Gelfand criteria disagree", "maximal_battery.separating_join",
     ),
     "comaximality.negation": (
         "A6", core.ResiduatedLattice, "neg", lambda real: lambda a, x: a.zero,

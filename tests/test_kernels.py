@@ -1,13 +1,14 @@
 """The kernels whose rows are hoisted or read off masks, and the table search
 that skips unset cells whole, against their twins in oracles.py that scan
-cell by cell; and the spectral spaces and relation classes that are derived
-once per algebra."""
+cell by cell; the coannihilator laws that keep O(n^2) perps against the walk
+that kept them all; and the spectral spaces and relation classes that are
+derived once per algebra."""
 
 import random
 
 import pytest
 
-from reslat import catalog, core, filters as flt, gelfand as gf, modelgen as mg
+from reslat import catalog, core, filters as flt, gelfand as gf, laws, modelgen as mg
 from reslat import pure as pr
 from reslat.errors import (
     AdjunctionFails,
@@ -22,6 +23,9 @@ from reslat.errors import (
 from oracles import (
     bits_by_generator,
     class_table_by_scan,
+    coannihilator_laws_by_memo,
+    comaximal_witness,
+    complements_join_by_scan,
     fresh,
     operation_laws_by_scan,
     residuum_table_by_scan,
@@ -202,6 +206,91 @@ def test_quotients_match_the_scanned_class_tables(monkeypatch):
     raised = [o for o in got if len(o) == 2]
     assert {o[0] for o in raised} == {"operation not well defined on congruence classes"}
     assert 0 < len(raised) < len(got)
+
+
+def _law_kernel_corpus():
+    """The catalog, every structure with at most six elements, A6xA6,
+    chain3^3 and A8xchain3."""
+    g, prod = catalog.get, core.direct_product
+    algebras = [g(name) for name in catalog.catalog_names()]
+    algebras += [a for n in range(1, 7) for a in mg.residuated_structures(n)]
+    chain3 = g("chain3")
+    algebras += [prod(g("A6"), g("A6")), prod(prod(chain3, chain3), chain3), prod(g("A8"), chain3)]
+    return algebras
+
+
+LAW_KERNEL_CORPUS = _law_kernel_corpus()
+
+
+def test_the_zero_divisor_rows_match_the_zero_product_scan():
+    """The zero-product route of comaximality, read off the zero-divisor
+    rows, against the double loop over both filters, on every pair of
+    filters; both answers occur."""
+    seen = set()
+    for a in LAW_KERNEL_CORPUS:
+        fs = flt.all_filters(a)
+        for f in fs:
+            for g in fs:
+                got = flt.comaximal_routes(a, f, g)["zero_product"]
+                assert got == (comaximal_witness(a, f, g) is not None), (a.label, f, g)
+                seen.add(got)
+    assert seen == {False, True}
+
+
+def test_the_co_join_rows_match_the_complement_scan():
+    """The co-join rows, derived from the order, are the rows of the join
+    table; read by complements_join_to_one they give the double loop's
+    answer on every pair of filters, and both answers occur."""
+    seen = set()
+    for a in LAW_KERNEL_CORPUS:
+        assert flt.co_join_rows(a) == flt.join_to_one(a), a.label
+        fs = flt.all_filters(a)
+        for p in fs:
+            for q in fs:
+                got = flt.complements_join_to_one(a, p, q)
+                assert got == complements_join_by_scan(a, p, q), (a.label, p, q)
+                seen.add(got)
+    assert seen == {False, True}
+
+
+def _law_outcome(suite, a):
+    try:
+        return suite(a)
+    except EquivalenceViolation as exc:
+        return str(exc), exc.detail
+
+
+def _wide_on_triples(real):
+    """A perp that is the whole carrier on every three-element set."""
+    return lambda a, s: a.full if bin(s).count("1") == 3 else real(a, s)
+
+
+def _narrow_on_pairs(real):
+    """A perp that is {1} on every two-element set."""
+    return lambda a, s: 1 << a.one if bin(s).count("1") == 2 else real(a, s)
+
+
+@pytest.mark.parametrize("perp", ["coannihilator", "generated_filter", "wide_on_triples",
+                                  "narrow_on_pairs"])
+def test_the_streamed_coannihilator_laws_match_the_memoized_walk(monkeypatch, perp):
+    """The suite checks the instances of the walk that memoized every perp,
+    less the trivial ones: with the real perp and with three broken ones,
+    it returns the same laws or fails the same laws on every algebra."""
+    real = flt.coannihilator
+    replacement = {
+        "coannihilator": real,
+        "generated_filter": flt.generated_filter,
+        "wide_on_triples": _wide_on_triples(real),
+        "narrow_on_pairs": _narrow_on_pairs(real),
+    }[perp]
+    monkeypatch.setattr(flt, "coannihilator", replacement)
+    failing = set()
+    for a in LAW_KERNEL_CORPUS:
+        got = _law_outcome(laws.coannihilator_laws, a)
+        assert got == _law_outcome(coannihilator_laws_by_memo, a), a.label
+        if isinstance(got, tuple):
+            failing.update(got[1][1])
+    assert ("antitone" in failing) is (perp != "coannihilator")
 
 
 @pytest.mark.parametrize("name", ["A6", "A8", "cube2"])
