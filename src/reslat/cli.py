@@ -85,7 +85,7 @@ def _cmd_spectrum(a, kind) -> int:
     maxima = {"maximal": set(flt.maximal_filters(a))}
     for p in primes:
         print(a.set_repr(p) + _tags(p, maxima))
-    count = 1 << space.npoints if top.is_discrete(space) else len(space.closed)
+    count = 1 << len(space) if top.is_discrete(space) else len(top.closed_sets(space))
     print(f"{len(primes)} points, {count} closed sets")
     preds = top.space_predicates(space)
     print(" ".join(f"{k}={'yes' if v else 'no'}" for k, v in sorted(preds.items())))

@@ -15,6 +15,7 @@ from .errors import (
     AdjunctionFails,
     CarrierTooLarge,
     EquivalenceViolation,
+    FormatError,
     NoResiduum,
     NotAFilter,
     NotALattice,
@@ -162,11 +163,14 @@ class ResiduatedLattice:
         return tuple(self.names[i] for i in bits(mask))
 
     def set_repr(self, mask: int) -> str:
+        """The names in braces; a mask outside the carrier by its bits."""
+        if mask & ~self.full:
+            return f"mask {mask:#b}"
         return "{" + ",".join(self.set_names(mask)) + "}"
 
     def is_filter(self, mask: int) -> bool:
         """Non-empty, upward closed and closed under multiplication."""
-        if not (mask >> self.one) & 1:
+        if mask & ~self.full or not (mask >> self.one) & 1:
             return False
         for x in bits(mask):
             if self.up[x] & mask != self.up[x]:
@@ -307,14 +311,22 @@ def _operation_laws(names, up, join, mul) -> None:
                 raise error(f"{law} at {names[x]},{names[y]},{names[z]}")
 
 
+def _rows(table) -> list[list] | None:
+    """The table as a list of row lists; None unless it is a list or tuple
+    of lists or tuples."""
+    if isinstance(table, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in table):
+        return [list(r) for r in table]
+    return None
+
+
 def _operations(lattice: _Lattice, mul, res=None, label: str = "") -> ResiduatedLattice:
     """The operation half of `validate`: mul is a commutative monoid with
     the top as unit, residuated on the lattice, associative, and its
     residuum equals a supplied `res`."""
     names, up, join = lattice.names, lattice.up, lattice.join
     n = len(names)
-    mul = [list(row) for row in mul]
-    if len(mul) != n or any(len(r) != n for r in mul) or any(
+    mul = _rows(mul)
+    if mul is None or len(mul) != n or any(len(r) != n for r in mul) or any(
         type(v) is not int or not 0 <= v < n for r in mul for v in r
     ):
         raise NotCommutativeMonoid("multiplication table must be n x n over the carrier")
@@ -330,8 +342,8 @@ def _operations(lattice: _Lattice, mul, res=None, label: str = "") -> Residuated
     derived = _residuum_table(n, up, join, mul)
     _operation_laws(names, up, join, mul)
     if res is not None:
-        res = [list(row) for row in res]
-        if len(res) != n or any(len(r) != n for r in res) or any(
+        res = _rows(res)
+        if res is None or len(res) != n or any(len(r) != n for r in res) or any(
             type(v) is not int for r in res for v in r
         ):
             raise NotResiduated("residuum table must be n x n")
@@ -365,7 +377,8 @@ def validate(
     Order data comes either as a full <= matrix (`leq`, rows of truthy values)
     or as covering pairs of indices (`covers`). The residuum is always
     derived; a supplied `res` must equal it (ResiduumMismatch otherwise).
-    Names must be str, and indices and table entries int: nothing is converted.
+    Names and the label must be str, and indices and table entries int:
+    nothing is converted.
     """
     names = tuple(names)
     n = len(names)
@@ -377,22 +390,25 @@ def validate(
         raise NotALattice("element names must be strings")
     if len(set(names)) != n:
         raise NotALattice("duplicate element names")
+    if type(label) is not str:
+        raise FormatError("label must be a string")
 
     if (leq is None) == (covers is None):
         raise NotALattice("supply exactly one of leq matrix or covering pairs")
     if covers is not None:
         up = [1 << i for i in range(n)]
-        for lo, hi in covers:
-            if not (type(lo) is type(hi) is int and 0 <= lo < n and 0 <= hi < n):
-                raise NotALattice(f"cover ({lo},{hi}) out of range")
-            up[lo] |= 1 << hi
+        for cover in covers:
+            pair = tuple(cover) if isinstance(cover, (list, tuple)) else (cover,)
+            if not (len(pair) == 2 and all(type(i) is int and 0 <= i < n for i in pair)):
+                raise NotALattice(f"cover ({','.join(map(str, pair))}) out of range")
+            up[pair[0]] |= 1 << pair[1]
         for k in range(n):  # transitive closure (Warshall)
             for i in range(n):
                 if (up[i] >> k) & 1:
                     up[i] |= up[k]
     else:
-        rows = [list(map(bool, r)) for r in leq]
-        if len(rows) != n or any(len(r) != n for r in rows):
+        rows = _rows(leq)
+        if rows is None or len(rows) != n or any(len(r) != n for r in rows):
             raise NotALattice("order matrix must be n x n")
         up = [mask_of(j for j, v in enumerate(r) if v) for r in rows]
     return _operations(_order(names, up), mul, res, label)

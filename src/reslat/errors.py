@@ -56,7 +56,8 @@ class NotAnIdeal(ReslatError):
 
 
 class FormatError(ReslatError):
-    """Malformed algebra file; carries a line number when known."""
+    """Malformed algebra file or algebra data; carries a line number when
+    known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -295,7 +295,7 @@ def down_sets(a: ResiduatedLattice) -> tuple[int, ...]:
 
 def is_ideal(a: ResiduatedLattice, subset: int) -> bool:
     """Non-empty, downward closed, join closed."""
-    if subset == 0:
+    if subset == 0 or subset & ~a.full:
         return False
     down = down_sets(a)
     for x in bits(subset):

@@ -145,10 +145,11 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     primes = flt.prime_filters(a)
     at_max = tuple(bits(flt.max_mask(a)))
     hspace = top.spec_space(a, "hull")
-    nb = [hspace.nb[i] for i in at_max]
+    around = top.neighbourhoods(hspace)
+    nb = [around[i] for i in at_max]
     sep = all(not u & v for i, u in enumerate(nb) for v in nb[i + 1:])
     gens_closed = all(
-        hspace.is_closed(top.generalization_mask(primes, 1 << i)) for i in at_max
+        top.is_closed(hspace, top.generalization_mask(primes, 1 << i)) for i in at_max
     )
     return {
         "maximal_pairs_separated": sep,
@@ -156,29 +157,29 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     }
 
 
-def _retraction(
-    space: top.FiniteSpace, mspace: top.FiniteSpace, maxima: tuple[int, ...]
-):
+def _retraction(a: ResiduatedLattice, space, points, mspace, maxima: tuple[int, ...]):
     """The continuous map space -> mspace fixing the maximal points, as a
     tuple of images (indices into maxima, which index mspace's points), or
-    None. mspace is T1, so such a map is constant on each point closure and
-    sends each point to the maximal point in its closure. That map is the
-    only candidate; the continuity check rejects it when a closure holds two."""
+    None; space's points are the filters `points`. mspace is T1, so such a
+    map is constant on each point closure and sends each point to the
+    maximal point in its closure. That map is the only candidate; the
+    continuity check rejects it when a closure holds two."""
     if not top.is_t1(mspace):
-        raise EquivalenceViolation("maximal spectrum is not T1", detail=mspace.label)
+        raise EquivalenceViolation("maximal spectrum is not T1", detail=a.label)
     max_pos = {m: i for i, m in enumerate(maxima)}
     img = []
-    for c in space.cl:
-        above = [max_pos[space.keys[j]] for j in bits(c) if space.keys[j] in max_pos]
+    for c in space:
+        above = [max_pos[points[j]] for j in bits(c) if points[j] in max_pos]
         if not above:
-            raise EquivalenceViolation("prime under no maximal filter", detail=space.label)
+            raise EquivalenceViolation("prime under no maximal filter", detail=a.label)
         img.append(above[0])
     return tuple(img) if top.is_continuous(img.__getitem__, space, mspace) else None
 
 
 def retractions(a: ResiduatedLattice) -> tuple[int, tuple[int, ...] | None]:
     """Count the continuous retractions Spec_h -> Max_h (at most one); keep it."""
-    image = _retraction(top.spec_space(a, "hull"), pr.max_subspace(a), flt.maximal_filters(a))
+    image = _retraction(a, top.spec_space(a, "hull"), flt.prime_filters(a),
+                        pr.max_subspace(a), flt.maximal_filters(a))
     return int(image is not None), image
 
 
@@ -235,7 +236,7 @@ def quotient_space_homeo(a: ResiduatedLattice, kind: str) -> bool:
         if bin(at_max & c).count("1") != 1:
             return False
     hspace = top.spec_space(a, "hull")
-    qspace = top.quotient_space(hspace, classes, f"{a.label}:spec/{kind}")
+    qspace = top.quotient_space(hspace, classes)
     img = [next(ci for ci, c in enumerate(classes) if (c >> mi) & 1) for mi in bits(at_max)]
     return top.is_homeomorphism(lambda i: img[i], pr.max_subspace(a), qspace)
 
@@ -337,7 +338,7 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     primes = flt.prime_filters(a)
     rad = flt.radical_total(a, 1 << a.one)
     hrad_mask = top.hull_in(primes, rad)
-    hrad_space = top.subspace(top.spec_space(a, "hull"), hrad_mask, f"{a.label}:h(Rad)")
+    hrad_space = top.subspace(top.spec_space(a, "hull"), hrad_mask)
     hrad_points = tuple(primes[i] for i in bits(hrad_mask))
     maxima = flt.maximal_filters(a)
 
@@ -346,11 +347,11 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
         len(flt.maximals_over(a, p)) == 1 for p in hrad_points
     )
 
-    retract = _retraction(hrad_space, pr.max_subspace(a), maxima) is not None
+    retract = _retraction(a, hrad_space, hrad_points, pr.max_subspace(a), maxima) is not None
 
     normaletc = top.is_normal(hrad_space)
     gens_closed = all(
-        hrad_space.is_closed(top.cut(top.generalization_mask(primes, 1 << i), hrad_mask))
+        top.is_closed(hrad_space, top.cut(top.generalization_mask(primes, 1 << i), hrad_mask))
         for i in bits(flt.max_mask(a))
     )
 
@@ -390,7 +391,7 @@ def is_soft(a: ResiduatedLattice):
     )
     hspace = top.spec_space(a, "hull")
     by_topology = top.is_hausdorff(pr.max_subspace(a)) and (
-        hspace.closure(flt.max_mask(a)) == hspace.full
+        top.closure(hspace, flt.max_mask(a)) == (1 << len(hspace)) - 1
     )
     by_gelfand = gelfand_verdict(a).verdict and rad == one
     routes = {

@@ -394,12 +394,11 @@ def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
     hspace = top.spec_space(a, "hull")
     stable_opens = {
         o
-        for o in hspace.opens()
+        for o in top.opens(hspace)
         if top.specialization_mask(primes, o) == o
     }
-    pure_duals = {
-        hspace.full ^ top.hull_in(primes, f) for f in pr.pure_filters(a)
-    }
+    full = (1 << len(primes)) - 1
+    pure_duals = {full ^ top.hull_in(primes, f) for f in pr.pure_filters(a)}
     laws = {"stable_opens_are_pure_duals": stable_opens == pure_duals}
     return hold(a, "stable open", laws)
 
@@ -424,12 +423,12 @@ def closure_lemmas(a: ResiduatedLattice) -> bool:
     for pi in [0] + [1 << i for i in range(len(points))]:
         where = [points[i] for i in bits(pi)]
         hull = {
-            "hull_closure": hspace.closure(pi),
+            "hull_closure": top.closure(hspace, pi),
             "hull_of_kernel": top.hull_in(points, top.kernel_of(a, points, pi)),
             "specialization": top.specialization_mask(points, pi),
         }
         dual = {
-            "dual_closure": dspace.closure(pi),
+            "dual_closure": top.closure(dspace, pi),
             "generalization": top.generalization_mask(points, pi),
         }
         agree(a, "closure lemmas fail", hull, *where)
@@ -454,7 +453,7 @@ def max_dense_iff_semisimple(a: ResiduatedLattice) -> bool:
     returns True."""
     hspace = top.spec_space(a, "hull")
     agree(a, "density of maximals disagrees with semisimplicity", {
-        "max_dense": hspace.closure(flt.max_mask(a)) == hspace.full,
+        "max_dense": top.closure(hspace, flt.max_mask(a)) == (1 << len(hspace)) - 1,
         "semisimple": flt.is_semisimple(a),
     })
     return True
@@ -465,14 +464,14 @@ def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
     the specialization-stable sets, built as unions of the points' up-sets
     and cut off once they outnumber the filter hulls."""
     points = flt.prime_filters(a)
-    hspace = top.spec_space(a, "hull")
     filter_hulls = {top.hull_in(points, f) for f in flt.all_filters(a)}
     stable = {0}
     for up in (top.specialization_mask(points, 1 << i) for i in range(len(points))):
         stable |= {s | up for s in stable}
         if len(stable) > len(filter_hulls):
             break
-    routes = {"stable": stable, "filter_hulls": filter_hulls, "closed": hspace.closed}
+    closed = top.closed_sets(top.spec_space(a, "hull"))
+    routes = {"stable": stable, "filter_hulls": filter_hulls, "closed": closed}
     agree(a, "closed-set descriptions of the spectrum disagree", routes)
     return True
 

@@ -70,28 +70,28 @@ def purely_maximal(a: ResiduatedLattice) -> tuple[int, ...]:
     return flt.maximal_members([f for f in pure_filters(a) if f != a.full])
 
 
-def _pure_hull_space(a: ResiduatedLattice, points, label: str) -> top.FiniteSpace:
+def _pure_hull_space(a: ResiduatedLattice, points, label: str) -> tuple[int, ...]:
     """The points with closed sets the pure hulls, the empty and the full set."""
     closed = {top.hull_in(points, f) for f in pure_filters(a)}
     closed |= {0, (1 << len(points)) - 1}
-    return top.audit_space(label, points, closed)
+    return top.checked_space(label, len(points), closed)
 
 
 @memo
-def pure_spectrum_space(a: ResiduatedLattice) -> top.FiniteSpace:
+def pure_spectrum_space(a: ResiduatedLattice) -> tuple[int, ...]:
     """The purely prime filters with closed sets the pure hulls."""
     return _pure_hull_space(a, purely_prime(a), f"{a.label}:pure-spectrum")
 
 
-def d_topology_space(a: ResiduatedLattice) -> top.FiniteSpace:
+def d_topology_space(a: ResiduatedLattice) -> tuple[int, ...]:
     """Spec with closed sets the hulls of pure filters (opens are d(F))."""
     return _pure_hull_space(a, flt.prime_filters(a), f"{a.label}:d-topology")
 
 
 @memo
-def max_subspace(a: ResiduatedLattice) -> top.FiniteSpace:
+def max_subspace(a: ResiduatedLattice) -> tuple[int, ...]:
     """The maximal filters with the relative hull-kernel topology."""
-    return top.subspace(top.spec_space(a, "hull"), flt.max_mask(a), f"{a.label}:max")
+    return top.subspace(top.spec_space(a, "hull"), flt.max_mask(a))
 
 
 def spp_max_homeo(a: ResiduatedLattice) -> bool:
@@ -117,8 +117,7 @@ def spp_max_homeo(a: ResiduatedLattice) -> bool:
 def d_topology_coincidence(a: ResiduatedLattice) -> bool:
     """Do the hull-kernel and d-topologies agree on the maximals? Both have
     the same points in the same order, so comparing point closures suffices."""
-    via_d = top.subspace(d_topology_space(a), flt.max_mask(a), "d")
-    return max_subspace(a).cl == via_d.cl
+    return max_subspace(a) == top.subspace(d_topology_space(a), flt.max_mask(a))
 
 
 def rho_rad_adjunction(a: ResiduatedLattice) -> bool:
@@ -204,7 +203,7 @@ def pure_characterization_family(a: ResiduatedLattice) -> tuple[int, ...]:
     maxset = set(flt.maximal_filters(a))
     return flt.canonical_sort(
         meet(a, (flt.d_part(a, primes[i]) for i in bits(c) if primes[i] in maxset))
-        for c in hspace.closed
+        for c in top.closed_sets(hspace)
     )
 
 

@@ -73,7 +73,7 @@ def build_report(a: ResiduatedLattice) -> dict:
         "purely_maximal": _family(a, pr.purely_maximal(a)),
         "spectrum": {
             "points": _family(a, flt.prime_filters(a)),
-            "closed_set_count": len(hspace.closed),
+            "closed_set_count": len(top.closed_sets(hspace)),
             "hull_predicates": top.space_predicates(hspace),
             "patch_predicates": top.space_predicates(pspace),
             "clopen_count": len(top.clopen_check(a)),

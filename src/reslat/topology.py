@@ -1,18 +1,18 @@
 """Finite topological spaces over collections of prime filters.
 
-A space is a point tuple (each point carries a key, usually a filter mask)
-plus the closure of each point, stored as bitmasks over point indices. A
-finite space is determined by its points' closures, i.e. by its
-specialization preorder (Alexandrov; Stong 1966; Barmak 2011), so everything
-else is read off them: a set is closed when it contains the closure of each
-of its points, the minimal open neighbourhood of a point is the set of points
-whose closure contains it, and the closed family (the unions of point
-closures) is only built when asked for. Normality and Hausdorffness are
-questions about pairs of points, continuity and homeomorphism about the
-image of each point closure.
+A space is the tuple of its points' closures, each a bitmask over point
+indices, and nothing else: a finite space is determined by its points'
+closures, i.e. by its specialization preorder (Alexandrov; Stong 1966;
+Barmak 2011). What a point stands for (a prime filter, a class of primes) is
+the caller's to keep. Everything else is derived on each call and kept
+nowhere: a set is closed when it contains the closure of each of its points,
+the minimal open neighbourhood of a point is the set of points whose closure
+contains it, and the closed family is the unions of the point closures.
+Normality and Hausdorffness are questions about pairs of points, continuity
+and homeomorphism about the image of each point closure.
 
-Spectral spaces are immutable, so `spec_space` builds each one once per
-algebra and kind (through `core.memo`).
+`spec_space` builds each spectral space once per algebra and kind (through
+`core.memo`).
 
 The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
@@ -21,6 +21,8 @@ the up-sets of the inclusion (specialization) order, and the patch topology
 is discrete. The closure lemmas and closed-family facts of `laws` check the
 first, the patch space's own point closures the second; together they decide
 the patch/stability criterion for every point set at once, not set by set.
+The patch family is never enumerated: `spectrum` counts it as 2^points
+because the space is discrete.
 """
 from __future__ import annotations
 
@@ -29,103 +31,69 @@ from .errors import EquivalenceViolation, agree
 from . import filters as flt
 
 
-class FiniteSpace:
-    """A finite space: its label, the key of each point and the closure of
-    each point (`cl`). Immutable; the closed family and the minimal open
-    neighbourhoods are derived on first read and kept in slots, which keeps
-    every attribute read a slot read."""
-
-    __slots__ = ("label", "keys", "cl", "_closed", "_nb")
-
-    def __init__(self, label: str, keys: tuple, cl: tuple[int, ...]):
-        for slot, value in zip(self.__slots__, (label, keys, cl, None, None)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r} of a FiniteSpace")
-
-    @property
-    def npoints(self) -> int:
-        return len(self.keys)
-
-    @property
-    def full(self) -> int:
-        return (1 << self.npoints) - 1
-
-    @property
-    def closed(self) -> frozenset[int]:
-        """The closed family: every union of point closures."""
-        if self._closed is None:
-            family = {0}
-            for c in self.cl:
-                family |= {d | c for d in family}
-            object.__setattr__(self, "_closed", frozenset(family))
-        return self._closed
-
-    def opens(self) -> frozenset[int]:
-        return frozenset(self.full ^ c for c in self.closed)
-
-    def is_closed(self, mask: int) -> bool:
-        return self.closure(mask) == mask
-
-    @property
-    def nb(self) -> tuple[int, ...]:
-        """Minimal open neighbourhood of each point: the points whose
-        closure contains it."""
-        if self._nb is None:
-            out = [0] * self.npoints
-            for j, c in enumerate(self.cl):
-                for i in bits(c):
-                    out[i] |= 1 << j
-            object.__setattr__(self, "_nb", tuple(out))
-        return self._nb
-
-    def closure(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= self.cl[i]
-        return out
+def closure(space: tuple[int, ...], mask: int) -> int:
+    """The least closed set holding mask: the union of its points' closures."""
+    out = 0
+    for i in bits(mask):
+        out |= space[i]
+    return out
 
 
-def _meets(n: int, family) -> tuple[int, ...]:
-    """Closure of each of n points: the meet of the members containing it."""
-    out = [(1 << n) - 1] * n
-    for c in family:
+def is_closed(space: tuple[int, ...], mask: int) -> bool:
+    return closure(space, mask) == mask
+
+
+def neighbourhoods(space: tuple[int, ...]) -> tuple[int, ...]:
+    """Minimal open neighbourhood of each point: the points whose closure
+    contains it."""
+    out = [0] * len(space)
+    for j, c in enumerate(space):
+        for i in bits(c):
+            out[i] |= 1 << j
+    return tuple(out)
+
+
+def closed_sets(space: tuple[int, ...]) -> frozenset[int]:
+    """The closed family: every union of point closures."""
+    family = {0}
+    for c in space:
+        family |= {d | c for d in family}
+    return frozenset(family)
+
+
+def opens(space: tuple[int, ...]) -> frozenset[int]:
+    full = (1 << len(space)) - 1
+    return frozenset(full ^ c for c in closed_sets(space))
+
+
+def generate(npoints: int, basis) -> tuple[int, ...]:
+    """The coarsest space on npoints points in which the basis members are
+    closed: each point's closure is the meet of the members containing it."""
+    out = [(1 << npoints) - 1] * npoints
+    for c in basis:
         for i in bits(c):
             out[i] &= c
     return tuple(out)
 
 
-def audit_space(label: str, keys, closed) -> FiniteSpace:
-    """The space of an explicit closed family, which must contain the empty
-    and the full set and be stable under union and intersection, i.e. be
-    the unions of its point closures."""
+def checked_space(label: str, npoints: int, closed) -> tuple[int, ...]:
+    """The space of an explicit closed family, named label in a refusal. The
+    family must contain the empty and the full set and be stable under union
+    and intersection, i.e. be the unions of its point closures."""
     family = frozenset(closed)
-    keys = tuple(keys)
-    full = (1 << len(keys)) - 1
-    if 0 not in family or full not in family:
+    if 0 not in family or (1 << npoints) - 1 not in family:
         raise EquivalenceViolation(f"{label}: family misses empty or full set")
-    space = FiniteSpace(label=label, keys=keys, cl=_meets(len(keys), family))
-    if space.closed != family:
+    space = generate(npoints, family)
+    if closed_sets(space) != family:
         raise EquivalenceViolation(
             f"{label}: closed family not stable under union/intersection"
         )
     return space
 
 
-def generate_space(label: str, keys, closed_basis) -> FiniteSpace:
-    """The coarsest space in which the basis members are closed."""
-    keys = tuple(keys)
-    return FiniteSpace(label=label, keys=keys, cl=_meets(len(keys), closed_basis))
-
-
 def hull_in(points: tuple[int, ...], subset: int) -> int:
     """Indices of the points containing the subset."""
     return mask_of(i for i, p in enumerate(points) if p & subset == subset)
-
-
-def cohull_in(points: tuple[int, ...], subset: int) -> int:
-    return ((1 << len(points)) - 1) ^ hull_in(points, subset)
 
 
 def kernel_of(a: ResiduatedLattice, points: tuple[int, ...], point_mask: int) -> int:
@@ -155,59 +123,52 @@ def generalization_mask(points: tuple[int, ...], point_mask: int) -> int:
     return out
 
 
-def spec_space(a: ResiduatedLattice, kind: str = "hull") -> FiniteSpace:
+@memo
+def spec_space(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
     """Hull-kernel, dual, or patch space over the prime spectrum, built
     once per algebra and kind."""
     if kind not in ("hull", "dual", "patch"):
         raise ValueError(f"unknown space kind {kind!r}")
-    return _spec_space(a, kind)
-
-
-@memo
-def _spec_space(a: ResiduatedLattice, kind: str) -> FiniteSpace:
     points = flt.prime_filters(a)
-    basis: list[int] = []
-    if kind in ("hull", "patch"):
-        basis += [hull_in(points, 1 << x) for x in range(a.n)]
-    if kind in ("dual", "patch"):
-        basis += [cohull_in(points, 1 << x) for x in range(a.n)]
-    return generate_space(f"{a.label}:{kind}[{len(points)}pts]", points, basis)
+    hulls = [hull_in(points, 1 << x) for x in range(a.n)]
+    duals = [((1 << len(points)) - 1) ^ h for h in hulls]
+    return generate(len(points), {"hull": hulls, "dual": duals, "patch": hulls + duals}[kind])
 
 
-def is_normal(space: FiniteSpace) -> bool:
+def is_normal(space: tuple[int, ...]) -> bool:
     """Disjoint closed sets have disjoint neighbourhoods. The smallest
     neighbourhood of a closed set is the union of its points' minimal
     neighbourhoods, so it suffices that points with disjoint closures have
     disjoint minimal neighbourhoods."""
-    cl, nb = space.cl, space.nb
+    nb = neighbourhoods(space)
     return all(
-        cl[i] & cl[j] or not nb[i] & nb[j]
-        for i in range(space.npoints)
-        for j in range(i + 1, space.npoints)
+        space[i] & space[j] or not nb[i] & nb[j]
+        for i in range(len(space))
+        for j in range(i + 1, len(space))
     )
 
 
-def is_hausdorff(space: FiniteSpace) -> bool:
+def is_hausdorff(space: tuple[int, ...]) -> bool:
     """Distinct points have disjoint minimal neighbourhoods."""
-    nb = space.nb
+    nb = neighbourhoods(space)
     return all(
         not nb[i] & nb[j]
-        for i in range(space.npoints)
-        for j in range(i + 1, space.npoints)
+        for i in range(len(space))
+        for j in range(i + 1, len(space))
     )
 
 
-def is_t1(space: FiniteSpace) -> bool:
+def is_t1(space: tuple[int, ...]) -> bool:
     """Every point is closed."""
-    return all(c == 1 << i for i, c in enumerate(space.cl))
+    return all(c == 1 << i for i, c in enumerate(space))
 
 
-def is_discrete(space: FiniteSpace) -> bool:
+def is_discrete(space: tuple[int, ...]) -> bool:
     """Every point is open."""
-    return all(u == 1 << i for i, u in enumerate(space.nb))
+    return all(u == 1 << i for i, u in enumerate(neighbourhoods(space)))
 
 
-def space_predicates(space: FiniteSpace) -> dict[str, bool]:
+def space_predicates(space: tuple[int, ...]) -> dict[str, bool]:
     return {
         "normal": is_normal(space),
         "hausdorff": is_hausdorff(space),
@@ -222,15 +183,12 @@ def cut(mask: int, point_mask: int) -> int:
     return mask_of(new for new, old in enumerate(bits(point_mask)) if (mask >> old) & 1)
 
 
-def subspace(space: FiniteSpace, point_mask: int, label: str) -> FiniteSpace:
+def subspace(space: tuple[int, ...], point_mask: int) -> tuple[int, ...]:
     """The relative topology: each point's closure cut to the subspace."""
-    sel = tuple(bits(point_mask))
-    keys = tuple(space.keys[i] for i in sel)
-    cl = tuple(cut(space.cl[i], point_mask) for i in sel)
-    return FiniteSpace(label=label, keys=keys, cl=cl)
+    return tuple(cut(space[i], point_mask) for i in bits(point_mask))
 
 
-def quotient_space(space: FiniteSpace, classes: tuple[int, ...], label: str) -> FiniteSpace:
+def quotient_space(space: tuple[int, ...], classes: tuple[int, ...]) -> tuple[int, ...]:
     """Quotient by a partition of the points, with the final topology. The
     closure of a class is the least closed union of classes containing it,
     reached by alternately closing and saturating."""
@@ -239,51 +197,46 @@ def quotient_space(space: FiniteSpace, classes: tuple[int, ...], label: str) -> 
         if union & c:
             raise ValueError("classes overlap")
         union |= c
-    if union != space.full:
+    if union != (1 << len(space)) - 1:
         raise ValueError("classes do not cover the space")
     cl = []
     for c in classes:
         sat = c
         while True:
-            closed = space.closure(sat)
+            closed = closure(space, sat)
             nxt = sum(d for d in classes if d & closed)
             if nxt == sat:
                 break
             sat = nxt
         cl.append(sum(1 << ci for ci, d in enumerate(classes) if d & sat))
-    keys = tuple(frozenset(space.keys[i] for i in bits(c)) for c in classes)
-    return FiniteSpace(label=label, keys=keys, cl=tuple(cl))
+    return tuple(cl)
 
 
 def _image(func, mask: int) -> int:
     return mask_of(map(func, bits(mask)))
 
 
-def is_continuous(func, source: FiniteSpace, target: FiniteSpace) -> bool:
+def is_continuous(func, source: tuple[int, ...], target: tuple[int, ...]) -> bool:
     """func maps source point indices to target point indices; it is
     continuous iff it maps each point closure into the closure of the
     point's image."""
-    return all(
-        not _image(func, c) & ~target.cl[func(i)] for i, c in enumerate(source.cl)
-    )
+    return all(not _image(func, c) & ~target[func(i)] for i, c in enumerate(source))
 
 
-def is_homeomorphism(func, source: FiniteSpace, target: FiniteSpace) -> bool:
+def is_homeomorphism(func, source: tuple[int, ...], target: tuple[int, ...]) -> bool:
     """A bijection carrying each point closure onto the image's closure."""
-    if source.npoints != target.npoints:
+    if len(source) != len(target):
         return False
-    if len({func(i) for i in range(source.npoints)}) != source.npoints:
+    if len({func(i) for i in range(len(source))}) != len(source):
         return False
-    return all(
-        _image(func, c) == target.cl[func(i)] for i, c in enumerate(source.cl)
-    )
+    return all(_image(func, c) == target[func(i)] for i, c in enumerate(source))
 
 
 def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     """Clopen sets of the spectrum = hulls of Boolean-center elements."""
     points = flt.prime_filters(a)
-    hspace = spec_space(a, "hull")
-    clopens = {c for c in hspace.closed if (hspace.full ^ c) in hspace.closed}
+    closed = closed_sets(spec_space(a, "hull"))
+    clopens = {c for c in closed if ((1 << len(points)) - 1) ^ c in closed}
     beta = classify_elements(a).boolean_center
     beta_hulls = {hull_in(points, 1 << e) for e in bits(beta)}
     routes = {"clopen": tuple(sorted(clopens)), "beta_hulls": tuple(sorted(beta_hulls))}

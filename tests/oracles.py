@@ -136,10 +136,10 @@ def closure_lemmas_by_scan(a):
     points = flt.prime_filters(a)
     hspace, dspace = top.spec_space(a, "hull"), top.spec_space(a, "dual")
     return all(
-        hspace.closure(pi)
+        top.closure(hspace, pi)
         == top.hull_in(points, top.kernel_of(a, points, pi))
         == top.specialization_mask(points, pi)
-        and dspace.closure(pi) == top.generalization_mask(points, pi)
+        and top.closure(dspace, pi) == top.generalization_mask(points, pi)
         for pi in range(1 << len(points))
     )
 
@@ -150,10 +150,24 @@ def patch_stability_by_scan(a):
     points = flt.prime_filters(a)
     hspace, pspace = top.spec_space(a, "hull"), top.spec_space(a, "patch")
     return all(
-        hspace.is_closed(pi)
-        == (pspace.is_closed(pi) and top.specialization_mask(points, pi) == pi)
+        top.is_closed(hspace, pi)
+        == (top.is_closed(pspace, pi) and top.specialization_mask(points, pi) == pi)
         for pi in range(1 << len(points))
     )
+
+
+def refuse_closed_sets_of(refused):
+    """A stand-in for `topology.closed_sets` that fails when handed the
+    space `refused` (or an equal tuple): set in place of the real one, it
+    shows that a command never enumerates that space's closed family."""
+    real = top.closed_sets
+
+    def closed_sets(space):
+        if space == refused:
+            raise AssertionError(f"closed family of {len(space)}-point space enumerated")
+        return real(space)
+
+    return closed_sets
 
 
 def stable_sets_by_scan(points):
@@ -165,14 +179,15 @@ def stable_sets_by_scan(points):
     }
 
 
-def retraction_images(space, mspace, maxima):
+def retraction_images(space, points, mspace, maxima):
     """Every continuous map space -> mspace fixing the maximal points, as
     tuples of images (indices into maxima), by walking every assignment of
-    the other points to maximal filters."""
+    the other points to maximal filters; space's points are the filters
+    `points`."""
     max_pos = {m: i for i, m in enumerate(maxima)}
-    free = [i for i, p in enumerate(space.keys) if p not in max_pos]
+    free = [i for i, p in enumerate(points) if p not in max_pos]
     for choice in iproduct(range(len(maxima)), repeat=len(free)):
-        img = [max_pos.get(p, 0) for p in space.keys]
+        img = [max_pos.get(p, 0) for p in points]
         for slot, c in zip(free, choice):
             img[slot] = c
         if top.is_continuous(img.__getitem__, space, mspace):

@@ -148,7 +148,7 @@ KNOCKOUTS = {
         laws.closure_lemmas, "closure lemmas fail", "generalization",
     ),
     "clopen.clopen": (
-        "A8", top, "spec_space", lambda real: lambda a, kind="hull": real(a, "patch"),
+        "A8", top, "spec_space", lambda real: lambda a, kind: real(a, "patch"),
         top.clopen_check, "clopen sets differ from Boolean-center hulls", "clopen",
     ),
     "clopen.beta_hulls": (

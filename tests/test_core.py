@@ -11,6 +11,7 @@ from reslat import topology as top
 from reslat.errors import (
     AdjunctionFails,
     CarrierTooLarge,
+    FormatError,
     NoResiduum,
     NotAFilter,
     NotALattice,
@@ -122,6 +123,8 @@ REJECTIONS = [
     # names are not converted: str() would name these '0' and "['z']"
     ("names-not-strings", dict(names=[0, ["z"]], mul=[[0, 0], [0, 1]], covers=[(0, 1)]),
      NotALattice, "element names must be strings"),
+    # serialize would later read it as a string ('#' in a.label)
+    ("label-not-string", _with(CHAIN3, label=5), FormatError, "label must be a string"),
     ("both-orders", _with(CHAIN3, leq=[[1, 1, 1], [0, 1, 1], [0, 0, 1]]),
      NotALattice, "supply exactly one of leq matrix or covering pairs"),
     ("no-order", _with(CHAIN3, covers=None),
@@ -130,9 +133,13 @@ REJECTIONS = [
      NotALattice, "cover (1,3) out of range"),
     ("cover-fraction", _with(CHAIN3, covers=[(0.5, 1), (1, 2)]),
      NotALattice, "cover (0.5,1) out of range"),
+    ("cover-triple", _with(CHAIN3, covers=[(0, 1, 2)]), NotALattice, "cover (0,1,2) out of range"),
+    ("cover-not-a-pair", _with(CHAIN3, covers=[5]), NotALattice, "cover (5) out of range"),
     ("leq-rows", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 1, 1]]),
      NotALattice, "order matrix must be n x n"),
     ("leq-columns", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 1], [0, 0, 1]]),
+     NotALattice, "order matrix must be n x n"),
+    ("leq-not-rows", _with(CHAIN3, covers=None, leq=[1, 1]),
      NotALattice, "order matrix must be n x n"),
     ("reflexive", _with(CHAIN3, covers=None, leq=[[1, 1, 1], [0, 0, 1], [0, 0, 1]]),
      NotALattice, "order not reflexive at a"),
@@ -162,6 +169,10 @@ REJECTIONS = [
      NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
     ("mul-bool", _with(CHAIN3, mul=[[0, 0, 0], [0, True, True], [0, True, 2]]),
      NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    ("mul-none", _with(CHAIN3, mul=None),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
+    ("mul-not-rows", _with(CHAIN3, mul=[0, 1]),
+     NotCommutativeMonoid, "multiplication table must be n x n over the carrier"),
     ("unit", _with(CHAIN3, mul=[[0, 0, 0], [0, 1, 0], [0, 0, 2]]),
      NotCommutativeMonoid, "1 is not a unit at a"),
     ("commutative", _with(CHAIN3, mul=[[0, 0, 0], [1, 1, 1], [0, 1, 2]]),
@@ -181,6 +192,7 @@ REJECTIONS = [
      NotResiduated, "residuum table must be n x n"),
     ("res-fraction", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1.2, 2]]),
      NotResiduated, "residuum table must be n x n"),
+    ("res-not-rows", _with(CHAIN3, res=[1, 1]), NotResiduated, "residuum table must be n x n"),
     ("res-value", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1, 1]]),
      ResiduumMismatch, "residuum at (1,1) is a, derived 1"),
     ("res-outside", _with(CHAIN3, res=[[2, 2, 2], [0, 2, 2], [0, 1, 3]]),
@@ -312,9 +324,15 @@ def test_quotient_by_improper_filter_is_trivial():
 
 
 def test_quotient_rejects_non_filter():
+    """Also a mask with a bit past the carrier and one with every bit set,
+    which the refusal names by their bits."""
     a = catalog.get("A6")
     with pytest.raises(NotAFilter):
         core.quotient(a, 0b000101)  # {0,b}
+    for mask, name in ((0b10000100000, "mask 0b10000100000"), (-1, "mask -0b1")):
+        assert not a.is_filter(mask)
+        with pytest.raises(NotAFilter, match=f"^{name} is not a filter of A6$"):
+            core.quotient(a, mask)
 
 
 def test_find_isomorphism_distinguishes_same_size_algebras():

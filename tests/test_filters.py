@@ -162,42 +162,55 @@ def test_radical_rejects_improper_filter():
         flt.radical(a, a.full)
 
 
+# Masks of A6 that are no filters, with the names the refusals give them:
+# {a,1}, and two masks outside the carrier, one with a bit past the top and
+# one with every bit set, which are named by their bits.
+A6_NON_FILTERS = (
+    (0b100010, r"\{a,1\}"), (0b10000100000, "mask 0b10000100000"), (-1, "mask -0b1"),
+)
+
+
 def test_radical_rejects_a_non_filter():
     a = catalog.get("A6")
-    with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
-        flt.radical(a, 1 << a.names.index("a") | 1 << a.one)
+    for s, name in A6_NON_FILTERS:
+        for radical in (flt.radical, flt.radical_total):
+            with pytest.raises(NotAFilter, match=rf"^{name} is not a filter of A6$"):
+                radical(a, s)
 
 
 def test_maximality_by_powers_rejects_a_non_filter():
     """Unchecked, the power test would answer False for {a,1}."""
     a = catalog.get("A6")
-    with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
-        flt.is_maximal_by_powers(a, 1 << a.names.index("a") | 1 << a.one)
+    for s, name in A6_NON_FILTERS:
+        with pytest.raises(NotAFilter, match=rf"^{name} is not a filter of A6$"):
+            flt.is_maximal_by_powers(a, s)
 
 
 def test_comaximal_routes_reject_a_non_filter():
     """Unchecked, the join route would look {a,1} up in the join table,
     which holds only filters, and fail with a KeyError."""
     a = catalog.get("A6")
-    s, m = 1 << a.names.index("a") | 1 << a.one, flt.maximal_filters(a)[0]
-    for f, g in ((s, s), (m, s), (s, m)):
-        with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
-            flt.comaximal_routes(a, f, g)
+    m = flt.maximal_filters(a)[0]
+    for s, name in A6_NON_FILTERS:
+        for f, g in ((s, s), (m, s), (s, m)):
+            with pytest.raises(NotAFilter, match=rf"^{name} is not a filter of A6$"):
+                flt.comaximal_routes(a, f, g)
 
 
 def test_comaximality_sigma_and_rho_reject_a_non_filter():
     """{a,1} is not a filter of A6; sigma and rho store nothing when they
     refuse, so a second call is refused again."""
     a = catalog.get("A6")
-    s, m = 1 << a.names.index("a") | 1 << a.one, flt.maximal_filters(a)[0]
-    calls = [
-        lambda: flt.is_comaximal(a, s, m), lambda: flt.is_comaximal(a, m, s),
-        lambda: pr.sigma(a, s), lambda: pr.sigma(a, s),
-        lambda: pr.rho(a, s), lambda: pr.rho(a, s),
-    ]
-    for call in calls:
-        with pytest.raises(NotAFilter, match=r"^\{a,1\} is not a filter of A6$"):
-            call()
+    m = flt.maximal_filters(a)[0]
+    for s, name in A6_NON_FILTERS:
+        calls = [
+            lambda: flt.is_comaximal(a, s, m), lambda: flt.is_comaximal(a, m, s),
+            lambda: pr.sigma(a, s), lambda: pr.sigma(a, s),
+            lambda: pr.rho(a, s), lambda: pr.rho(a, s),
+        ]
+        for call in calls:
+            with pytest.raises(NotAFilter, match=rf"^{name} is not a filter of A6$"):
+                call()
 
 
 def test_proper_filter_tests_reject_the_improper_filter():
@@ -319,6 +332,10 @@ def test_ideals_and_omega():
     assert a.set_repr(flt.omega_filter(a, core.mask_of([0, 1, 2]))) == "{1}"
     with pytest.raises(NotAnIdeal):
         flt.omega_filter(a, core.mask_of([1]))
+    for mask, name in A6_NON_FILTERS[1:]:
+        assert not flt.is_ideal(a, mask)
+        with pytest.raises(NotAnIdeal, match=f"^{name} is not an ideal of A6$"):
+            flt.omega_filter(a, mask)
 
 
 def test_omega_of_complement_of_prime_is_the_d_part():
@@ -343,6 +360,9 @@ def test_d_part_rejects_non_prime():
     for _ in range(2):
         with pytest.raises(ImproperInput, match="not a prime filter"):
             flt.d_part(a, 1 << a.names.index("d"))
+    for mask, name in A6_NON_FILTERS[1:]:
+        with pytest.raises(ImproperInput, match=f"^{name} is not a prime filter$"):
+            flt.d_part(a, mask)
 
 
 @pytest.mark.parametrize("name", sorted(LOCAL))

@@ -97,7 +97,7 @@ def test_a_patch_space_that_is_not_discrete_is_caught(monkeypatch):
     a = catalog.get("A6")
     real = top.spec_space
 
-    def hull_for_patch(alg, kind="hull"):
+    def hull_for_patch(alg, kind):
         return real(alg, "hull" if kind == "patch" else kind)
 
     monkeypatch.setattr(top, "spec_space", hull_for_patch)
@@ -114,7 +114,7 @@ def test_stable_sets_match_the_scan():
     for a in CORPUS:
         points = flt.prime_filters(a)
         assert laws.hull_closed_family_facts(a)
-        assert top.spec_space(a, "hull").closed == stable_sets_by_scan(points), a.label
+        assert top.closed_sets(top.spec_space(a, "hull")) == stable_sets_by_scan(points), a.label
 
 
 def test_a_broken_stable_family_raises_quickly(monkeypatch):
@@ -135,13 +135,14 @@ def test_retractions_match_the_map_search():
         primes = flt.prime_filters(a)
         maxima = flt.maximal_filters(a)
         mspace = pr.max_subspace(a)
-        images = list(retraction_images(top.spec_space(a, "hull"), mspace, maxima))
+        images = list(retraction_images(top.spec_space(a, "hull"), primes, mspace, maxima))
         assert gf.retractions(a) == (len(images), images[0] if images else None), a.label
         seen.add(len(images))
 
         hrad_mask = top.hull_in(primes, flt.radical_total(a, 1 << a.one))
-        hrad = top.subspace(top.spec_space(a, "hull"), hrad_mask, "h(Rad)")
-        found = any(True for _ in retraction_images(hrad, mspace, maxima))
+        hrad = top.subspace(top.spec_space(a, "hull"), hrad_mask)
+        hrad_points = tuple(primes[i] for i in core.bits(hrad_mask))
+        found = any(True for _ in retraction_images(hrad, hrad_points, mspace, maxima))
         assert gf.hausdorff_battery(a)["max_retract_of_radical_hull"] is found, a.label
     assert seen == {0, 1}
 
@@ -151,10 +152,13 @@ def test_a_retraction_target_is_checked():
     a target that breaks either is refused, not read as no retraction."""
     a = catalog.get("A6")
     hull, maxima = top.spec_space(a, "hull"), flt.maximal_filters(a)
-    with pytest.raises(EquivalenceViolation, match="not T1"):
-        gf._retraction(hull, hull, maxima)
-    with pytest.raises(EquivalenceViolation, match="under no maximal"):
-        gf._retraction(hull, pr.max_subspace(a), maxima[:1])
+    primes = flt.prime_filters(a)
+    with pytest.raises(EquivalenceViolation, match="not T1") as refused:
+        gf._retraction(a, hull, primes, hull, maxima)
+    assert refused.value.detail == "A6"
+    with pytest.raises(EquivalenceViolation, match="under no maximal") as refused:
+        gf._retraction(a, hull, primes, pr.max_subspace(a), maxima[:1])
+    assert refused.value.detail == "A6"
 
 
 # The catalog, every structure with at most six elements and A6xA6.

@@ -78,8 +78,10 @@ def test_pure_spectrum_versus_maximal_spectrum():
 
 def test_pure_spectrum_space_points():
     a = catalog.get("cube2")
-    space = pr.pure_spectrum_space(a)
-    assert set(space.keys) == set(pr.purely_prime(a))
+    space, spp = pr.pure_spectrum_space(a), pr.purely_prime(a)
+    assert len(space) == len(spp)
+    pure_hulls = {top.hull_in(spp, f) for f in pr.pure_filters(a)}
+    assert top.closed_sets(space) == pure_hulls | {0, (1 << len(spp)) - 1}
     assert top.is_hausdorff(space)
 
 

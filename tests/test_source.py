@@ -78,3 +78,16 @@ def test_fileformat_calls_validate_at_one_site():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert len(calls) == 1
+
+
+def test_only_core_sets_attributes_past_a_guard():
+    """`object.__setattr__` writes past an immutability guard; only the
+    algebra in core has one, and `core.memo` is the one cache of derived
+    facts, so no other module keeps a per-object cache beside it."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and getattr(node.value, "id", None) == "object"):
+                callers.add(path.stem)
+    assert callers == {"core"}
