@@ -27,9 +27,9 @@ _EXPORTS = {
     ),
     "fileformat": "export_dot load parse serialize to_json",
     "filters": (
-        "all_filters analysis coannihilator d_part generated_filter is_comaximal"
-        " is_local is_semisimple local_battery maximal_filters omega_filter"
-        " prime_filters principal_filter radical radical_total"
+        "all_filters coannihilator d_part filter_generators generated_filter"
+        " is_comaximal is_local is_semisimple local_battery maximal_filters"
+        " omega_filter prime_filters principal_filters radical radical_total"
     ),
     "gelfand": "GelfandVerdict classification gelfand_verdict hausdorff_battery is_soft",
     "modelgen": "classify_all enumerate_lattices residuated_structures",

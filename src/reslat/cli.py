@@ -55,12 +55,9 @@ def _tags(f: int, sets: dict) -> str:
 def _cmd_check(a) -> int:
     from . import filters as flt
 
-    ctx = flt.analysis(a)
+    generators, maxima = flt.filter_generators(a), flt.maximal_filters(a)
     print(f"{a.label}: valid residuated lattice on {a.n} elements")
-    print(
-        f"filters={len(ctx.filters)} maximal={len(ctx.maximals)} "
-        f"prime={len(flt.prime_filters(a))}"
-    )
+    print(f"filters={len(generators)} maximal={len(maxima)} prime={len(flt.prime_filters(a))}")
     return EX_OK
 
 
@@ -68,11 +65,10 @@ def _cmd_filters(a) -> int:
     from . import filters as flt
     from . import pure as pr
 
-    ctx = flt.analysis(a)
-    tags = {"improper": {a.full}, "maximal": set(ctx.maximals),
+    tags = {"improper": {a.full}, "maximal": set(flt.maximal_filters(a)),
             "prime": set(flt.prime_filters(a)), "pure": set(pr.pure_filters(a))}
-    for f in ctx.filters:
-        print(f"{a.set_repr(f)} generator={a.names[ctx.generator[f]]}" + _tags(f, tags))
+    for f, e in flt.filter_generators(a).items():
+        print(f"{a.set_repr(f)} generator={a.names[e]}" + _tags(f, tags))
     return EX_OK
 
 

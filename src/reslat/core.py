@@ -421,12 +421,10 @@ def derive_residuum(algebra: ResiduatedLattice) -> tuple[tuple[int, ...], ...]:
 
 
 # Masks of the distinguished element classes of one algebra: idempotents,
-# nilpotents, the nilpotence order of each nilpotent, the interior (the
-# complement of the nilpotents) and the Boolean center (idempotents e with
-# e v neg(e) = 1).
+# nilpotents, the interior (the complement of the nilpotents) and the Boolean
+# center (idempotents e with e v neg(e) = 1).
 ElementClassification = namedtuple(
-    "ElementClassification",
-    "idempotents nilpotents nilpotence_order interior boolean_center",
+    "ElementClassification", "idempotents nilpotents interior boolean_center"
 )
 
 
@@ -442,20 +440,13 @@ def is_prelinear(a: ResiduatedLattice) -> bool:
 @memo
 def classify_elements(a: ResiduatedLattice) -> ElementClassification:
     idem = mask_of(x for x in range(a.n) if a.mul[x][x] == x)
-    nil = 0
-    orders = []
-    for x in range(a.n):
-        powers = a.powers(x)
-        if a.zero in powers:
-            nil |= 1 << x
-            orders.append((x, powers.index(a.zero) + 1))
+    nil = mask_of(x for x in range(a.n) if a.zero in a.powers(x))
     beta = mask_of(
         e for e in bits(idem) if a.join[e][a.neg(e)] == a.one
     )
     return ElementClassification(
         idempotents=idem,
         nilpotents=nil,
-        nilpotence_order=tuple(orders),
         interior=a.full ^ nil,
         boolean_center=beta,
     )

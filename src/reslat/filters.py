@@ -26,62 +26,62 @@ def maximal_members(family) -> tuple[int, ...]:
     return tuple(f for f in family if not any(g != f and g & f == f for g in family))
 
 
-class Analysis:
-    """The filter lattice of one algebra; analysis(a) builds it once (`memo`)."""
-
-    def __init__(self, a: ResiduatedLattice):
-        limits = [a.powers(x)[-1] for x in range(a.n)]
-        self.principal = tuple(a.up[e] for e in limits)
-        self.filters = canonical_sort(self.principal)
-        # each filter's least element, the idempotent that generates it
-        self.generator = {a.up[e]: e for e in limits}
-        for f in self.filters:
-            routes = {"power_limit": f, "product": generated_filter(a, f)}
-            agree(a, "principal generator does not regenerate its filter", routes, f)
-        self.proper = tuple(f for f in self.filters if f != a.full)
-        self.maximals = maximal_members(self.proper)
+@memo
+def principal_filters(a: ResiduatedLattice) -> tuple[int, ...]:
+    """principal_filters(a)[x] is up(x*), the filter generated by x, where x*
+    is the stabilized power of x."""
+    return tuple(a.up[a.powers(x)[-1]] for x in range(a.n))
 
 
 @memo
-def analysis(a: ResiduatedLattice) -> Analysis:
-    return Analysis(a)
+def filter_generators(a: ResiduatedLattice) -> dict[int, int]:
+    """Each filter, in canonical order, mapped to its least element, the
+    idempotent that generates it: the one x whose principal filter is up(x).
+    Each is checked against generated_filter, the full-product route."""
+    least = {f: x for x, f in enumerate(principal_filters(a)) if a.up[x] == f}
+    generators = {f: least[f] for f in canonical_sort(least)}
+    for f in generators:
+        routes = {"power_limit": f, "product": generated_filter(a, f)}
+        agree(a, "principal generator does not regenerate its filter", routes, f)
+    return generators
 
 
 def check_filter(a: ResiduatedLattice, f: int) -> None:
     """Refuse a mask that is not a filter, by one lookup in the filter family."""
-    if f not in analysis(a).generator:
+    if f not in filter_generators(a):
         raise NotAFilter(f"{a.set_repr(f)} is not a filter of {a.label}")
-
-
-def principal_filter(a: ResiduatedLattice, x: int) -> int:
-    return analysis(a).principal[x]
 
 
 def generated_filter(a: ResiduatedLattice, subset: int) -> int:
     """Least filter containing the subset (full product, then upward)."""
+    if subset & ~a.full:
+        raise ImproperInput(f"{a.set_repr(subset)} is not a subset of {a.label}")
     e = a.one
     for x in bits(subset):
         e = a.mul[e][x]
     return a.up[a.powers(e)[-1]]
 
 
+@memo
 def all_filters(a: ResiduatedLattice) -> tuple[int, ...]:
-    return analysis(a).filters
+    return tuple(filter_generators(a))
 
 
+@memo
 def proper_filters(a: ResiduatedLattice) -> tuple[int, ...]:
-    return analysis(a).proper
+    return tuple(f for f in all_filters(a) if f != a.full)
 
 
+@memo
 def maximal_filters(a: ResiduatedLattice) -> tuple[int, ...]:
-    return analysis(a).maximals
+    return maximal_members(proper_filters(a))
 
 
 @memo
 def prime_filters(a: ResiduatedLattice) -> tuple[int, ...]:
     """The proper filters whose complement is closed under joins."""
     primes = []
-    for f in analysis(a).proper:
+    for f in proper_filters(a):
         outside = a.full ^ f
         if all(
             not (f >> a.join[x][y]) & 1 for x in bits(outside) for y in bits(outside)
@@ -93,7 +93,7 @@ def prime_filters(a: ResiduatedLattice) -> tuple[int, ...]:
 @memo
 def max_mask(a: ResiduatedLattice) -> int:
     """The positions of the maximal filters among the prime filters."""
-    maxima = analysis(a).maximals
+    maxima = maximal_filters(a)
     return mask_of(i for i, p in enumerate(prime_filters(a)) if p in maxima)
 
 
@@ -103,9 +103,8 @@ def join_table(a: ResiduatedLattice) -> dict[int, dict[int, int]]:
     of filters: up(e * e') for their generators e, e', since a product of
     idempotents is idempotent and so generates the join. This is the one
     derivation of a filter join; readers look joins up here, and a meet is &."""
-    ctx = analysis(a)
-    gen, fs = ctx.generator, ctx.filters
-    return {f: {g: a.up[a.mul[gen[f]][gen[g]]] for g in fs} for f in fs}
+    gen = filter_generators(a)
+    return {f: {g: a.up[a.mul[gen[f]][gen[g]]] for g in gen} for f in gen}
 
 
 def join_family(a: ResiduatedLattice, family) -> int:
@@ -117,7 +116,7 @@ def join_family(a: ResiduatedLattice, family) -> int:
 
 
 def maximals_over(a: ResiduatedLattice, subset: int) -> tuple[int, ...]:
-    return tuple(m for m in analysis(a).maximals if m & subset == subset)
+    return tuple(m for m in maximal_filters(a) if m & subset == subset)
 
 
 @memo
@@ -229,6 +228,8 @@ def coannihilator(a: ResiduatedLattice, subset: int) -> int:
     """kernel of the primes omitting the subset; checked against the
     elementwise route {y : y v x = 1 for all x in the subset}, the meet of
     the join_to_one rows of the subset."""
+    if subset & ~a.full:
+        raise ImproperInput(f"{a.set_repr(subset)} is not a subset of {a.label}")
     via_primes = via_joins = a.full
     for p in prime_filters(a):
         if p & subset != subset:
@@ -343,7 +344,7 @@ def local_battery(a: ResiduatedLattice) -> dict[str, bool]:
     the nilpotence reading holds vacuously while the others fail, so the
     unanimity check exempts that single degenerate case.
     """
-    maxima = analysis(a).maximals
+    maxima = maximal_filters(a)
     cls = classify_elements(a)
     interior, nil = cls.interior, cls.nilpotents
     interior_is_filter = a.is_filter(interior)
@@ -366,4 +367,4 @@ def local_battery(a: ResiduatedLattice) -> dict[str, bool]:
 
 
 def is_local(a: ResiduatedLattice) -> bool:
-    return len(analysis(a).maximals) == 1
+    return len(maximal_filters(a)) == 1

@@ -50,10 +50,9 @@ def contessa_check(a: ResiduatedLattice):
 def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
     """Ten conditions about maximal filters and their d-parts. Each prime's
     d-part and the filter joins are read once."""
-    ctx = flt.analysis(a)
     primes = flt.prime_filters(a)
-    maxima = ctx.maximals
-    fs = ctx.filters
+    maxima = flt.maximal_filters(a)
+    fs = flt.all_filters(a)
     full = a.full
     joins = flt.join_table(a)
     dp = {p: flt.d_part(a, p) for p in primes}
@@ -134,7 +133,7 @@ def normal_filter_lattice(a: ResiduatedLattice) -> dict[str, bool]:
         "all_filters": _normal_over(
             a, flt.canonical_sort(a.up[e] for e in bits(idempotents))
         ),
-        "principal_filters": _normal_over(a, flt.canonical_sort(flt.analysis(a).principal)),
+        "principal_filters": _normal_over(a, flt.canonical_sort(flt.principal_filters(a))),
     }
 
 

@@ -30,34 +30,34 @@ def _ideal_closure(a: ResiduatedLattice, subset: int) -> int:
 
 def generated_filter_laws(a: ResiduatedLattice) -> dict[str, bool]:
     """How principal filters combine with joins, meets and products."""
-    ctx = flt.analysis(a)
+    principal = flt.principal_filters(a)
     joins = flt.join_table(a)
     join_is_power_cone = True
-    for f in ctx.filters:
+    for f in flt.all_filters(a):
         for x in range(a.n):
             cone = 0
             for g in bits(f):
                 for px in a.powers(x):
                     cone |= a.up[a.mul[g][px]]
-            if cone != joins[f][ctx.principal[x]]:
+            if cone != joins[f][principal[x]]:
                 join_is_power_cone = False
     antitone = all(
-        ctx.principal[y] & ctx.principal[x] == ctx.principal[y]
+        principal[y] & principal[x] == principal[y]
         for x in range(a.n)
         for y in range(a.n)
         if a.leq(x, y)
     )
     meet_rule = all(
-        ctx.principal[x] & ctx.principal[y] == ctx.principal[a.join[x][y]]
+        principal[x] & principal[y] == principal[a.join[x][y]]
         for x in range(a.n)
         for y in range(a.n)
     )
     join_rule = all(
-        joins[ctx.principal[x]][ctx.principal[y]] == ctx.principal[a.mul[x][y]]
+        joins[principal[x]][principal[y]] == principal[a.mul[x][y]]
         for x in range(a.n)
         for y in range(a.n)
     )
-    fam = set(ctx.principal)
+    fam = set(principal)
     sublattice = all(u & v in fam and joins[u][v] in fam for u in fam for v in fam)
     return hold(a, "generated filter", {
         "join_is_power_cone": join_is_power_cone,

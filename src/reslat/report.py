@@ -32,7 +32,7 @@ def _family(a: ResiduatedLattice, masks) -> list[list[str]]:
 
 
 def build_report(a: ResiduatedLattice) -> dict:
-    ctx = flt.analysis(a)
+    fs = flt.all_filters(a)
     cls = classify_elements(a)
     verdict = gelfand_verdict(a)
     flags = classification(a)
@@ -51,10 +51,10 @@ def build_report(a: ResiduatedLattice) -> dict:
         "nilpotents": _names(a, cls.nilpotents),
         "idempotents": _names(a, cls.idempotents),
         "filters": {
-            "count": len(ctx.filters),
-            "sets": _family(a, ctx.filters),
+            "count": len(fs),
+            "sets": _family(a, fs),
         },
-        "maximal_filters": _family(a, ctx.maximals),
+        "maximal_filters": _family(a, flt.maximal_filters(a)),
         "prime_filters": _family(a, flt.prime_filters(a)),
         "radical": _names(a, rad),
         "classification": flags,

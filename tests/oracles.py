@@ -270,7 +270,7 @@ def prime_extension(a, f, cone):
         raise Unsatisfiable(
             f"filter {a.set_repr(f)} already meets {a.set_repr(cone)}"
         )
-    avoiders = [g for g in flt.analysis(a).filters if g & f == f and not g & cone]
+    avoiders = [g for g in flt.all_filters(a) if g & f == f and not g & cone]
     best = [
         g
         for g in avoiders

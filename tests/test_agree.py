@@ -106,7 +106,7 @@ KNOCKOUTS = {
     ),
     "generator.product": (
         "A6", flt, "generated_filter", lambda real: lambda a, subset: a.full,
-        flt.Analysis,
+        flt.filter_generators,
         "principal generator does not regenerate its filter", "product",
     ),
     "softness.definition": (

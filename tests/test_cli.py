@@ -140,10 +140,10 @@ def test_a_file_past_the_byte_bound_is_refused(tmp_path, monkeypatch):
 
 
 def test_an_unexpected_exception_exits_70_with_its_traceback(monkeypatch):
-    def analysis(a):
+    def filter_generators(a):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(flt, "analysis", analysis)
+    monkeypatch.setattr(flt, "filter_generators", filter_generators)
     code, out, err = run_cli(["check", "A6"])
     assert (code, out) == (cli.EX_SOFTWARE, "")
     assert err.startswith("Traceback (most recent call last):\n")

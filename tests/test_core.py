@@ -272,16 +272,6 @@ def test_classify_elements_a8():
     assert a.set_repr(cls.idempotents) == "{0,a,c,f,1}"
 
 
-def test_nilpotence_orders_a8():
-    a = catalog.get("A8")
-    cls = core.classify_elements(a)
-    assert cls.nilpotence_order == ((0, 1), (2, 2))  # 0^1 = 0, b^2 = 0
-    order = dict(cls.nilpotence_order)
-    assert order[0] == 1
-    assert order[2] == 2
-    assert a.one not in order
-
-
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_prelinearity(name):
     assert core.is_prelinear(catalog.get(name)) is PRELINEAR[name]
@@ -424,8 +414,8 @@ def test_memo_without_arguments_and_after_a_raise():
 def test_equal_algebras_share_no_results():
     a = catalog.get("A8")
     b = fresh(a)
-    assert flt.analysis(a) is flt.analysis(a)
-    assert flt.analysis(a) is not flt.analysis(b)
+    assert flt.filter_generators(a) is flt.filter_generators(a)
+    assert flt.filter_generators(a) is not flt.filter_generators(b)
     assert top.spec_space(a, "hull") is not top.spec_space(b, "hull")
 
 
@@ -451,28 +441,30 @@ def test_algebras_compare_by_their_tables_and_are_immutable():
 
 
 def test_a_report_analyses_each_algebra_once(monkeypatch):
-    """build_report builds the filter analysis once per algebra instance
-    (the algebra and its quotients), and the coannihilator of each element
-    once; the law suites' own coannihilator calls are not counted."""
-    analysed = []
+    """build_report derives the filter generators once per algebra instance
+    (the algebra and its quotients), which regenerates each of its filters
+    once, and the coannihilator of each element once; the law suites' own
+    coannihilator calls are not counted."""
+    generated = []
     coannihilated = []
-    analysis, coannihilator = flt.Analysis, flt.coannihilator
+    generated_filter, coannihilator = flt.generated_filter, flt.coannihilator
 
-    def counting_analysis(alg):
-        analysed.append(alg)
-        return analysis(alg)
+    def counting_generated_filter(alg, subset):
+        generated.append((alg, subset))
+        return generated_filter(alg, subset)
 
     def counting_coannihilator(alg, subset):
         coannihilated.append((alg, subset))
         return coannihilator(alg, subset)
 
     monkeypatch.setattr(laws, "flt", types.SimpleNamespace(**vars(flt)))
-    monkeypatch.setattr(flt, "Analysis", counting_analysis)
+    monkeypatch.setattr(flt, "generated_filter", counting_generated_filter)
     monkeypatch.setattr(flt, "coannihilator", counting_coannihilator)
     a = core.direct_product(catalog.get("A6"), catalog.get("chain2"))
     report.build_report(a)
-    assert len(analysed) > 1
-    assert len({id(alg) for alg in analysed}) == len(analysed)
+    assert len({id(alg) for alg, _ in generated}) > 1
+    assert len({(id(alg), f) for alg, f in generated}) == len(generated)
+    assert sorted(f for alg, f in generated if alg is a) == sorted(flt.all_filters(a))
     assert sorted(subset for alg, subset in coannihilated if alg is a) == [
         1 << x for x in range(a.n)
     ]

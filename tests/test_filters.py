@@ -93,12 +93,11 @@ def reprs(a, masks):
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_filter_tables(name):
     a = catalog.get(name)
-    an = flt.analysis(a)
     filters, maximals, primes, rad = TABLES[name]
-    assert reprs(a, an.filters) == filters
-    assert reprs(a, an.maximals) == maximals
+    assert reprs(a, flt.all_filters(a)) == filters
+    assert reprs(a, flt.maximal_filters(a)) == maximals
     assert reprs(a, flt.prime_filters(a)) == primes
-    assert a.set_repr(flt.radical_total(a, an.filters[0])) == rad
+    assert a.set_repr(flt.radical_total(a, flt.all_filters(a)[0])) == rad
 
 
 @pytest.mark.parametrize("name", ("A6", "A8", "cube3", "MV3"))
@@ -122,20 +121,21 @@ def test_filters_against_brute_force(name):
 
 def test_principal_generation_identities():
     a = catalog.get("A8")
+    principal, joins = flt.principal_filters(a), flt.join_table(a)
     for x in range(a.n):
         for y in range(a.n):
-            fx, fy = flt.principal_filter(a, x), flt.principal_filter(a, y)
-            assert flt.principal_filter(a, a.join[x][y]) == fx & fy
-            assert flt.principal_filter(a, a.mul[x][y]) == flt.join_table(a)[fx][fy]
+            fx, fy = principal[x], principal[y]
+            assert principal[a.join[x][y]] == fx & fy
+            assert principal[a.mul[x][y]] == joins[fx][fy]
 
 
 def test_a_generator_the_product_route_does_not_regenerate_is_caught(monkeypatch):
     """Each filter's generator is read off the power limits; the product of
-    its members must generate the same filter, or the analysis refuses."""
+    its members must generate the same filter, or the derivation refuses."""
     a = fresh(catalog.get("A6"))
     monkeypatch.setattr(flt, "generated_filter", lambda alg, subset: alg.full)
     with pytest.raises(EquivalenceViolation, match="principal generator does not regenerate"):
-        flt.analysis(a)
+        flt.filter_generators(a)
 
 
 def test_generated_filter_of_empty_set_is_trivial():
@@ -145,7 +145,7 @@ def test_generated_filter_of_empty_set_is_trivial():
 
 def test_primes_over_principal_filter():
     a = catalog.get("A6")
-    fd = flt.principal_filter(a, a.names.index("d"))
+    fd = flt.principal_filters(a)[a.names.index("d")]
     assert reprs(a, primes_over(a, fd)) == ["{c,d,1}", "{a,b,d,1}"]
     assert reprs(a, flt.maximals_over(a, fd)) == ["{c,d,1}", "{a,b,d,1}"]
 
@@ -168,6 +168,26 @@ def test_radical_rejects_improper_filter():
 A6_NON_FILTERS = (
     (0b100010, r"\{a,1\}"), (0b10000100000, "mask 0b10000100000"), (-1, "mask -0b1"),
 )
+
+
+# Masks outside the six elements of A6, and how a refusal names them.
+A6_NON_SUBSETS = ((1 << 6, "mask 0b1000000"), *A6_NON_FILTERS[1:])
+
+
+def test_generated_filter_rejects_a_mask_outside_the_carrier():
+    """Unchecked, the product would index past the end of the mul table."""
+    a = catalog.get("A6")
+    for s, name in A6_NON_SUBSETS:
+        with pytest.raises(ImproperInput, match=rf"^{name} is not a subset of A6$"):
+            flt.generated_filter(a, s)
+
+
+def test_coannihilator_rejects_a_mask_outside_the_carrier():
+    """Unchecked, the joins route would index past the end of its rows."""
+    a = catalog.get("A6")
+    for s, name in A6_NON_SUBSETS:
+        with pytest.raises(ImproperInput, match=rf"^{name} is not a subset of A6$"):
+            flt.coannihilator(a, s)
 
 
 def test_radical_rejects_a_non_filter():
@@ -235,7 +255,7 @@ def test_comaximality_routes_and_witness():
     assert (a.names[x], a.names[y]) == ("c", "a")
     assert a.mul[x][y] == a.zero
     # the trivial filter is comaximal with no proper filter
-    f1 = flt.principal_filter(a, a.one)
+    f1 = flt.principal_filters(a)[a.one]
     assert not flt.is_comaximal(a, f1, m1)
     assert comaximal_witness(a, f1, m1) is None
 
@@ -250,7 +270,7 @@ def test_maximality_by_powers_agrees_with_enumeration():
 
 def test_prime_extension_avoiding_a_cone():
     a = catalog.get("A6")
-    one_f = flt.principal_filter(a, a.one)
+    one_f = flt.principal_filters(a)[a.one]
     c = 1 << a.names.index("c")
     ext = prime_extension(a, one_f, c)
     assert a.set_repr(ext) == "{a,b,d,1}"

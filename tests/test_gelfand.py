@@ -159,7 +159,7 @@ def test_normal_over_matches_the_quadruple_search():
         assert got == {
             "all_filters": _normal_by_search(a, flt.all_filters(a)),
             "principal_filters": _normal_by_search(
-                a, flt.canonical_sort(flt.analysis(a).principal)
+                a, flt.canonical_sort(flt.principal_filters(a))
             ),
         }, a.label
         seen.update(got.values())
@@ -176,10 +176,10 @@ def test_idempotent_cones_are_the_principal_filters():
     algebras.append(core.direct_product(catalog.get("A6"), catalog.get("A6")))
     assert len(algebras) == 178
     for a in algebras:
-        ctx = flt.analysis(a)
         idempotents = core.classify_elements(a).idempotents
         cones = flt.canonical_sort(a.up[e] for e in core.bits(idempotents))
-        assert cones == flt.canonical_sort(ctx.principal) == ctx.filters, a.label
+        principal = flt.canonical_sort(flt.principal_filters(a))
+        assert cones == principal == flt.all_filters(a), a.label
 
 
 def test_retractions():

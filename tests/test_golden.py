@@ -1,9 +1,11 @@
-"""The `report` JSON and the `spectrum --kind hull|dual|patch` output of
-every catalog algebra, compared byte for byte with the committed fixtures in
-tests/golden/. A change to any of them is a change to the package's answers;
-regenerate a fixture only when that change is intended, with
+"""The `report` JSON and the `check`, `filters` and
+`spectrum --kind hull|dual|patch` output of every catalog algebra, compared
+byte for byte with the committed fixtures in tests/golden/. A change to any of
+them is a change to the package's answers; regenerate a fixture only when
+that change is intended, with
 
     PYTHONPATH=src python -m reslat.cli report NAME > tests/golden/NAME.report.json
+    PYTHONPATH=src python -m reslat.cli COMMAND NAME > tests/golden/NAME.COMMAND.txt
     PYTHONPATH=src python -m reslat.cli spectrum --kind KIND NAME \\
         > tests/golden/NAME.spectrum-KIND.txt
 """
@@ -20,6 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [(name, ["report", name], f"{name}.report.json")
          for name in catalog.catalog_names()]
+CASES += [(name, [command, name], f"{name}.{command}.txt")
+          for name in catalog.catalog_names() for command in ("check", "filters")]
 CASES += [(name, ["spectrum", "--kind", kind, name], f"{name}.spectrum-{kind}.txt")
           for name in catalog.catalog_names() for kind in ("hull", "dual", "patch")]
 

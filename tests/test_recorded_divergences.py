@@ -36,7 +36,7 @@ def test_recorded_hull_of_dee_has_three_points():
     """Recorded hull of the filter generated by d lists three primes; only
     the two maximals contain {d,1}."""
     a = catalog.get("A6")
-    fd = flt.principal_filter(a, a.names.index("d"))
+    fd = flt.principal_filters(a)[a.names.index("d")]
     assert len(primes_over(a, fd)) == 3
 
 

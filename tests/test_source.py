@@ -1,6 +1,7 @@
 """Source checks: the package holds no public function, class, module-level
 name or method that only the tests use (test-only helpers belong in
-tests/oracles.py), and one place in fileformat builds an algebra."""
+tests/oracles.py), one place in fileformat builds an algebra, and only core
+and errors define classes."""
 
 import ast
 from pathlib import Path
@@ -91,3 +92,13 @@ def test_only_core_sets_attributes_past_a_guard():
                     and getattr(node.value, "id", None) == "object"):
                 callers.add(path.stem)
     assert callers == {"core"}
+
+
+def test_only_core_and_errors_define_classes():
+    """The algebra in core and the exceptions in errors are the package's
+    classes. Every other derived fact is a function memoized by `core.memo`,
+    so no record of derived facts stands beside it."""
+    definers = {path.stem for path in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ClassDef)}
+    assert definers == {"core", "errors"}

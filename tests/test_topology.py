@@ -70,7 +70,7 @@ def test_closure_is_smallest_closed_superset():
 def test_hull_and_kernel_on_a6():
     a = catalog.get("A6")
     primes = flt.prime_filters(a)
-    fd = flt.principal_filter(a, a.names.index("d"))
+    fd = flt.principal_filters(a)[a.names.index("d")]
     hull = core.mask_of([i for i, p in enumerate(primes) if p & fd == fd])
     assert [a.set_repr(primes[i]) for i in core.bits(hull)] == ["{c,d,1}", "{a,b,d,1}"]
     # the kernel of those two points is the radical
