@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "catalog": "catalog_names get",
     "core": (
-        "ResiduatedLattice classify_elements derive_residuum direct_product"
-        " find_isomorphism is_isomorphic is_prelinear quotient size_bound validate"
+        "ResiduatedLattice classify_elements direct_product is_prelinear quotient"
+        " size_bound validate"
     ),
     "errors": (
         "AdjunctionFails CarrierTooLarge EquivalenceViolation FormatError"

@@ -16,6 +16,7 @@ from .errors import (
     CarrierTooLarge,
     EquivalenceViolation,
     FormatError,
+    ImproperInput,
     NoResiduum,
     NotAFilter,
     NotALattice,
@@ -160,6 +161,10 @@ class ResiduatedLattice:
         return out
 
     def set_names(self, mask: int) -> tuple[str, ...]:
+        """The names of the mask's elements; a mask outside the carrier is
+        refused."""
+        if mask & ~self.full:
+            raise ImproperInput(f"{self.set_repr(mask)} is not a subset of {self.label}")
         return tuple(self.names[i] for i in bits(mask))
 
     def set_repr(self, mask: int) -> str:
@@ -414,12 +419,6 @@ def validate(
     return _operations(_order(names, up), mul, res, label)
 
 
-def derive_residuum(algebra: ResiduatedLattice) -> tuple[tuple[int, ...], ...]:
-    """Recompute the residuum from mul and the order alone."""
-    table = _residuum_table(algebra.n, algebra.up, algebra.join, algebra.mul)
-    return tuple(tuple(r) for r in table)
-
-
 # Masks of the distinguished element classes of one algebra: idempotents,
 # nilpotents, the interior (the complement of the nilpotents) and the Boolean
 # center (idempotents e with e v neg(e) = 1).
@@ -546,70 +545,3 @@ def quotient(a: ResiduatedLattice, filter_mask: int):
     )
     return alg, tuple(proj)
 
-
-def find_isomorphism(a: ResiduatedLattice, b: ResiduatedLattice):
-    """A bijection preserving order, join, meet, mul (hence res), or None."""
-    if a.n != b.n:
-        return None
-    n = a.n
-
-    def profiles(alg: ResiduatedLattice):
-        down = down_masks(alg.up)
-        return [
-            (bin(alg.up[x]).count("1"), bin(down[x]).count("1"), alg.mul[x][x] == x,
-             x == alg.zero, x == alg.one)
-            for x in range(n)
-        ]
-
-    prof_a, prof_b = profiles(a), profiles(b)
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    cand = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
-    img = [-1] * n
-    used = [False] * n
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return True
-        for y in cand[x]:
-            if used[y]:
-                continue
-            ok = True
-            for x2 in range(x):
-                y2 = img[x2]
-                if (
-                    a.leq(x, x2) != b.leq(y, y2)
-                    or a.leq(x2, x) != b.leq(y2, y)
-                    or (a.mul[x][x2] < x and img[a.mul[x][x2]] != b.mul[y][y2])
-                    or (a.join[x][x2] < x and img[a.join[x][x2]] != b.join[y][y2])
-                    or (a.meet[x][x2] < x and img[a.meet[x][x2]] != b.meet[y][y2])
-                ):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[x] = y
-            used[y] = True
-            if extend(x + 1):
-                return True
-            img[x] = -1
-            used[y] = False
-        return False
-
-    if not extend(0):
-        return None
-    # full verification on the completed map
-    for x in range(n):
-        for y in range(n):
-            if (
-                img[a.mul[x][y]] != b.mul[img[x]][img[y]]
-                or img[a.join[x][y]] != b.join[img[x]][img[y]]
-                or img[a.meet[x][y]] != b.meet[img[x]][img[y]]
-                or img[a.res[x][y]] != b.res[img[x]][img[y]]
-            ):
-                return None
-    return tuple(img)
-
-
-def is_isomorphic(a: ResiduatedLattice, b: ResiduatedLattice) -> bool:
-    return find_isomorphism(a, b) is not None

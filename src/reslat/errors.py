@@ -43,8 +43,9 @@ class CarrierTooLarge(ReslatError):
 
 
 class ImproperInput(ReslatError):
-    """An operation received the improper filter, or a filter outside the
-    class it requires (for example a non-prime where a prime is needed)."""
+    """An operation received the improper filter, a filter outside the
+    class it requires (for example a non-prime where a prime is needed), or
+    a mask outside the carrier."""
 
 
 class NotAFilter(ReslatError):

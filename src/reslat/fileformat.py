@@ -176,10 +176,18 @@ def serialize(a: ResiduatedLattice) -> str:
 
 
 def parse_json_text(text: str) -> ResiduatedLattice:
+    """The algebra of a JSON object; its keys are read in order, so that a
+    repeated directive is refused as in the text form."""
     import json
 
+    pairs = []  # the key-value pairs of the object parsed last: the top level
+
+    def keep_pairs(items):
+        pairs[:] = items
+        return dict(items)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=keep_pairs)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc.msg}", exc.lineno) from exc
     except RecursionError:
@@ -187,9 +195,11 @@ def parse_json_text(text: str) -> ResiduatedLattice:
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     raw: dict = {}
-    for word, value in data.items():
+    for word, value in pairs:
         if word not in _DIRECTIVES:
             raise FormatError(f"unknown directive {word!r}")
+        if word in raw:
+            raise FormatError(f"duplicate {word} {'block' if word in _BLOCKS else 'line'}")
         if (word == "covers" or word in _BLOCKS) and not isinstance(value, list):
             raise FormatError(f"{word} must be a list")
         if word in _BLOCKS:

@@ -175,6 +175,7 @@ def _retraction(a: ResiduatedLattice, space, points, mspace, maxima: tuple[int, 
     return tuple(img) if top.is_continuous(img.__getitem__, space, mspace) else None
 
 
+@memo
 def retractions(a: ResiduatedLattice) -> tuple[int, tuple[int, ...] | None]:
     """Count the continuous retractions Spec_h -> Max_h (at most one); keep it."""
     image = _retraction(a, top.spec_space(a, "hull"), flt.prime_filters(a),
@@ -377,6 +378,7 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     return battery
 
 
+@memo
 def is_soft(a: ResiduatedLattice):
     """Three equivalent readings of softness, with unanimity asserted."""
     one = 1 << a.one

@@ -232,6 +232,7 @@ def is_homeomorphism(func, source: tuple[int, ...], target: tuple[int, ...]) -> 
     return all(_image(func, c) == target[func(i)] for i, c in enumerate(source))
 
 
+@memo
 def clopen_check(a: ResiduatedLattice) -> tuple[int, ...]:
     """Clopen sets of the spectrum = hulls of Boolean-center elements."""
     points = flt.prime_filters(a)

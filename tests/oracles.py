@@ -1,7 +1,8 @@
 """Brute-force references for the tests: the exhaustive enumerations the
 package replaced by checked bases, the pairwise meet fixpoint and the
 between scan it replaced by one pass, the canonical test that compares
-whole relabelled tuples, the naive model enumeration, the kernels of the
+whole relabelled tuples, the isomorphism search and the residuum
+re-derivation, the naive model enumeration, the kernels of the
 table search, validation and quotients as they were before their rows were
 hoisted, the comaximality and complement scans and the memoized antitone
 walk of the coannihilator laws as they were before their tables, a Goedel-chain constructor, a fresh copy of an algebra, a
@@ -17,9 +18,10 @@ from reslat import cli, filters as flt, topology as top
 from reslat.core import (
     ResiduatedLattice,
     _lattice_tables,
+    _residuum_table,
     bits,
+    down_masks,
     element_names,
-    find_isomorphism,
     mask_of,
     validate,
 )
@@ -284,6 +286,84 @@ def prime_extension(a, f, cone):
                 detail=(a.label, a.set_repr(g), a.set_repr(cone)),
             )
     return best[0]
+
+
+# Tests compare algebras up to isomorphism by an explicit search, and the
+# residuum of an algebra with the one its mul and order give.
+
+
+def find_isomorphism(a: ResiduatedLattice, b: ResiduatedLattice):
+    """A bijection preserving order, join, meet, mul (hence res), or None."""
+    if a.n != b.n:
+        return None
+    n = a.n
+
+    def profiles(alg: ResiduatedLattice):
+        down = down_masks(alg.up)
+        return [
+            (bin(alg.up[x]).count("1"), bin(down[x]).count("1"), alg.mul[x][x] == x,
+             x == alg.zero, x == alg.one)
+            for x in range(n)
+        ]
+
+    prof_a, prof_b = profiles(a), profiles(b)
+    if sorted(prof_a) != sorted(prof_b):
+        return None
+    cand = [[y for y in range(n) if prof_b[y] == prof_a[x]] for x in range(n)]
+    img = [-1] * n
+    used = [False] * n
+
+    def extend(x: int) -> bool:
+        if x == n:
+            return True
+        for y in cand[x]:
+            if used[y]:
+                continue
+            ok = True
+            for x2 in range(x):
+                y2 = img[x2]
+                if (
+                    a.leq(x, x2) != b.leq(y, y2)
+                    or a.leq(x2, x) != b.leq(y2, y)
+                    or (a.mul[x][x2] < x and img[a.mul[x][x2]] != b.mul[y][y2])
+                    or (a.join[x][x2] < x and img[a.join[x][x2]] != b.join[y][y2])
+                    or (a.meet[x][x2] < x and img[a.meet[x][x2]] != b.meet[y][y2])
+                ):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            img[x] = y
+            used[y] = True
+            if extend(x + 1):
+                return True
+            img[x] = -1
+            used[y] = False
+        return False
+
+    if not extend(0):
+        return None
+    # full verification on the completed map
+    for x in range(n):
+        for y in range(n):
+            if (
+                img[a.mul[x][y]] != b.mul[img[x]][img[y]]
+                or img[a.join[x][y]] != b.join[img[x]][img[y]]
+                or img[a.meet[x][y]] != b.meet[img[x]][img[y]]
+                or img[a.res[x][y]] != b.res[img[x]][img[y]]
+            ):
+                return None
+    return tuple(img)
+
+
+def is_isomorphic(a: ResiduatedLattice, b: ResiduatedLattice) -> bool:
+    return find_isomorphism(a, b) is not None
+
+
+def derive_residuum(algebra: ResiduatedLattice) -> tuple[tuple[int, ...], ...]:
+    """Recompute the residuum from mul and the order alone."""
+    table = _residuum_table(algebra.n, algebra.up, algebra.join, algebra.mul)
+    return tuple(tuple(r) for r in table)
 
 
 # The naive twin of modelgen's enumeration: no canonical-form pruning, no

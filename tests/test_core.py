@@ -12,6 +12,7 @@ from reslat.errors import (
     AdjunctionFails,
     CarrierTooLarge,
     FormatError,
+    ImproperInput,
     NoResiduum,
     NotAFilter,
     NotALattice,
@@ -21,7 +22,7 @@ from reslat.errors import (
     UsageError,
 )
 
-from oracles import fresh
+from oracles import derive_residuum, find_isomorphism, fresh, is_isomorphic
 
 CATALOG_NAMES = (
     "A6", "A8", "chain2", "chain3", "chain4", "chain5", "chain6",
@@ -56,7 +57,7 @@ def test_catalog_entries_validate(name):
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_derived_residuum_matches_stored_tables(name):
     a = catalog.get(name)
-    assert core.derive_residuum(a) == a.res
+    assert derive_residuum(a) == a.res
 
 
 def test_validate_rejects_broken_product():
@@ -282,7 +283,7 @@ def test_direct_product_of_chains_is_the_square():
     assert p.n == 4
     assert p.label == "chain2xchain2"
     assert p.names == ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-    assert core.is_isomorphic(p, catalog.get("cube2"))
+    assert is_isomorphic(p, catalog.get("cube2"))
 
 
 def test_direct_product_respects_size_bound(monkeypatch):
@@ -325,14 +326,25 @@ def test_quotient_rejects_non_filter():
             core.quotient(a, mask)
 
 
+def test_set_names_rejects_a_mask_outside_the_carrier():
+    """Named by its bits, as set_repr names it; unchecked, the lookup would
+    index past the end of the names."""
+    a = catalog.get("A6")
+    assert a.set_names(0b110000) == ("d", "1")
+    for mask, name in ((1 << 6, "mask 0b1000000"),
+                       (1 << 10 | 1 << a.one, "mask 0b10000100000"), (-1, "mask -0b1")):
+        with pytest.raises(ImproperInput, match=f"^{name} is not a subset of A6$"):
+            a.set_names(mask)
+
+
 def test_find_isomorphism_distinguishes_same_size_algebras():
     # both have three elements, but the middle of MV3 is nilpotent
-    assert core.find_isomorphism(catalog.get("chain3"), catalog.get("MV3")) is None
-    assert not core.is_isomorphic(catalog.get("chain3"), catalog.get("MV3"))
+    assert find_isomorphism(catalog.get("chain3"), catalog.get("MV3")) is None
+    assert not is_isomorphic(catalog.get("chain3"), catalog.get("MV3"))
 
 
 def test_find_isomorphism_refuses_different_sizes():
-    assert core.find_isomorphism(catalog.get("chain2"), catalog.get("chain3")) is None
+    assert find_isomorphism(catalog.get("chain2"), catalog.get("chain3")) is None
 
 
 def test_is_filter_needs_upward_closure():
@@ -352,7 +364,7 @@ def test_find_isomorphism_inverts_a_relabeling():
             mul[perm[x]][perm[y]] = perm[a.mul[x][y]]
     covers = [(perm[lo], perm[hi]) for lo, hi in ff.cover_pairs(a)]
     b = core.validate(names, mul, covers=covers, label="shuffled")
-    iso = core.find_isomorphism(a, b)
+    iso = find_isomorphism(a, b)
     assert iso is not None
     for x in range(8):
         for y in range(8):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from reslat import catalog, cli, core, fileformat as ff, filters as flt, modelgen as mg
 from reslat.errors import FormatError, ReslatError, ResiduumMismatch
 
-from oracles import goedel, run_cli
+from oracles import goedel, is_isomorphic, run_cli
 
 A6_TEXT = """\
 name A6
@@ -187,6 +187,14 @@ CHAIN2_JSON = '"elements": ["0", "1"], "covers": [["0", "1"]], "mul": [["0", "0"
                  "unknown directive 'ress'", None, id="json-unknown-key"),
     pytest.param(ff.parse_json_text, '{"name": ["x"], %s}' % CHAIN2_JSON,
                  "name must be a string", None, id="json-name-not-a-string"),
+    pytest.param(ff.parse_json_text, '{"name": "x", %s, "name": "other"}' % CHAIN2_JSON,
+                 "duplicate name line", None, id="json-duplicate-name"),
+    pytest.param(ff.parse_json_text, '{%s, "covers": []}' % CHAIN2_JSON,
+                 "duplicate covers line", None, id="json-duplicate-covers"),
+    pytest.param(ff.parse_json_text, '{%s, "mul": [["0", "0"], ["0", "0"]]}' % CHAIN2_JSON,
+                 "duplicate mul block", None, id="json-duplicate-mul"),
+    pytest.param(ff.parse_json_text, '{"name": "x", "bogus": 1, "name": "y"}',
+                 "unknown directive 'bogus'", None, id="json-unknown-before-duplicate"),
 ])
 def test_each_parser_refusal_names_its_cause_and_line(parse, text, message, line):
     with pytest.raises(FormatError) as exc:
@@ -420,7 +428,7 @@ def test_relabelings_survive_the_round_trip(data):
     b = core.validate(names, mul, covers=covers, label="permuted")
     c = ff.parse_text(ff.serialize(b))
     assert c.mul == b.mul and c.up == b.up
-    assert core.is_isomorphic(c, a)
+    assert is_isomorphic(c, a)
 
 
 @given(data=st.data())

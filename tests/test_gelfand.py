@@ -1,10 +1,13 @@
 """The Gelfand criteria engine: fourteen independently computed
 characterizations that must agree, plus the soft/Hausdorff batteries."""
 
+import sys
+from collections import Counter
 
 import pytest
 
-from reslat import catalog, core, filters as flt, gelfand as gf, modelgen
+from reslat import catalog, core, filters as flt, gelfand as gf, modelgen, report
+from reslat import topology as top
 from reslat.errors import EquivalenceViolation
 
 from oracles import fresh, join_table_of
@@ -186,6 +189,26 @@ def test_retractions():
     assert gf.retractions(catalog.get("A6")) == (0, None)
     assert gf.retractions(catalog.get("A8")) == (1, (0, 0, 0))
     assert gf.retractions(catalog.get("cube2")) == (1, (0, 1))
+
+
+def test_a_report_runs_each_battery_once():
+    """The report's soft routes, retraction count and clopen count read the
+    batteries that its classification, verdict and law suites ran."""
+    batteries = (gf.is_soft, gf.retractions, top.clopen_check)
+    codes = {f.__wrapped__.__code__: f.__name__ for f in batteries}
+    runs = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            runs[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        report.build_report(fresh(catalog.get("A8")))
+    finally:
+        sys.setprofile(previous)
+    assert runs == {name: 1 for name in codes.values()}
 
 
 def test_relation_closures_merge_inseparable_primes():
