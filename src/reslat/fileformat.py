@@ -270,7 +270,7 @@ def export_dot(a: ResiduatedLattice, kind: str = "hasse") -> str:
         ids = [_dot_id(a.set_repr(p)) for p in primes]
         for i in ids:
             lines.append(f"  {i};")
-        for i, j in _covers([top.hull_in(primes, p) for p in primes]):
+        for i, j in _covers(top.specialization(a)):
             lines.append(f"  {ids[i]} -> {ids[j]};")
     else:
         raise ValueError(f"unknown export kind {kind!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import ResiduatedLattice, bits, classify_elements, memo, quotient
+from .core import ResiduatedLattice, bits, classify_elements, down_masks, memo, quotient
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 from . import pure as pr
@@ -80,9 +80,9 @@ def maximal_battery(a: ResiduatedLattice) -> dict[str, bool]:
         if joins[f][m] == full
     )
     dpart_unique_maximal = all(flt.maximals_over(a, dp[m]) == (m,) for m in maxima)
+    gens = top.generalization(a)
     generalization_is_hull = all(
-        top.generalization_mask(primes, 1 << i) == top.hull_in(primes, dp[primes[i]])
-        for i in bits(flt.max_mask(a))
+        gens[i] == top.hull_in(primes, dp[primes[i]]) for i in bits(flt.max_mask(a))
     )
     dpart_quotient_local = all(
         flt.is_local(quotient(a, dp[m])[0]) for m in maxima
@@ -141,15 +141,13 @@ def spectral_separation(a: ResiduatedLattice) -> dict[str, bool]:
     """Distinct maximal points have disjoint open sets around them, i.e.
     disjoint minimal neighbourhoods; and each maximal point's set of
     generalizations is closed."""
-    primes = flt.prime_filters(a)
     at_max = tuple(bits(flt.max_mask(a)))
     hspace = top.spec_space(a, "hull")
-    around = top.neighbourhoods(hspace)
+    around = down_masks(hspace)
     nb = [around[i] for i in at_max]
     sep = all(not u & v for i, u in enumerate(nb) for v in nb[i + 1:])
-    gens_closed = all(
-        top.is_closed(hspace, top.generalization_mask(primes, 1 << i)) for i in at_max
-    )
+    gens = top.generalization(a)
+    gens_closed = all(top.is_closed(hspace, gens[i]) for i in at_max)
     return {
         "maximal_pairs_separated": sep,
         "generalizations_closed": gens_closed,
@@ -219,11 +217,11 @@ def relation_closure(a: ResiduatedLattice, kind: str) -> tuple[int, ...]:
 
 def relation_class_condition(a: ResiduatedLattice, kind: str) -> bool:
     """Every maximal filter's class equals its generalization set."""
-    primes = flt.prime_filters(a)
     classes = relation_closure(a, kind)
+    gens = top.generalization(a)
     for mi in bits(flt.max_mask(a)):
         cls = next(c for c in classes if (c >> mi) & 1)
-        if cls != top.generalization_mask(primes, 1 << mi):
+        if cls != gens[mi]:
             return False
     return True
 
@@ -350,9 +348,9 @@ def hausdorff_battery(a: ResiduatedLattice) -> dict[str, bool]:
     retract = _retraction(a, hrad_space, hrad_points, pr.max_subspace(a), maxima) is not None
 
     normaletc = top.is_normal(hrad_space)
+    gens = top.generalization(a)
     gens_closed = all(
-        top.is_closed(hrad_space, top.cut(top.generalization_mask(primes, 1 << i), hrad_mask))
-        for i in bits(flt.max_mask(a))
+        top.is_closed(hrad_space, top.cut(gens[i], hrad_mask)) for i in bits(flt.max_mask(a))
     )
 
     negations_in_radical = all(

@@ -391,12 +391,8 @@ def continuity_law(a: ResiduatedLattice) -> dict[str, bool]:
 def stable_open_law(a: ResiduatedLattice) -> dict[str, bool]:
     """Opens of Spec_h stable under specialization = duals of pure filters."""
     primes = flt.prime_filters(a)
-    hspace = top.spec_space(a, "hull")
-    stable_opens = {
-        o
-        for o in top.opens(hspace)
-        if top.specialization_mask(primes, o) == o
-    }
+    spec = top.specialization(a)
+    stable_opens = {o for o in top.opens(top.spec_space(a, "hull")) if top.is_closed(spec, o)}
     full = (1 << len(primes)) - 1
     pure_duals = {full ^ top.hull_in(primes, f) for f in pr.pure_filters(a)}
     laws = {"stable_opens_are_pure_duals": stable_opens == pure_duals}
@@ -415,6 +411,7 @@ def closure_lemmas(a: ResiduatedLattice) -> bool:
     points = flt.prime_filters(a)
     hspace = top.spec_space(a, "hull")
     dspace = top.spec_space(a, "dual")
+    spec, gens = top.specialization(a), top.generalization(a)
     hulls = {f: top.hull_in(points, f) for f in flt.all_filters(a)}
     for f in hulls:
         for g in hulls:
@@ -425,11 +422,11 @@ def closure_lemmas(a: ResiduatedLattice) -> bool:
         hull = {
             "hull_closure": top.closure(hspace, pi),
             "hull_of_kernel": top.hull_in(points, top.kernel_of(a, points, pi)),
-            "specialization": top.specialization_mask(points, pi),
+            "specialization": top.closure(spec, pi),
         }
         dual = {
             "dual_closure": top.closure(dspace, pi),
-            "generalization": top.generalization_mask(points, pi),
+            "generalization": top.closure(gens, pi),
         }
         agree(a, "closure lemmas fail", hull, *where)
         agree(a, "closure lemmas fail", dual, *where)
@@ -466,7 +463,7 @@ def hull_closed_family_facts(a: ResiduatedLattice) -> bool:
     points = flt.prime_filters(a)
     filter_hulls = {top.hull_in(points, f) for f in flt.all_filters(a)}
     stable = {0}
-    for up in (top.specialization_mask(points, 1 << i) for i in range(len(points))):
+    for up in top.specialization(a):
         stable |= {s | up for s in stable}
         if len(stable) > len(filter_hulls):
             break

@@ -20,7 +20,7 @@ def sigma(a: ResiduatedLattice, f: int) -> int:
     flt.check_filter(a, f)
     primes = flt.prime_filters(a)
     hf = top.hull_in(primes, f)
-    gen = top.generalization_mask(primes, hf)
+    gen = top.closure(top.generalization(a), hf)
     via_kernel = top.kernel_of(a, primes, gen)
     joins = flt.join_table(a)[f]
     via_joins = mask_of(

@@ -3,7 +3,9 @@
 build_report computes everything the package knows how to check: filters,
 spectra, the Gelfand criteria, softness, the law suites of `laws`. Rendering
 sorts keys and ends with a newline, so two runs over the same algebra are
-byte-identical.
+byte-identical. A report belongs to its caller: the dicts of the memoized
+verdict and soft routes are copied into it, so editing a report changes no
+later answer on the algebra.
 """
 from __future__ import annotations
 
@@ -60,11 +62,11 @@ def build_report(a: ResiduatedLattice) -> dict:
         "classification": flags,
         "gelfand": {
             "verdict": verdict.verdict,
-            "criteria": verdict.criteria,
-            "details": verdict.details,
-            "witnesses": verdict.witnesses,
+            "criteria": dict(verdict.criteria),
+            "details": {name: dict(leaves) for name, leaves in verdict.details.items()},
+            "witnesses": dict(verdict.witnesses),
         },
-        "soft_routes": soft_routes,
+        "soft_routes": dict(soft_routes),
         "hausdorff_battery": battery,
         "local_battery": flt.local_battery(a),
         "retraction_count": count,

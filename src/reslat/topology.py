@@ -7,12 +7,15 @@ Barmak 2011). What a point stands for (a prime filter, a class of primes) is
 the caller's to keep. Everything else is derived on each call and kept
 nowhere: a set is closed when it contains the closure of each of its points,
 the minimal open neighbourhood of a point is the set of points whose closure
-contains it, and the closed family is the unions of the point closures.
-Normality and Hausdorffness are questions about pairs of points, continuity
-and homeomorphism about the image of each point closure.
+contains it (the closures transposed, by `core.down_masks`), and the closed
+family is the unions of the point closures. Normality and Hausdorffness are
+questions about pairs of points, continuity and homeomorphism about the
+image of each point closure.
 
 `spec_space` builds each spectral space once per algebra and kind (through
-`core.memo`).
+`core.memo`). The inclusion order of the primes is derived once, from the
+prime masks themselves: `specialization(a)` is the space whose point closures
+are the primes above each prime, and `generalization(a)` its transpose.
 
 The three spectral topologies on a prime collection are generated by element
 hulls h(x), their complements d(x), or both (patch). In the finite setting
@@ -26,7 +29,7 @@ because the space is discrete.
 """
 from __future__ import annotations
 
-from .core import ResiduatedLattice, bits, classify_elements, mask_of, meet, memo
+from .core import ResiduatedLattice, bits, classify_elements, down_masks, mask_of, meet, memo
 from .errors import EquivalenceViolation, agree
 from . import filters as flt
 
@@ -41,16 +44,6 @@ def closure(space: tuple[int, ...], mask: int) -> int:
 
 def is_closed(space: tuple[int, ...], mask: int) -> bool:
     return closure(space, mask) == mask
-
-
-def neighbourhoods(space: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal open neighbourhood of each point: the points whose closure
-    contains it."""
-    out = [0] * len(space)
-    for j, c in enumerate(space):
-        for i in bits(c):
-            out[i] |= 1 << j
-    return tuple(out)
 
 
 def closed_sets(space: tuple[int, ...]) -> frozenset[int]:
@@ -101,26 +94,20 @@ def kernel_of(a: ResiduatedLattice, points: tuple[int, ...], point_mask: int) ->
     return meet(a, (points[i] for i in bits(point_mask)))
 
 
-def specialization_mask(points: tuple[int, ...], point_mask: int) -> int:
-    """Points lying above (containing) some selected point."""
-    out = 0
-    for i, p in enumerate(points):
-        for j in bits(point_mask):
-            if p & points[j] == points[j]:
-                out |= 1 << i
-                break
-    return out
+@memo
+def specialization(a: ResiduatedLattice) -> tuple[int, ...]:
+    """Row i is the mask of the primes containing prime i: the inclusion
+    order of the prime spectrum, as a space whose closed sets are its
+    up-sets."""
+    primes = flt.prime_filters(a)
+    return tuple(sum(1 << j for j, q in enumerate(primes) if q & p == p) for p in primes)
 
 
-def generalization_mask(points: tuple[int, ...], point_mask: int) -> int:
-    """Points lying below (contained in) some selected point."""
-    out = 0
-    for i, p in enumerate(points):
-        for j in bits(point_mask):
-            if p & points[j] == p:
-                out |= 1 << i
-                break
-    return out
+@memo
+def generalization(a: ResiduatedLattice) -> tuple[int, ...]:
+    """Row i is the mask of the primes contained in prime i: the transposed
+    order, as a space whose closed sets are its down-sets."""
+    return down_masks(specialization(a))
 
 
 @memo
@@ -140,7 +127,7 @@ def is_normal(space: tuple[int, ...]) -> bool:
     neighbourhood of a closed set is the union of its points' minimal
     neighbourhoods, so it suffices that points with disjoint closures have
     disjoint minimal neighbourhoods."""
-    nb = neighbourhoods(space)
+    nb = down_masks(space)
     return all(
         space[i] & space[j] or not nb[i] & nb[j]
         for i in range(len(space))
@@ -150,7 +137,7 @@ def is_normal(space: tuple[int, ...]) -> bool:
 
 def is_hausdorff(space: tuple[int, ...]) -> bool:
     """Distinct points have disjoint minimal neighbourhoods."""
-    nb = neighbourhoods(space)
+    nb = down_masks(space)
     return all(
         not nb[i] & nb[j]
         for i in range(len(space))
@@ -165,7 +152,7 @@ def is_t1(space: tuple[int, ...]) -> bool:
 
 def is_discrete(space: tuple[int, ...]) -> bool:
     """Every point is open."""
-    return all(u == 1 << i for i, u in enumerate(neighbourhoods(space)))
+    return all(u == 1 << i for i, u in enumerate(down_masks(space)))
 
 
 def space_predicates(space: tuple[int, ...]) -> dict[str, bool]:

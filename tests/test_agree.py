@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from reslat import catalog, core, filters as flt, gelfand as gf, laws, pure as pr
-from reslat import topology as top
+from reslat import catalog, core, filters as flt, gelfand as gf, laws, modelgen as mg
+from reslat import pure as pr, topology as top
 from reslat.errors import EquivalenceViolation, agree, hold
 
 from oracles import fresh, join_table_of
@@ -140,11 +140,11 @@ KNOCKOUTS = {
         laws.closure_lemmas, "closure lemmas fail", "hull_of_kernel",
     ),
     "closure_lemmas.specialization": (
-        "A8", top, "specialization_mask", lambda real: lambda points, mask: 0,
+        "A8", top, "specialization", lambda real: lambda a: (0,) * len(real(a)),
         laws.closure_lemmas, "closure lemmas fail", "specialization",
     ),
     "closure_lemmas.generalization": (
-        "A8", top, "generalization_mask", lambda real: lambda points, mask: 0,
+        "A8", top, "generalization", lambda real: lambda a: (0,) * len(real(a)),
         laws.closure_lemmas, "closure lemmas fail", "generalization",
     ),
     "clopen.clopen": (
@@ -162,7 +162,7 @@ KNOCKOUTS = {
         "zero_products_have_nilpotent_factor",
     ),
     "closed_sets.stable": (
-        "A6", top, "specialization_mask", lambda real: lambda points, mask: 0,
+        "A6", top, "specialization", lambda real: lambda a: (0,) * len(real(a)),
         laws.hull_closed_family_facts,
         "closed-set descriptions of the spectrum disagree", "stable",
     ),
@@ -198,3 +198,67 @@ def test_a_knocked_out_route_is_named(monkeypatch, site):
     others = [value for key, value in routes.items() if key != route]
     assert all(value == others[0] for value in others)
     assert routes[route] != others[0]
+
+
+# Guards that check an implied fact rather than compare routes, keyed
+# "site.fact": the algebra, the module and name of the function patched, its
+# replacement given the real one, the call of the site, the guard's message
+# and its detail.
+GUARDS = {
+    "gelfand.unique_retraction": (
+        "A8", gf, "retractions", lambda real: lambda a: (2, real(a)[1]),
+        gf.gelfand_verdict, "Gelfand algebra without a unique retraction", "A8",
+    ),
+    "gelfand.discrete_max": (
+        "A8", top, "is_discrete", lambda real: lambda space: False,
+        gf.gelfand_verdict, "Gelfand maximal spectrum is not discrete", "A8",
+    ),
+    "spp_max_homeo.purely_prime": (
+        "A8", pr, "rho", lambda real: lambda a, f: 0, pr.spp_max_homeo,
+        "pure part of a maximal filter is not purely prime", ("A8", "{a,c,d,e,f,1}"),
+    ),
+    "radical.maximal_above": (
+        "A8", flt, "maximals_over", lambda real: lambda a, f: (),
+        lambda a: flt.radical(a, 1 << a.one),
+        "proper filter not below any maximal filter", "A8",
+    ),
+    "omega_filter.filter": (
+        "A8", flt, "join_to_one", lambda real: lambda a: tuple(1 << y for y in range(a.n)),
+        lambda a: flt.omega_filter(a, 1 << a.zero | 1 << a.names.index("b")),
+        "omega of an ideal is not a filter", ("A8", "{0,b}"),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GUARDS))
+def test_a_knocked_out_fact_raises_its_guard(monkeypatch, site):
+    name, module, attr, replace, call, message, detail = GUARDS[site]
+    a = fresh(catalog.get(name))
+    monkeypatch.setattr(module, attr, replace(getattr(module, attr)))
+    with pytest.raises(EquivalenceViolation, match=f"^{re.escape(message)}$") as exc:
+        call(a)
+    assert exc.value.detail == detail
+
+
+def test_a_prelinear_model_that_is_not_gelfand_aborts_the_sweep(monkeypatch):
+    """The sweep names the model and carries it serialized, with the guard's
+    message and detail."""
+    real = mg.classification
+    monkeypatch.setattr(mg, "classification", lambda a: {**real(a), "gelfand": False})
+    with pytest.raises(EquivalenceViolation) as exc:
+        mg.classify_all(3)
+    assert str(exc.value) == "sweep aborted on n3.1: prelinear model is not Gelfand"
+    text, inner = exc.value.detail
+    assert inner == "n3.1" and text.startswith("name n3.1\n")
+
+
+@pytest.mark.parametrize("family", ["uncomplemented", "without_bottom"])
+def test_a_knocked_out_rickart_condition_answers_false(monkeypatch, family):
+    """On chain3, gamma = {1} < up(a) < A is a sublattice but up(a) has no
+    complement in it, and a gamma without {1} is no bounded sublattice."""
+    a = fresh(catalog.get("chain3"))
+    assert flt.is_rickart(a)
+    one, up_a = 1 << a.one, a.up[a.names.index("a")]
+    gamma = {"uncomplemented": (one, up_a, a.full), "without_bottom": (a.full,)}[family]
+    monkeypatch.setattr(flt, "gamma", lambda a: gamma)
+    assert not flt.is_rickart(a)

@@ -381,6 +381,16 @@ def test_options_match_by_form_position_and_unique_prefix(argv, same):
     assert got == run_cli(same) and got[0] == cli.EX_OK
 
 
+def test_a_prefix_of_two_options_is_refused_as_ambiguous():
+    """No two options of one command share a prefix, so a made-up table
+    stands in for one."""
+    options = {"--output": (None, str, "a file"), "--order": (None, str, "an order")}
+    message = "^ambiguous option: --o could match --output, --order$"
+    with pytest.raises(cli.UsageError, match=message):
+        cli._option("--o", options)
+    assert cli._option("--ou=x", options) == ("--output", "x")
+
+
 @pytest.mark.parametrize("given", [
     ["-o", "{}"], ["-o{}"], ["-o={}"], ["--output", "{}"], ["--output={}"], ["--out", "{}"],
 ])

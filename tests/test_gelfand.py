@@ -1,6 +1,7 @@
 """The Gelfand criteria engine: fourteen independently computed
 characterizations that must agree, plus the soft/Hausdorff batteries."""
 
+import copy
 import sys
 from collections import Counter
 
@@ -209,6 +210,36 @@ def test_a_report_runs_each_battery_once():
     finally:
         sys.setprofile(previous)
     assert runs == {name: 1 for name in codes.values()}
+
+
+def _deface(node):
+    """Overwrite every leaf below node and add a key to every dict."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        if isinstance(node[key], (dict, list)):
+            _deface(node[key])
+        else:
+            node[key] = "X"
+    if isinstance(node, dict):
+        node["added"] = "X"
+
+
+@pytest.mark.parametrize("name", ("A6", "A8", "cube2", "A6xcube2"))
+def test_an_edited_report_changes_no_later_answer(name):
+    """A report is its caller's: defacing all of it leaves the memoized
+    verdict, the soft routes and the next report's bytes as they were."""
+    if name == "A6xcube2":
+        a = core.direct_product(catalog.get("A6"), catalog.get("cube2"))
+    else:
+        a = fresh(catalog.get(name))
+    rep = report.build_report(a)
+    text = report.render_json(rep)
+    verdict, soft = copy.deepcopy(gf.gelfand_verdict(a)), copy.deepcopy(gf.is_soft(a))
+    _deface(rep)
+    assert rep["gelfand"]["details"] and rep["gelfand"]["criteria"]["added"] == "X"
+    assert gf.gelfand_verdict(a) == verdict
+    assert gf.is_soft(a) == soft
+    assert report.render_json(report.build_report(a)) == text
 
 
 def test_relation_closures_merge_inseparable_primes():

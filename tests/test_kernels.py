@@ -1,15 +1,15 @@
 """The kernels whose rows are hoisted or read off masks, and the table search
 that skips unset cells whole, against their twins in oracles.py that scan
 cell by cell; the coannihilator laws that keep O(n^2) perps against the walk
-that kept them all; and the spectral spaces and relation classes that are
-derived once per algebra."""
+that kept them all; the order on the primes against the inclusion scans; and
+the spectral spaces and relation classes that are derived once per algebra."""
 
 import random
 
 import pytest
 
 from reslat import catalog, core, filters as flt, gelfand as gf, laws, modelgen as mg
-from reslat import pure as pr
+from reslat import pure as pr, topology as top
 from reslat.errors import (
     AdjunctionFails,
     EquivalenceViolation,
@@ -27,8 +27,11 @@ from oracles import (
     comaximal_witness,
     complements_join_by_scan,
     fresh,
+    generalization_by_scan,
+    goedel,
     operation_laws_by_scan,
     residuum_table_by_scan,
+    specialization_by_scan,
     structures_by_pairwise_scan,
 )
 
@@ -293,6 +296,39 @@ def test_the_streamed_coannihilator_laws_match_the_memoized_walk(monkeypatch, pe
     assert ("antitone" in failing) is (perp != "coannihilator")
 
 
+def _prime_order_corpus():
+    """The catalog, every structure with at most five elements, Goedel 2-16
+    and the products the benchmark reports on."""
+    g, prod = catalog.get, core.direct_product
+    algebras = [g(name) for name in catalog.catalog_names()]
+    algebras += [a for n in range(1, 6) for a in mg.residuated_structures(n)]
+    algebras += [goedel(k) for k in range(2, 17)]
+    chain3 = g("chain3")
+    pairs = [("A8", "cube1"), ("A6", "cube2"), ("chain4", "chain4"), ("A8", "chain3"),
+             ("A6", "A6"), ("cube1", "chain3")]
+    algebras += [prod(g(x), g(y)) for x, y in pairs]
+    algebras.append(prod(prod(chain3, chain3), chain3))
+    return algebras
+
+
+def test_the_prime_order_matches_the_inclusion_scans():
+    """The closure of a point set in the specialization and generalization
+    orders is the set of primes above, and below, one of its points: on
+    every point set when there are at most eight primes, on each single
+    point otherwise."""
+    wide = False
+    for a in _prime_order_corpus():
+        points = flt.prime_filters(a)
+        spec, gens = top.specialization(a), top.generalization(a)
+        k = len(points)
+        masks = range(1 << k) if k <= 8 else [1 << i for i in range(k)]
+        wide |= k > 8
+        for m in masks:
+            assert top.closure(spec, m) == specialization_by_scan(points, m), (a.label, m)
+            assert top.closure(gens, m) == generalization_by_scan(points, m), (a.label, m)
+    assert wide
+
+
 @pytest.mark.parametrize("name", ["A6", "A8", "cube2"])
 def test_spaces_and_relation_classes_are_derived_once(name):
     a = fresh(catalog.get(name))
@@ -300,3 +336,5 @@ def test_spaces_and_relation_classes_are_derived_once(name):
     assert pr.pure_spectrum_space(a) is pr.pure_spectrum_space(a)
     for kind in ("comaximal", "dpart"):
         assert gf.relation_closure(a, kind) is gf.relation_closure(a, kind)
+    assert top.specialization(a) is top.specialization(a)
+    assert top.generalization(a) is top.generalization(a)

@@ -122,7 +122,9 @@ def test_a_broken_stable_family_raises_quickly(monkeypatch):
     all 2^63 point sets of Goedel-64; the family stops growing past the 64
     filter hulls and the check raises at once."""
     a = goedel(64)
-    monkeypatch.setattr(top, "specialization_mask", lambda points, mask: mask)
+    monkeypatch.setattr(
+        top, "specialization", lambda a: tuple(1 << i for i in range(len(flt.prime_filters(a))))
+    )
     t0 = time.perf_counter()
     with pytest.raises(EquivalenceViolation, match="closed-set descriptions"):
         laws.hull_closed_family_facts(a)

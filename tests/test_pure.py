@@ -139,7 +139,7 @@ def test_gelfand_pure_laws_on_gelfand_algebras(name):
 def test_a_failing_law_is_named_and_exits_2(monkeypatch):
     """With no open stable under specialization but the empty one, the
     stable-open law fails, and the failure names the law."""
-    stable_nowhere = {**vars(top), "specialization_mask": lambda points, mask: 0}
+    stable_nowhere = {**vars(top), "specialization": lambda a: (0,) * len(top.specialization(a))}
     monkeypatch.setattr(laws, "top", types.SimpleNamespace(**stable_nowhere))
     with pytest.raises(EquivalenceViolation, match="stable open laws fail") as exc:
         laws.stable_open_law(catalog.get("A8"))

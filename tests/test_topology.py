@@ -81,9 +81,9 @@ def test_generalizations_of_a_maximal_on_a6():
     a = catalog.get("A6")
     primes = flt.prime_filters(a)
     m2 = next(p for p in primes if a.set_repr(p) == "{a,b,d,1}")
-    gen = top.generalization_mask(primes, 1 << primes.index(m2))
+    gen = top.generalization(a)[primes.index(m2)]
     assert [a.set_repr(primes[i]) for i in core.bits(gen)] == ["{1}", "{a,b,d,1}"]
-    spec = top.specialization_mask(primes, 0b001)
+    spec = top.specialization(a)[0]
     assert spec == 0b111  # everything specializes the minimal prime
 
 
@@ -265,7 +265,7 @@ def test_maximal_separation_matches_the_opens_search():
 def test_point_closures_and_neighbourhoods():
     sp = top.spec_space(catalog.get("A6"), "hull")
     assert sp == (0b111, 0b010, 0b100)
-    assert top.neighbourhoods(sp) == (0b001, 0b011, 0b101)
+    assert core.down_masks(sp) == (0b001, 0b011, 0b101)
 
 
 def test_spaces_are_built_once_per_algebra(monkeypatch):
@@ -371,7 +371,7 @@ def _assert_matches_family(space, family, what):
     predicates are those the family defines."""
     assert top.closed_sets(space) == family, what
     full = (1 << len(space)) - 1
-    nb = top.neighbourhoods(space)
+    nb = core.down_masks(space)
     for i in range(len(space)):
         meet, missing = full, 0
         for c in family:
